@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -58,9 +59,17 @@ class RecordCache:
             + struct.pack("<I", len(values))
             + hashlib.sha256(payload).digest()
         )
-        tmp = self._path(key, n).with_suffix(".tmp")
-        tmp.write_bytes(header + payload)
-        os.replace(tmp, self._path(key, n))
+        path = self._path(key, n)
+        # A temp file of its own per writer: concurrent stores of one record
+        # each replace it whole, and the last replace wins.
+        fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=self.directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header + payload)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load_vector(self, key: str, n: int) -> Optional[tuple[int, tuple[int, ...]]]:
         """Return (offset, values) or None when absent or corrupt."""

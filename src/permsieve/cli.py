@@ -28,6 +28,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence
@@ -156,6 +157,9 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _cached_providers(cache: RecordCache):
+    """Cache-backed providers, memoized so each record is read or stored once."""
+
+    @lru_cache(maxsize=None)
     def gf_provider(stat_key: str, n: int) -> IntPolynomial:
         rec = cache.load_vector(f"gf_{stat_key}", n)
         if rec is not None:
@@ -165,6 +169,7 @@ def _cached_providers(cache: RecordCache):
         cache.store_vector(f"gf_{stat_key}", n, f.offset, f.coeffs)
         return f
 
+    @lru_cache(maxsize=None)
     def sizes_provider(map_key: str, n: int) -> dict[int, int]:
         rec = cache.load_vector(f"orbit_{map_key}", n)
         if rec is not None:
@@ -180,10 +185,11 @@ def _cached_providers(cache: RecordCache):
 
 
 def _write_back(cache: RecordCache, report: ScanReport) -> None:
-    """Persist results computed by worker processes."""
-    for row in report.rows:
+    """Persist results computed by worker processes, checking each record once."""
+    for row in {(r.stat_key, r.n): r for r in report.rows}.values():
         if cache.load_vector(f"gf_{row.stat_key}", row.n) is None:
             cache.store_vector(f"gf_{row.stat_key}", row.n, row.gf_offset, row.gf_coeffs)
+    for row in {(r.map_key, r.n): r for r in report.rows}.values():
         if cache.load_vector(f"orbit_{row.map_key}", row.n) is None:
             sizes = {}
             for token in row.signature.split():

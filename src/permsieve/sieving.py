@@ -6,18 +6,19 @@ the map order, counts the elements fixed by the corresponding power of the
 map.  Two polynomials of degree below c that agree at all c of those roots
 are equal, so the verdict reduces to an exact comparison of the generating
 function folded modulo q^c - 1 against the orbit polynomial, which by
-construction evaluates at each root power to the fixed-point count.  A
-floating-point cross-evaluation is attached to reports as a diagnostic and
-never decides anything.
+construction evaluates at each root power to the fixed-point count.  The
+witness roots of a failing verdict come from exact cyclotomic remainders.  A
+floating-point cross-evaluation is computed on demand for display and never
+decides anything.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations as iter_permutations
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
 from .bijections import get_map
@@ -30,8 +31,6 @@ from .orbits import (
 from .permutations import Perm
 from .polynomials import IntPolynomial
 from .statistics import StatDescriptor, get_statistic
-
-FLOAT_REPORT_TOLERANCE = 1e-9
 
 
 def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
@@ -91,10 +90,67 @@ class CspVerdict:
     fixed: tuple[int, ...]
     residue_f: IntPolynomial
     residue_t: IntPolynomial
-    float_evals: tuple[complex, ...]
-    witnesses: tuple[int, ...]
     shift_used: int
     shift_preserves_residue: bool
+
+    @cached_property
+    def float_evals(self) -> tuple[complex, ...]:
+        """residue_f at each power of a primitive c-th root; display only, lazy."""
+        c = self.order
+        return tuple(
+            complex(self.residue_f.evaluate(cmath.exp(2j * cmath.pi * d / c)))
+            for d in range(c)
+        )
+
+    @cached_property
+    def witnesses(self) -> tuple[int, ...]:
+        """The d whose root zeta^d separates the residues, ascending; exact.
+
+        With g = residue_f - residue_t and c the order, zeta^d has order
+        e = c / gcd(c, d) and g(zeta^d) = 0 exactly when the cyclotomic
+        polynomial Phi_e divides g, decided on g mod q^e - 1, once per
+        divisor e of c.  Lazy: only a failing verdict's reader pays for it.
+        """
+        if self.holds:
+            return ()
+        c = self.order
+        g = self.residue_f - self.residue_t
+        separating = set()
+        for e in range(1, c + 1):
+            if c % e:
+                continue
+            folded = list(g.fold(e).dense(0, e - 1))
+            if any(_divmod_monic(folded, _cyclotomic(e))[1]):
+                separating.add(e)
+        return tuple(d for d in range(c) if c // gcd(c, d) in separating)
+
+
+def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den, coefficients constant first."""
+    rem = list(num)
+    k = len(den) - 1
+    quot = [0] * max(len(rem) - k, 0)
+    for top in range(len(rem) - 1, k - 1, -1):
+        lead = rem[top]
+        if lead:
+            quot[top - k] = lead
+            for j, coeff in enumerate(den):
+                rem[top - k + j] -= lead * coeff
+    return quot, rem[:k]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(e: int) -> tuple[int, ...]:
+    """Coefficients of Phi_e, constant first: q^e - 1 over every Phi_d, d | e, d < e.
+
+    >>> _cyclotomic(6)
+    (1, -1, 1)
+    """
+    quot = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            quot = _divmod_monic(quot, _cyclotomic(d))[0]
+    return tuple(quot)
 
 
 def verdict_from_parts(
@@ -112,12 +168,6 @@ def verdict_from_parts(
     residue_t = orbit_polynomial_from_sizes(sizes)
     holds = residue_f == residue_t
     fixed = fixed_counts_from_sizes(sizes)
-    evals = tuple(
-        complex(residue_f.evaluate(cmath.exp(2j * cmath.pi * d / c))) for d in range(c)
-    )
-    witnesses = tuple(
-        d for d in range(c) if abs(evals[d] - fixed[d]) > FLOAT_REPORT_TOLERANCE
-    )
     shift = f.min_exponent
     shifted_residue = fold_mod_cyclic(f.shift(-shift), c)
     return CspVerdict(
@@ -129,8 +179,6 @@ def verdict_from_parts(
         fixed=fixed,
         residue_f=residue_f,
         residue_t=residue_t,
-        float_evals=evals,
-        witnesses=witnesses,
         shift_used=shift,
         shift_preserves_residue=shifted_residue == residue_f,
     )

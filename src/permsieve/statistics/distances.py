@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from math import factorial
+from itertools import permutations
 
 from ..permutations import Perm, identity, perm_rank
 from .basic import inversions
@@ -64,22 +64,22 @@ def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> tuple[in
 
     Generators are position pairs (0-based); multiplying on the right by the
     transposition (a+1, b+1) swaps the entries at positions a and b, so BFS
-    layers enumerate products of k generators.
+    layers enumerate products of k generators.  The search keys its distances
+    by permutation; the table is then read off in lexicographic order, whose
+    positions are the Lehmer ranks.
     """
-    table = [-1] * factorial(n)
     start = identity(n)
-    table[perm_rank(start)] = 0
+    dist = {start: 0}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        d = table[perm_rank(cur)]
+        d = dist[cur] + 1
         for a, b in generators:
             nxt = _swap_positions(cur, a, b)
-            r = perm_rank(nxt)
-            if table[r] < 0:
-                table[r] = d + 1
+            if nxt not in dist:
+                dist[nxt] = d
                 queue.append(nxt)
-    return tuple(table)
+    return tuple(dist[p] for p in permutations(range(1, n + 1)))
 
 
 def cyclic_shift_factorization_length(p: Perm) -> int:

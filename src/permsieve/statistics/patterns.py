@@ -5,6 +5,9 @@ sit in adjacent positions of the host permutation; adjacency is on positions,
 never on values.  The dash notation ``32-1`` means the letters 3 and 2 are
 glued and the 1 may appear anywhere later, so an occurrence consists of
 positions (i, i+1, k) with k > i+1 and sigma_i > sigma_{i+1} > sigma_k.
+
+The registered pattern statistics use direct O(n^2) kernels; the generic
+recursive :func:`pattern_count` is their test oracle.
 """
 
 from __future__ import annotations
@@ -118,45 +121,104 @@ def vincular_pattern_count(p: Perm, spec: PatternSpec) -> int:
     return pattern_count(p, spec)
 
 
-PATTERN_13_2 = PatternSpec.from_string("13-2")
-PATTERN_12_3 = PatternSpec.from_string("12-3")
-PATTERN_31_2 = PatternSpec.from_string("31-2")
-PATTERN_32_1 = PatternSpec.from_string("32-1")
+def _glued_then_later(p: Perm, pattern: tuple[int, int, int]) -> int:
+    """Occurrences of the vincular pattern ``xy-z`` given as (x, y, z), in O(n^2).
+
+    For each adjacent pair (p_i, p_{i+1}) ordered like (x, y), count the
+    later entries lying in the value window that z's rank names: below both,
+    between them, or above both.
+    """
+    x, y, z = pattern
+    total = 0
+    for i in range(len(p) - 2):
+        a, b = p[i], p[i + 1]
+        if (a < b) != (x < y):
+            continue
+        lo, hi = (a, b) if a < b else (b, a)
+        if z == 1:
+            total += sum(w < lo for w in p[i + 2 :])
+        elif z == 2:
+            total += sum(lo < w < hi for w in p[i + 2 :])
+        else:
+            total += sum(w > hi for w in p[i + 2 :])
+    return total
 
 
 def occurrences_13_2(p: Perm) -> int:
-    return pattern_count(p, PATTERN_13_2)
+    """
+    >>> occurrences_13_2((1, 3, 2, 4))
+    1
+    """
+    return _glued_then_later(p, (1, 3, 2))
 
 
 def occurrences_12_3(p: Perm) -> int:
-    return pattern_count(p, PATTERN_12_3)
+    """
+    >>> occurrences_12_3((1, 2, 3, 4))
+    3
+    """
+    return _glued_then_later(p, (1, 2, 3))
 
 
 def occurrences_31_2(p: Perm) -> int:
-    return pattern_count(p, PATTERN_31_2)
+    """
+    >>> occurrences_31_2((3, 1, 4, 2))
+    1
+    """
+    return _glued_then_later(p, (3, 1, 2))
 
 
 def occurrences_32_1(p: Perm) -> int:
-    return pattern_count(p, PATTERN_32_1)
+    """
+    >>> occurrences_32_1((3, 2, 4, 1))
+    1
+    """
+    return _glued_then_later(p, (3, 2, 1))
 
 
-def _classical_pair(p: Perm, first: str, second: str) -> int:
-    return pattern_count(p, PatternSpec.from_string(first)) + pattern_count(
-        p, PatternSpec.from_string(second)
-    )
+def _choose_two_sum(p: Perm, left: bool, larger: bool) -> int:
+    """Sum over positions of C(m, 2), m the entries on one side larger (or smaller).
+
+    Two classical length-3 patterns sharing the position and rank of their
+    extreme letter are counted together this way in O(n^2): 123 and 132 both
+    start with their smallest letter, so their occurrences are the pairs of
+    larger entries to the right of each position.
+    """
+    total = 0
+    for i, v in enumerate(p):
+        side = p[:i] if left else p[i + 1 :]
+        m = sum(w > v for w in side) if larger else sum(w < v for w in side)
+        total += m * (m - 1) // 2
+    return total
 
 
 def occurrences_123_or_132(p: Perm) -> int:
-    return _classical_pair(p, "123", "132")
+    """
+    >>> occurrences_123_or_132((1, 3, 2, 4))
+    3
+    """
+    return _choose_two_sum(p, left=False, larger=True)
 
 
 def occurrences_123_or_213(p: Perm) -> int:
-    return _classical_pair(p, "123", "213")
+    """
+    >>> occurrences_123_or_213((2, 1, 4, 3))
+    2
+    """
+    return _choose_two_sum(p, left=True, larger=False)
 
 
 def occurrences_231_or_321(p: Perm) -> int:
-    return _classical_pair(p, "231", "321")
+    """
+    >>> occurrences_231_or_321((4, 2, 3, 1))
+    3
+    """
+    return _choose_two_sum(p, left=True, larger=True)
 
 
 def occurrences_312_or_321(p: Perm) -> int:
-    return _classical_pair(p, "312", "321")
+    """
+    >>> occurrences_312_or_321((4, 1, 3, 2))
+    3
+    """
+    return _choose_two_sum(p, left=False, larger=False)

@@ -1,8 +1,11 @@
 """Binary record cache: round trips, corruption handling, invalidation."""
 
+import multiprocessing
 import struct
 
 from permsieve.cache import MAGIC, RecordCache
+
+RACE_STORES = 300
 
 
 class TestRoundTrip:
@@ -89,3 +92,29 @@ class TestCorruption:
 
     def test_magic_constant(self):
         assert MAGIC == b"PSRC"
+
+
+def _store_repeatedly(directory, value, barrier):
+    cache = RecordCache(directory)
+    barrier.wait(timeout=60)
+    for _ in range(RACE_STORES):
+        cache.store_vector("gf_shared", 7, 0, (value,) * 512)
+
+
+class TestConcurrentWriters:
+    def test_two_processes_store_one_record(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        writers = [
+            ctx.Process(target=_store_repeatedly, args=(str(tmp_path), value, barrier))
+            for value in (1, 2)
+        ]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(timeout=120)
+        assert not any(w.is_alive() for w in writers)
+        assert [w.exitcode for w in writers] == [0, 0]
+        record = RecordCache(tmp_path).load_vector("gf_shared", 7)
+        assert record in ((0, (1,) * 512), (0, (2,) * 512))
+        assert [p.name for p in tmp_path.iterdir()] == ["gf_shared_7.rec"]

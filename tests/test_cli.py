@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from permsieve.cache import RecordCache
 from permsieve.cli import main
 
 
@@ -122,6 +123,29 @@ class TestScanCommand:
         for row in doc["rows"]:
             assert row["pair"] in csv_out
             assert row["pair"].replace("|", "\\|") in md_out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_each_record_loaded_once(self, capsys, tmp_path, monkeypatch, workers):
+        loads = []
+        load_vector = RecordCache.load_vector
+
+        def counted(cache, key, n):
+            loads.append((key, n))
+            return load_vector(cache, key, n)
+
+        monkeypatch.setattr(RecordCache, "load_vector", counted)
+        args = [*self.ARGS, "--max-n", "5", "--cache-dir", str(tmp_path / "c"),
+                "--workers", workers]
+        _, cold, _ = run(capsys, *args)
+        cold_loads, loads[:] = list(loads), []
+        _, warm, _ = run(capsys, *args)
+        records = {(f"{kind}_{key}", n) for n in (4, 5)
+                   for kind, keys in (("gf", ("st018", "st021", "st039")),
+                                      ("orbit", ("reverse", "corteel")))
+                   for key in keys}
+        assert sorted(cold_loads) == sorted(records)
+        assert sorted(loads) == sorted(records)
+        assert cold == warm
 
     def test_output_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

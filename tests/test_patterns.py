@@ -84,6 +84,30 @@ class TestAgainstOracle:
             assert pattern_count(p, spec) == brute_count(p, spec.pattern, spec.adjacent)
 
 
+REGISTERED_PATTERNS = {
+    "st356": ("13-2",),
+    "st357": ("12-3",),
+    "st358": ("31-2",),
+    "st360": ("32-1",),
+    "st423": ("123", "132"),
+    "st428": ("123", "213"),
+    "st436": ("231", "321"),
+    "st437": ("312", "321"),
+}
+
+
+class TestRegisteredKernels:
+    @pytest.mark.parametrize("key", sorted(REGISTERED_PATTERNS))
+    def test_kernel_matches_oracles_s1_to_s7(self, key):
+        specs = [PatternSpec.from_string(text) for text in REGISTERED_PATTERNS[key]]
+        evaluator = get_statistic(key).evaluator
+        for n in range(1, 8):
+            for p in permutations(range(1, n + 1)):
+                want = sum(pattern_count(p, spec) for spec in specs)
+                assert evaluator(p) == want, p
+                assert want == sum(brute_count(p, spec.pattern, spec.adjacent) for spec in specs)
+
+
 class TestWorkedExamples:
     def test_identity_avoids_descent_patterns(self):
         assert get_statistic("st360")((1, 2, 3, 4, 5)) == 0

@@ -100,6 +100,21 @@ class TestCspCheck:
         assert not v.holds
         assert v.witnesses == (1,)
 
+    def test_holding_verdict_has_no_witnesses_at_order_840(self):
+        # The float diagnostics miss the fixed-point counts by ~3e-9 here.
+        v = csp_check("st020", "lehmer_code_rotation", 8)
+        assert v.holds and v.order == 840
+        assert v.witnesses == ()
+
+    @pytest.mark.parametrize("stat", ["st004", "st021", "st836"])
+    def test_exact_witnesses_agree_with_float_evaluation(self, stat):
+        v = csp_check(stat, "lehmer_code_rotation", 5)
+        assert not v.holds
+        separating = tuple(
+            d for d, z in enumerate(v.float_evals) if abs(z - v.fixed[d]) > 1e-6
+        )
+        assert v.witnesses == separating
+
     def test_float_diagnostics_match_on_holds(self):
         v = csp_check("st317", "corteel", 5)
         assert v.holds and v.witnesses == ()

@@ -2,11 +2,12 @@
 
 from collections import deque
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
 from permsieve.errors import IndexOutOfRange, ParityViolation, WidthOutOfRange
-from permsieve.permutations import identity, inverse
+from permsieve.permutations import identity, inverse, perm_rank
 from permsieve.polynomials import IntPolynomial
 from permsieve.sieving import equidistribution, generating_function, q_minus_one
 from permsieve.statistics import get_statistic, mahonian_gf
@@ -15,7 +16,7 @@ from permsieve.statistics.basic import (
     bialternating_inversion_raw,
     width_k_descents,
 )
-from permsieve.statistics.distances import depth, reduced_reflection_length
+from permsieve.statistics.distances import _distance_table, depth, reduced_reflection_length
 from permsieve.statistics.entries import inversions_of_ith_entry, ith_entry
 
 
@@ -334,6 +335,30 @@ class TestSortingDistances:
                         queue.append(nxt)
             for p in S(n):
                 assert reduced_reflection_length(p) == dist[p]
+
+    def test_distance_table_against_rank_indexed_bfs(self):
+        """Oracle: the same BFS over a table indexed by perm_rank."""
+
+        def reference(n, generators):
+            table = [-1] * factorial(n)
+            table[perm_rank(identity(n))] = 0
+            queue = deque([identity(n)])
+            while queue:
+                cur = queue.popleft()
+                for a, b in generators:
+                    nxt = list(cur)
+                    nxt[a], nxt[b] = nxt[b], nxt[a]
+                    nxt = tuple(nxt)
+                    if table[perm_rank(nxt)] < 0:
+                        table[perm_rank(nxt)] = table[perm_rank(cur)] + 1
+                        queue.append(nxt)
+            return tuple(table)
+
+        for n in range(2, 7):
+            cyclic = tuple((a, a + 1) for a in range(n - 1)) + (((0, n - 1),) if n > 2 else ())
+            prefix = tuple((0, a) for a in range(1, n))
+            for gens in (cyclic, prefix):
+                assert _distance_table(n, gens) == reference(n, gens)
 
     def test_depth(self):
         assert depth((2, 4, 3, 1)) == 1 + 2 + 0 + 0
