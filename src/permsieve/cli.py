@@ -18,7 +18,9 @@ Exit codes: 0 success, 1 property or verdict failure, 2 usage error.
 The scan subcommand keeps a cache of generating-function and orbit-size
 vectors under ``cache/`` (override with ``--cache-dir``, the
 ``PERMSIEVE_CACHE_DIR`` environment variable, or a ``permsieve.cfg`` file of
-``key = value`` lines); corrupt records are silently recomputed.
+``key = value`` lines); corrupt records are silently recomputed.  With
+``--workers N`` (or ``workers = N`` in the config file) the worker processes
+compute only the cache misses, so a warm scan starts none.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from functools import lru_cache
 from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .bijections import get_map, map_keys
 from .cache import RecordCache
-from .errors import PermsieveError
+from .errors import PermsieveError, UsageError
 from .orbits import fixed_counts_from_sizes, orbit_sizes, signature_from_sizes
 from .permutations import format_permutation, parse_permutation
 from .polynomials import IntPolynomial
@@ -156,49 +157,6 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cached_providers(cache: RecordCache):
-    """Cache-backed providers, memoized so each record is read or stored once."""
-
-    @lru_cache(maxsize=None)
-    def gf_provider(stat_key: str, n: int) -> IntPolynomial:
-        rec = cache.load_vector(f"gf_{stat_key}", n)
-        if rec is not None:
-            offset, coeffs = rec
-            return IntPolynomial(coeffs, offset) if coeffs else IntPolynomial.zero()
-        f = generating_function(stat_key, n)
-        cache.store_vector(f"gf_{stat_key}", n, f.offset, f.coeffs)
-        return f
-
-    @lru_cache(maxsize=None)
-    def sizes_provider(map_key: str, n: int) -> dict[int, int]:
-        rec = cache.load_vector(f"orbit_{map_key}", n)
-        if rec is not None:
-            _, flat = rec
-            if flat and len(flat) % 2 == 0:
-                return {flat[i]: flat[i + 1] for i in range(0, len(flat), 2)}
-        sizes = orbit_sizes(map_key, n)
-        flat = tuple(x for size in sorted(sizes) for x in (size, sizes[size]))
-        cache.store_vector(f"orbit_{map_key}", n, 0, flat)
-        return sizes
-
-    return gf_provider, sizes_provider
-
-
-def _write_back(cache: RecordCache, report: ScanReport) -> None:
-    """Persist results computed by worker processes, checking each record once."""
-    for row in {(r.stat_key, r.n): r for r in report.rows}.values():
-        if cache.load_vector(f"gf_{row.stat_key}", row.n) is None:
-            cache.store_vector(f"gf_{row.stat_key}", row.n, row.gf_offset, row.gf_coeffs)
-    for row in {(r.map_key, r.n): r for r in report.rows}.values():
-        if cache.load_vector(f"orbit_{row.map_key}", row.n) is None:
-            sizes = {}
-            for token in row.signature.split():
-                size, count = token.split("^")
-                sizes[int(size)] = int(count)
-            flat = tuple(x for size in sorted(sizes) for x in (size, sizes[size]))
-            cache.store_vector(f"orbit_{row.map_key}", row.n, 0, flat)
-
-
 def _cmd_stat(args: argparse.Namespace) -> int:
     if args.stat_command == "list":
         for key in statistic_keys():
@@ -270,20 +228,16 @@ def _cmd_equidist(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    workers = args.workers if args.workers is not None else config.get("workers", "1")
+    if not str(workers).isdecimal() or int(workers) < 1:
+        raise UsageError(f"workers must be a positive integer, got {workers!r}")
+    fmt = args.format or config.get("format", "json")
+    if fmt not in _SCAN_EMITTERS:
+        raise UsageError(f"format must be one of {', '.join(sorted(_SCAN_EMITTERS))}, got {fmt!r}")
     cache = RecordCache(resolve_cache_dir(args.cache_dir, config))
     stats = args.stats.split(",") if args.stats else None
     maps = args.maps.split(",") if args.maps else None
-    workers = args.workers or int(config.get("workers", "1"))
-    if workers > 1:
-        report = scan(args.min_n, args.max_n, stats, maps, workers=workers)
-        _write_back(cache, report)
-    else:
-        gf_provider, sizes_provider = _cached_providers(cache)
-        report = scan(
-            args.min_n, args.max_n, stats, maps,
-            gf_provider=gf_provider, sizes_provider=sizes_provider,
-        )
-    fmt = args.format or config.get("format", "json")
+    report = scan(args.min_n, args.max_n, stats, maps, workers=int(workers), cache=cache)
     _emit(_SCAN_EMITTERS[fmt](report), args.output)
     return 0
 

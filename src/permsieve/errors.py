@@ -51,3 +51,7 @@ class NotABijection(PermsieveError):
 
 class CacheCorrupt(PermsieveError):
     """Raised internally when a cache record fails its checksum or layout check."""
+
+
+class UsageError(PermsieveError, ValueError):
+    """Raised when a command or scan argument is out of its documented range."""

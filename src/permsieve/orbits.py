@@ -1,20 +1,21 @@
 """Orbit decomposition of a registered map over the whole of S_n.
 
-Permutations are indexed by their factorial-base (Lehmer) rank so the
-visited set is a flat byte array; S_8 has 40320 elements and dense indexing
-keeps decomposition cheap.  Orbits are stored as rank lists and materialized
-to permutations only on demand.
+Permutations are indexed by their position in the shared lexicographic table
+of S_n (:func:`~permsieve.permutations.lex_table`), which is their Lehmer
+rank, so the visited set is a flat byte array and each map image costs one
+dict lookup.  Orbits are stored as rank lists and materialized to
+permutations only on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 
 from .bijections import MapDescriptor, get_map
 from .errors import NotABijection
-from .permutations import Perm, perm_rank, perm_unrank
+from .permutations import Perm, lex_table
 
 
 @dataclass(frozen=True)
@@ -37,27 +38,33 @@ class OrbitDecomposition:
         return sizes
 
     def orbit_of_perms(self, index: int) -> tuple[Perm, ...]:
-        return tuple(perm_unrank(r, self.n) for r in self.orbits[index])
+        perms = lex_table(self.n)[0]
+        return tuple(perms[r] for r in self.orbits[index])
 
     def fixed_point_count(self) -> int:
         return sum(1 for o in self.orbits if len(o) == 1)
 
 
 def decompose(map_desc: MapDescriptor | str, n: int) -> OrbitDecomposition:
-    """Partition S_n into orbits of the map, lex-least representative first."""
+    """Partition S_n into orbits of the map, lex-least representative first.
+
+    Raises :class:`NotABijection` when an image is not a permutation in S_n
+    or when two trajectories merge.
+    """
     desc = get_map(map_desc) if isinstance(map_desc, str) else map_desc
-    total = factorial(n)
-    visited = bytearray(total)
+    perms, rank = lex_table(n)
+    visited = bytearray(len(perms))
     orbits = []
-    for seed in range(total):
+    for seed, current in enumerate(perms):
         if visited[seed]:
             continue
         orbit = [seed]
         visited[seed] = 1
-        current = perm_unrank(seed, n)
         while True:
             current = desc(current)
-            r = perm_rank(current)
+            r = rank.get(current)
+            if r is None:
+                raise NotABijection(f"{desc.key} maps into {current!r}, which is not in S_{n}")
             if r == seed:
                 break
             if visited[r]:

@@ -6,26 +6,30 @@ applicable n are skipped with a reason, and per-pair failures are recorded
 without aborting the scan.  Pairs are then deduplicated by their joint
 (orbit signature, generating function) fingerprint across the range, since
 two maps with the same orbit structure sieve for exactly the same generating
-functions.  Reports are deterministic: rows are keyed and sorted, and worker
-parallelism cannot change any value.
+functions.  Phase 1 loads each distinct generating function and orbit size
+multiset from the cache once and computes only the misses, so a warm scan
+starts no worker process; phase 2 folds the S x M verdicts in-process.
+Reports are deterministic: rows are keyed and sorted, and neither the cache
+nor the worker count can change any value.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .bijections import get_map, map_keys
-from .errors import PermsieveError
+from .cache import RecordCache
+from .errors import PermsieveError, UsageError
 from .orbits import orbit_sizes, signature_from_sizes
 from .polynomials import IntPolynomial
-from .sieving import csp_check, equidistribution, generating_function, q_minus_one, verdict_from_parts
+from .sieving import equidistribution, generating_function, q_minus_one, verdict_from_parts
 from .statistics import descent_variant_gf, get_statistic, statistic_keys
 
-GfProvider = Callable[[str, int], IntPolynomial]
-SizesProvider = Callable[[str, int], dict[int, int]]
+Job = tuple[str, str, int]  # ("gf", stat key, n) or ("orbit", map key, n)
+Part = Union[IntPolynomial, dict[int, int], PermsieveError]
 
 MIN_SCAN_N = 1
 MAX_SCAN_N = 8
@@ -92,53 +96,87 @@ def _applicable_ns(stat_key: str, map_key: str, n_min: int, n_max: int) -> list[
     return list(range(lo, n_max + 1))
 
 
+def _compute(job: Job) -> Part:
+    """One phase-1 job; a :class:`PermsieveError` comes back as the value."""
+    kind, key, n = job
+    try:
+        return generating_function(key, n) if kind == "gf" else orbit_sizes(key, n)
+    except PermsieveError as exc:
+        return exc
+
+
+def _load(cache: RecordCache, job: Job) -> Optional[Part]:
+    """The job's cached value, or None when absent, corrupt or malformed.
+
+    Records are ``gf_<stat>`` (offset and coefficients) and ``orbit_<map>``
+    (flat size, count pairs, sizes ascending).
+    """
+    kind, key, n = job
+    rec = cache.load_vector(f"{kind}_{key}", n)
+    if rec is None:
+        return None
+    offset, values = rec
+    if kind == "gf":
+        return IntPolynomial(values, offset) if values else IntPolynomial.zero()
+    if values and len(values) % 2 == 0:
+        return {values[i]: values[i + 1] for i in range(0, len(values), 2)}
+    return None
+
+
+def _store(cache: RecordCache, job: Job, value: Part) -> None:
+    kind, key, n = job
+    if kind == "gf":
+        cache.store_vector(f"gf_{key}", n, value.offset, value.coeffs)
+    else:
+        flat = tuple(x for size in sorted(value) for x in (size, value[size]))
+        cache.store_vector(f"orbit_{key}", n, 0, flat)
+
+
+def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> dict[Job, Part]:
+    """Phase 1: each job loaded from the cache once, the misses computed and stored."""
+    parts: dict[Job, Part] = {}
+    if cache is not None:
+        parts = {job: value for job in jobs if (value := _load(cache, job)) is not None}
+    # largest n first, so that no long job starts last in the pool
+    misses = sorted((job for job in jobs if job not in parts), key=lambda job: -job[2])
+    if workers > 1 and misses:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(_compute, misses))
+    else:
+        computed = map(_compute, misses)
+    for job, value in zip(misses, computed):
+        parts[job] = value
+        if cache is not None and not isinstance(value, PermsieveError):
+            _store(cache, job, value)
+    return parts
+
+
 def _pair_outcome(
-    stat_key: str,
-    map_key: str,
-    n_min: int,
-    n_max: int,
-    gf_provider: GfProvider,
-    sizes_provider: SizesProvider,
-) -> tuple[tuple, tuple]:
-    """All rows for one pair, plus its verdict, as plain tuples."""
+    stat_key: str, map_key: str, ns: list[int], parts: dict[Job, Part]
+) -> tuple[list[ScanRow], PairVerdict]:
+    """Phase 2 for one pair: its rows up to any failed evaluation, and its verdict."""
     pair = f"{stat_key}|{map_key}"
-    ns = _applicable_ns(stat_key, map_key, n_min, n_max)
     if not ns:
-        verdict = (pair, stat_key, map_key, "skipped", (), None, None,
-                   "undefined on the whole range")
-        return (), verdict
+        return [], PairVerdict(pair, stat_key, map_key, "skipped", (),
+                               reason="undefined on the whole range")
     rows = []
     failing_n = None
     witness = None
     for n in ns:
-        try:
-            f = gf_provider(stat_key, n)
-            sizes = sizes_provider(map_key, n)
-            v = verdict_from_parts(stat_key, map_key, n, f, sizes)
-        except PermsieveError as exc:
-            verdict = (pair, stat_key, map_key, "skipped", tuple(ns), None, None,
-                       f"evaluation failed at n={n}: {exc}")
-            return tuple(rows), verdict
-        rows.append(
-            (pair, stat_key, map_key, n, v.holds, v.fixed,
-             signature_from_sizes(sizes), f.offset, f.coeffs)
-        )
+        f = parts["gf", stat_key, n]
+        sizes = parts["orbit", map_key, n]
+        error = next((x for x in (f, sizes) if isinstance(x, PermsieveError)), None)
+        if error is not None:
+            return rows, PairVerdict(pair, stat_key, map_key, "skipped", tuple(ns),
+                                     reason=f"evaluation failed at n={n}: {error}")
+        v = verdict_from_parts(stat_key, map_key, n, f, sizes)
+        rows.append(ScanRow(pair, stat_key, map_key, n, v.holds, v.fixed,
+                            signature_from_sizes(sizes), f.offset, f.coeffs))
         if not v.holds and failing_n is None:
             failing_n = n
             witness = v.witnesses[0] if v.witnesses else None
     status = "apparent" if failing_n is None else "fail"
-    verdict = (pair, stat_key, map_key, status, tuple(ns), failing_n, witness, "")
-    return tuple(rows), verdict
-
-
-def _scan_pair(args: tuple[str, str, int, int]) -> tuple[tuple, tuple]:
-    """Picklable worker entry using the pure providers."""
-    stat_key, map_key, n_min, n_max = args
-    return _pair_outcome(
-        stat_key, map_key, n_min, n_max,
-        lambda s, n: generating_function(s, n),
-        orbit_sizes,
-    )
+    return rows, PairVerdict(pair, stat_key, map_key, status, tuple(ns), failing_n, witness)
 
 
 def scan(
@@ -147,46 +185,36 @@ def scan(
     stats: Optional[Sequence[str]] = None,
     maps: Optional[Sequence[str]] = None,
     workers: int = 1,
-    gf_provider: Optional[GfProvider] = None,
-    sizes_provider: Optional[SizesProvider] = None,
+    cache: Optional[RecordCache] = None,
 ) -> ScanReport:
     """Check every selected (statistic, map) pair on n_min..n_max.
 
     The default range 4..6 keeps false negatives rare (several statistics are
     degenerate on tiny permutations) while staying fast; wider ranges are
-    opt-in up to n = 8.  Providers allow a persistent cache to stand in for
-    the pure computations; with more than one worker the pure computations
-    run in subprocesses and providers are consulted only when storing.  The
-    report is byte-for-byte independent of the worker count.
+    opt-in up to n = 8.  Only the parts missing from ``cache`` are computed,
+    by ``workers`` processes when there are more than one, so a warm scan
+    starts no worker.  The report is byte-for-byte independent of the cache
+    and of the worker count.
     """
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
-        raise ValueError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
-    stat_list = tuple(stats) if stats else statistic_keys()
-    map_list = tuple(maps) if maps else map_keys()
-    stat_list = tuple(sorted(get_statistic(s).key for s in stat_list))
-    map_list = tuple(sorted(get_map(m).key for m in map_list))
-    tasks = [(s, m, n_min, n_max) for s in stat_list for m in map_list]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_scan_pair, tasks, chunksize=8))
-    else:
-        gf_fn = gf_provider or (lambda s, n: generating_function(s, n))
-        sz_fn = sizes_provider or orbit_sizes
-        outcomes = [
-            _pair_outcome(s, m, lo, hi, gf_fn, sz_fn) for (s, m, lo, hi) in tasks
-        ]
-    all_rows: list[ScanRow] = []
-    verdicts: list[PairVerdict] = []
-    for rows, verdict in outcomes:
-        for r in rows:
-            all_rows.append(ScanRow(*r))
-        verdicts.append(PairVerdict(*verdict))
-    all_rows.sort(key=lambda r: (r.stat_key, r.map_key, r.n))
-    verdicts.sort(key=lambda v: (v.stat_key, v.map_key))
-    report = ScanReport(n_min, n_max, stat_list, map_list, tuple(all_rows), tuple(verdicts))
-    return ScanReport(
-        n_min, n_max, stat_list, map_list, report.rows, report.verdicts, dedupe(report)
+        raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
+    stat_list = tuple(sorted(get_statistic(s).key for s in (stats or statistic_keys())))
+    map_list = tuple(sorted(get_map(m).key for m in (maps or map_keys())))
+    pairs = [(s, m, _applicable_ns(s, m, n_min, n_max)) for s in stat_list for m in map_list]
+    jobs = dict.fromkeys(
+        job for s, m, ns in pairs for n in ns for job in (("gf", s, n), ("orbit", m, n))
     )
+    parts = _parts(list(jobs), workers, cache)
+    rows: list[ScanRow] = []
+    verdicts: list[PairVerdict] = []
+    for s, m, ns in pairs:
+        pair_rows, verdict = _pair_outcome(s, m, ns, parts)
+        rows += pair_rows
+        verdicts.append(verdict)
+    rows.sort(key=lambda r: (r.stat_key, r.map_key, r.n))
+    verdicts.sort(key=lambda v: (v.stat_key, v.map_key))
+    report = ScanReport(n_min, n_max, stat_list, map_list, tuple(rows), tuple(verdicts))
+    return replace(report, classes=dedupe(report))
 
 
 def dedupe(report: ScanReport) -> tuple[DedupClass, ...]:
@@ -358,12 +386,3 @@ def instance_applies(condition: str, n: int) -> bool:
         return n >= int(condition[3:])
     raise ValueError(f"unknown condition {condition!r}")
 
-
-def known_instances_verdict(n_min: int = 4, n_max: int = 6) -> list[tuple[str, str, bool]]:
-    """Check the whole catalog; returns (pair, condition, holds-on-all-applicable-n)."""
-    out = []
-    for stat, mp, condition in KNOWN_INSTANCES:
-        ns = [n for n in range(n_min, n_max + 1) if instance_applies(condition, n)]
-        ok = all(csp_check(stat, mp, n).holds for n in ns)
-        out.append((f"{stat}|{mp}", condition, ok))
-    return out

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import permutations
 
-from ..permutations import Perm, identity, perm_rank
+from ..permutations import Perm, identity, lex_table
 from .basic import inversions
 
 
@@ -65,8 +64,8 @@ def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> tuple[in
     Generators are position pairs (0-based); multiplying on the right by the
     transposition (a+1, b+1) swaps the entries at positions a and b, so BFS
     layers enumerate products of k generators.  The search keys its distances
-    by permutation; the table is then read off in lexicographic order, whose
-    positions are the Lehmer ranks.
+    by permutation; the table is then read off in the order of the shared
+    lex table, whose positions are the Lehmer ranks.
     """
     start = identity(n)
     dist = {start: 0}
@@ -79,7 +78,7 @@ def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> tuple[in
             if nxt not in dist:
                 dist[nxt] = d
                 queue.append(nxt)
-    return tuple(dist[p] for p in permutations(range(1, n + 1)))
+    return tuple(dist[p] for p in lex_table(n)[0])
 
 
 def cyclic_shift_factorization_length(p: Perm) -> int:
@@ -94,7 +93,7 @@ def cyclic_shift_factorization_length(p: Perm) -> int:
     gens = tuple((a, a + 1) for a in range(n - 1))
     if n > 2:
         gens += ((0, n - 1),)
-    return _distance_table(n, gens)[perm_rank(p)]
+    return _distance_table(n, gens)[lex_table(n)[1][p]]
 
 
 def prefix_exchange_distance(p: Perm) -> int:
@@ -107,4 +106,4 @@ def prefix_exchange_distance(p: Perm) -> int:
     if n == 1:
         return 0
     gens = tuple((0, a) for a in range(1, n))
-    return _distance_table(n, gens)[perm_rank(p)]
+    return _distance_table(n, gens)[lex_table(n)[1][p]]

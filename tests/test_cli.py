@@ -1,6 +1,7 @@
 """Command-line surface: worked examples, exit codes, formats, cache behavior."""
 
 import json
+from importlib import import_module
 
 import pytest
 
@@ -147,6 +148,18 @@ class TestScanCommand:
         assert sorted(loads) == sorted(records)
         assert cold == warm
 
+    def test_warm_parallel_scan_starts_no_pool(self, capsys, tmp_path, monkeypatch):
+        args = [*self.ARGS, "--cache-dir", str(tmp_path / "c"), "--workers", "2"]
+        _, cold, _ = run(capsys, *args)
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a warm scan started a worker pool")
+
+        # import_module: the package binds the name ``scan`` to the function
+        monkeypatch.setattr(import_module("permsieve.scan"), "ProcessPoolExecutor", no_pool)
+        code, warm, _ = run(capsys, *args)
+        assert code == 0 and warm == cold
+
     def test_output_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, out, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "c"),
@@ -182,3 +195,30 @@ class TestConfiguration:
                          "--cache-dir", str(explicit))
         assert code == 0
         assert explicit.exists() and not (tmp_path / "ignored").exists()
+
+
+class TestScanUsageErrors:
+    """Bad scan arguments, from the flags or the config file, exit 2 with one line."""
+
+    @pytest.mark.parametrize("config, argv", [
+        ("workers = two\n", []),
+        ("", ["--workers", "-3"]),
+        ("workers = 2\n", ["--workers", "0"]),
+        ("", ["--min-n", "3", "--max-n", "9"]),
+        ("format = xml\n", []),
+    ], ids=["config-workers-not-int", "negative-workers", "zero-workers",
+            "range-beyond-max", "config-format-unknown"])
+    def test_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch, config, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "permsieve.cfg").write_text(config)
+        code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4",
+                             "--stats", "st021", "--maps", "reverse", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_format_message_names_the_choices(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "permsieve.cfg").write_text("format = xml\n")
+        _, _, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4")
+        assert "'xml'" in err and "csv, json, md" in err

@@ -4,7 +4,7 @@ from math import factorial, gcd
 
 import pytest
 
-from permsieve.bijections import MapDescriptor, map_keys
+from permsieve.bijections import MapDescriptor, get_map, map_keys
 from permsieve.errors import NotABijection
 from permsieve.orbits import (
     decompose,
@@ -14,6 +14,29 @@ from permsieve.orbits import (
     orbit_signature,
     signature_from_sizes,
 )
+from permsieve.permutations import perm_rank, perm_unrank
+
+
+def rank_based_orbits(desc, n):
+    """Reference decomposition: seeds unranked and images ranked one at a time."""
+    visited = bytearray(factorial(n))
+    orbits = []
+    for seed in range(factorial(n)):
+        if visited[seed]:
+            continue
+        orbit = [seed]
+        visited[seed] = 1
+        current = perm_unrank(seed, n)
+        while True:
+            current = desc(current)
+            r = perm_rank(current)
+            if r == seed:
+                break
+            assert not visited[r]
+            visited[r] = 1
+            orbit.append(r)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
 class TestDecompose:
@@ -59,6 +82,20 @@ class TestDecompose:
         )
         with pytest.raises(NotABijection):
             decompose(collapse, 3)
+        shift_down = MapDescriptor(
+            "shift_down", "leaves [n]", lambda p: tuple(v - 1 for v in p)
+        )
+        with pytest.raises(NotABijection):
+            decompose(shift_down, 3)
+        append = MapDescriptor("append", "grows the word", lambda p: p + (len(p) + 1,))
+        with pytest.raises(NotABijection):
+            decompose(append, 3)
+
+    @pytest.mark.parametrize("key", map_keys())
+    def test_matches_rank_based_reference(self, key):
+        desc = get_map(key)
+        for n in range(desc.min_n, 7):
+            assert decompose(desc, n).orbits == rank_based_orbits(desc, n), n
 
     def test_cached_variant(self):
         assert decompose_cached("reverse", 4) == decompose("reverse", 4)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from permsieve.bijections import MAPS, MapDescriptor
 from permsieve.scan import (
     KNOWN_INSTANCES,
     conjecture_suite,
@@ -63,6 +64,22 @@ class TestScan:
     def test_worker_count_does_not_change_report(self, small_report):
         parallel = scan(4, 5, stats=SMALL_STATS, maps=SMALL_MAPS, workers=2)
         assert parallel == small_report
+
+    @pytest.mark.parametrize("image", [
+        lambda p: tuple(v - 1 for v in p),
+        lambda p: p + (len(p) + 1,),
+    ], ids=["shift_down", "append"])
+    def test_malformed_map_pairs_skipped(self, monkeypatch, image):
+        monkeypatch.setitem(MAPS, "malformed", MapDescriptor("malformed", "not into S_n", image))
+        args = (4, 5, ["st018", "st021"], ["malformed", "reverse"])
+        serial = scan(*args)
+        assert scan(*args, workers=2) == serial
+        verdicts = {v.pair: v for v in serial.verdicts}
+        for stat in ("st018", "st021"):
+            v = verdicts[f"{stat}|malformed"]
+            assert v.status == "skipped"
+            assert v.reason.startswith("evaluation failed at n=4: ")
+            assert verdicts[f"{stat}|reverse"].status != "skipped"
 
 
 class TestDedupe:
