@@ -9,7 +9,7 @@ point.  See ``permsieve --help`` for the command line and
 
 from .bijections import MAPS, MapDescriptor, get_map, map_keys
 from .errors import PermsieveError
-from .orbits import OrbitDecomposition, decompose, fixed_counts, orbit_signature
+from .orbits import decompose, fixed_counts, orbit_signature
 from .permutations import (
     Perm,
     compose,
@@ -29,7 +29,6 @@ from .sieving import (
     CspVerdict,
     csp_check,
     equidistribution,
-    fold_mod_cyclic,
     generating_function,
     orbit_polynomial,
     parity_pairing_check,
@@ -45,7 +44,6 @@ __all__ = [
     "IntPolynomial",
     "MAPS",
     "MapDescriptor",
-    "OrbitDecomposition",
     "Perm",
     "PermsieveError",
     "REGISTRY",
@@ -58,7 +56,6 @@ __all__ = [
     "decompose",
     "equidistribution",
     "fixed_counts",
-    "fold_mod_cyclic",
     "format_permutation",
     "fundamental_inverse",
     "fundamental_transform",

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .bijections import MAPS, get_map
 from .bijections.laguerre import laguerre_decode, laguerre_encode
 from .bijections.motzkin import fz_decode, fz_encode, motzkin_complement
-from .orbits import decompose_cached
+from .orbits import orbit_sizes
 from .permutations import parse_permutation
 from .polynomials import IntPolynomial
 from .scan import conjecture_suite
@@ -218,7 +218,7 @@ def criterion_8() -> CriterionResult:
                          ("toric_promotion", lambda n: n - 1),
                          ("lehmer_code_rotation", lambda n: lcm(*range(1, n + 1)))):
         for n in range(4, 8):
-            sizes = decompose_cached(key, n).size_multiset()
+            sizes = orbit_sizes(key, n)
             if set(sizes) != {size_of(n)}:
                 failures.append(f"{key} orbit sizes on S_{n}: {sorted(sizes)}")
     for p in _s_n(7):

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from .bijections import get_map, map_keys
 from .cache import RecordCache
 from .errors import PermsieveError, UsageError
-from .orbits import fixed_counts_from_sizes, orbit_sizes, signature_from_sizes
+from .orbits import fixed_counts, orbit_signature, orbit_sizes
 from .permutations import format_permutation, parse_permutation
 from .polynomials import IntPolynomial
 from .scan import ScanReport, scan
@@ -191,10 +191,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
     doc = {
         "map": desc.key,
         "n": args.n,
-        "signature": signature_from_sizes(sizes),
+        "signature": orbit_signature(sizes),
         "sizes": {str(k): v for k, v in sorted(sizes.items())},
         "order": lcm(*sizes),
-        "fixed_counts": list(fixed_counts_from_sizes(sizes)),
+        "fixed_counts": list(fixed_counts(sizes)),
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
     return 0
@@ -257,6 +257,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    """The type of every ``--n`` option: S_n needs n >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="permsieve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p = stat_sub.add_parser("gf", help="statistic generating function over S_n")
     p.add_argument("key")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--output")
     stat_sub.add_parser("list", help="list registered statistics")
     p_stat.set_defaults(func=_cmd_stat)
@@ -280,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p = map_sub.add_parser("orbits", help="orbit structure over S_n")
     p.add_argument("key")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--output")
     map_sub.add_parser("list", help="list registered maps")
     p_map.set_defaults(func=_cmd_map)
@@ -290,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = csp_sub.add_parser("check", help="exact sieving verdict for one pair")
     p.add_argument("stat")
     p.add_argument("map")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--output")
     p_csp.set_defaults(func=_cmd_csp)
 
     p = sub.add_parser("equidist", help="compare two statistic generating functions")
     p.add_argument("stat_a")
     p.add_argument("stat_b")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_equidist)
 
     p = sub.add_parser("scan", help="scan all registered pairs")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 from .bijections import get_map, map_keys
 from .cache import RecordCache
 from .errors import PermsieveError, UsageError
-from .orbits import orbit_sizes, signature_from_sizes
+from .orbits import orbit_signature, orbit_sizes
 from .polynomials import IntPolynomial
 from .sieving import equidistribution, generating_function, q_minus_one, verdict_from_parts
 from .statistics import descent_variant_gf, get_statistic, statistic_keys
@@ -171,7 +171,7 @@ def _pair_outcome(
                                      reason=f"evaluation failed at n={n}: {error}")
         v = verdict_from_parts(stat_key, map_key, n, f, sizes)
         rows.append(ScanRow(pair, stat_key, map_key, n, v.holds, v.fixed,
-                            signature_from_sizes(sizes), f.offset, f.coeffs))
+                            orbit_signature(sizes), f.offset, f.coeffs))
         if not v.holds and failing_n is None:
             failing_n = n
             witness = v.witnesses[0] if v.witnesses else None
@@ -187,7 +187,7 @@ def scan(
     workers: int = 1,
     cache: Optional[RecordCache] = None,
 ) -> ScanReport:
-    """Check every selected (statistic, map) pair on n_min..n_max.
+    """Check every selected (statistic, map) pair on n_min..n_max, once each.
 
     The default range 4..6 keeps false negatives rare (several statistics are
     degenerate on tiny permutations) while staying fast; wider ranges are
@@ -198,8 +198,8 @@ def scan(
     """
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
         raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
-    stat_list = tuple(sorted(get_statistic(s).key for s in (stats or statistic_keys())))
-    map_list = tuple(sorted(get_map(m).key for m in (maps or map_keys())))
+    stat_list = tuple(sorted({get_statistic(s).key for s in (stats or statistic_keys())}))
+    map_list = tuple(sorted({get_map(m).key for m in (maps or map_keys())}))
     pairs = [(s, m, _applicable_ns(s, m, n_min, n_max)) for s in stat_list for m in map_list]
     jobs = dict.fromkeys(
         job for s, m, ns in pairs for n in ns for job in (("gf", s, n), ("orbit", m, n))

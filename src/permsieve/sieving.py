@@ -23,11 +23,7 @@ from typing import Callable
 
 from .bijections import get_map
 from .errors import NotAnInvolution
-from .orbits import (
-    OrbitDecomposition,
-    decompose_cached,
-    fixed_counts_from_sizes,
-)
+from .orbits import fixed_counts, orbit_sizes
 from .permutations import Perm
 from .polynomials import IntPolynomial
 from .statistics import StatDescriptor, get_statistic
@@ -53,12 +49,7 @@ def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
     return IntPolynomial.from_terms(counts)
 
 
-def fold_mod_cyclic(f: IntPolynomial, c: int) -> IntPolynomial:
-    """Exponents reduced modulo c, honoring the offset; degree < c."""
-    return f.fold(c)
-
-
-def orbit_polynomial_from_sizes(sizes: dict[int, int]) -> IntPolynomial:
+def orbit_polynomial(sizes: dict[int, int]) -> IntPolynomial:
     """sum over orbits O of sum_{i < |O|} q^(i * c / |O|), c the map order.
 
     Evaluating at the d-th power of a primitive c-th root of unity yields
@@ -72,10 +63,6 @@ def orbit_polynomial_from_sizes(sizes: dict[int, int]) -> IntPolynomial:
             e = i * step
             counts[e] = counts.get(e, 0) + mult
     return IntPolynomial.from_terms(counts)
-
-
-def orbit_polynomial(dec: OrbitDecomposition) -> IntPolynomial:
-    return orbit_polynomial_from_sizes(dec.size_multiset())
 
 
 @dataclass(frozen=True)
@@ -160,16 +147,19 @@ def verdict_from_parts(
 
     For statistics taking negative values the folding reduces the true signed
     exponents modulo the order; the verdict records the minimum exponent and
-    whether shifting it away would leave the residue unchanged (it does
-    exactly when that minimum is divisible by the order).
+    whether shifting it away would leave the residue unchanged.  Modulo
+    q^c - 1 the shift rotates the c residue coefficients, so the residue is
+    unchanged exactly when its coefficients have period gcd(shift, c): always
+    when c divides the shift, but also, e.g., for ``st638`` under ``reverse``
+    on S_4 (shift 1, order 2, residue 12 + 12q).
     """
     c = lcm(*sizes)
-    residue_f = fold_mod_cyclic(f, c)
-    residue_t = orbit_polynomial_from_sizes(sizes)
+    residue_f = f.fold(c)
+    residue_t = orbit_polynomial(sizes)
     holds = residue_f == residue_t
-    fixed = fixed_counts_from_sizes(sizes)
+    fixed = fixed_counts(sizes)
     shift = f.min_exponent
-    shifted_residue = fold_mod_cyclic(f.shift(-shift), c)
+    shifted_residue = f.shift(-shift).fold(c)
     return CspVerdict(
         stat_key=stat_key,
         map_key=map_key,
@@ -188,9 +178,9 @@ def csp_check(stat: StatDescriptor | str, map_desc, n: int) -> CspVerdict:
     """Exact sieving verdict for (statistic, map) on S_n."""
     stat_desc = get_statistic(stat) if isinstance(stat, str) else stat
     map_key = map_desc if isinstance(map_desc, str) else map_desc.key
-    dec = decompose_cached(get_map(map_key).key, n)
+    sizes = orbit_sizes(get_map(map_key).key, n)
     f = generating_function(stat_desc, n)
-    return verdict_from_parts(stat_desc.key, map_key, n, f, dec.size_multiset())
+    return verdict_from_parts(stat_desc.key, map_key, n, f, sizes)
 
 
 def q_minus_one(stat: StatDescriptor | str, n: int) -> int:

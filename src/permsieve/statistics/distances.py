@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
-from ..permutations import Perm, identity, lex_table
+from ..permutations import Perm, identity
 from .basic import inversions
 
 
@@ -58,14 +58,13 @@ def _swap_positions(p: Perm, a: int, b: int) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """BFS word lengths from the identity, indexed by permutation rank.
+def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> dict[Perm, int]:
+    """BFS word lengths from the identity, keyed by permutation.
 
     Generators are position pairs (0-based); multiplying on the right by the
     transposition (a+1, b+1) swaps the entries at positions a and b, so BFS
-    layers enumerate products of k generators.  The search keys its distances
-    by permutation; the table is then read off in the order of the shared
-    lex table, whose positions are the Lehmer ranks.
+    layers enumerate products of k generators.  Memoized and shared, so
+    callers must not mutate the dict.
     """
     start = identity(n)
     dist = {start: 0}
@@ -78,7 +77,7 @@ def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> tuple[in
             if nxt not in dist:
                 dist[nxt] = d
                 queue.append(nxt)
-    return tuple(dist[p] for p in lex_table(n)[0])
+    return dist
 
 
 def cyclic_shift_factorization_length(p: Perm) -> int:
@@ -93,7 +92,7 @@ def cyclic_shift_factorization_length(p: Perm) -> int:
     gens = tuple((a, a + 1) for a in range(n - 1))
     if n > 2:
         gens += ((0, n - 1),)
-    return _distance_table(n, gens)[lex_table(n)[1][p]]
+    return _distance_table(n, gens)[p]
 
 
 def prefix_exchange_distance(p: Perm) -> int:
@@ -106,4 +105,4 @@ def prefix_exchange_distance(p: Perm) -> int:
     if n == 1:
         return 0
     gens = tuple((0, a) for a in range(1, n))
-    return _distance_table(n, gens)[lex_table(n)[1][p]]
+    return _distance_table(n, gens)[p]

@@ -61,6 +61,19 @@ class TestExitCodes:
             main(["scan", "--format", "yaml"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["csp", "check", "st018", "rotation", "--n", "-2"],
+        ["stat", "gf", "st018", "--n", "0"],
+        ["map", "orbits", "reverse", "--n", "-1"],
+        ["equidist", "st018", "st021", "--n", "0"],
+    ], ids=["csp-check", "stat-gf", "map-orbits", "equidist"])
+    def test_n_below_one_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --n: must be a positive integer" in err
+
 
 class TestListingAndGf:
     def test_stat_list(self, capsys):

@@ -81,6 +81,16 @@ class TestScan:
             assert v.reason.startswith("evaluation failed at n=4: ")
             assert verdicts[f"{stat}|reverse"].status != "skipped"
 
+    @pytest.mark.parametrize("stats, maps, once_stats, once_maps", [
+        (["st018", "18"], ["reverse"], ["st018"], ["reverse"]),
+        (["st018"], ["reverse", "reverse"], ["st018"], ["reverse"]),
+        (["st018"], ["first-two", "swap_first_two"], ["st018"], ["swap_first_two"]),
+    ], ids=["stat-key-and-id", "map-twice", "map-alias-and-key"])
+    def test_key_named_twice_counts_once(self, stats, maps, once_stats, once_maps):
+        report = scan(4, 4, stats=stats, maps=maps)
+        assert report == scan(4, 4, stats=once_stats, maps=once_maps)
+        assert report.summary()["pairs"] == 1
+
 
 class TestDedupe:
     def test_reverse_complement_share_class(self, small_report):

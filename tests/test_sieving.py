@@ -2,7 +2,7 @@
 
 import cmath
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -14,7 +14,6 @@ from permsieve.polynomials import IntPolynomial
 from permsieve.sieving import (
     csp_check,
     equidistribution,
-    fold_mod_cyclic,
     generating_function,
     orbit_polynomial,
     parity_pairing_check,
@@ -47,21 +46,21 @@ class TestGeneratingFunction:
 
 class TestFold:
     def test_example(self):
-        assert fold_mod_cyclic(poly({3: 1, 1: 1}), 2) == poly({1: 2})
+        assert poly({3: 1, 1: 1}).fold(2) == poly({1: 2})
 
     def test_constant(self):
         f = generating_function("st021", 4)
-        assert fold_mod_cyclic(f, 1) == poly({0: 24})
+        assert f.fold(1) == poly({0: 24})
 
     def test_mahonian_fold_uniform(self):
-        assert fold_mod_cyclic(mahonian_gf(4), 4) == poly({0: 6, 1: 6, 2: 6, 3: 6})
+        assert mahonian_gf(4).fold(4) == poly({0: 6, 1: 6, 2: 6, 3: 6})
 
 
 class TestOrbitPolynomial:
     def test_single_orbit(self):
-        dec = decompose("rotation", 3)
+        sizes = decompose("rotation", 3)
         # S_3 under rotation: two orbits of size 3; value at 1 equals 3!
-        f = orbit_polynomial(dec)
+        f = orbit_polynomial(sizes)
         assert f == poly({0: 2, 1: 2, 2: 2})
 
     def test_fixed_point_free_involution(self):
@@ -74,10 +73,10 @@ class TestOrbitPolynomial:
         from permsieve.orbits import fixed_counts
 
         for key in ("rotation", "toric_promotion", "conj_long_cycle", "corteel"):
-            dec = decompose(key, 5)
-            f = orbit_polynomial(dec)
-            counts = fixed_counts(dec)
-            c = dec.order
+            sizes = decompose(key, 5)
+            f = orbit_polynomial(sizes)
+            counts = fixed_counts(sizes)
+            c = lcm(*sizes)
             for d in range(c):
                 z = cmath.exp(2j * cmath.pi * d / c)
                 assert abs(f.evaluate(z) - counts[d]) < 1e-9
@@ -127,6 +126,19 @@ class TestCspCheck:
             assert v.holds
             assert v.shift_used == generating_function("st1377", n).min_exponent
             assert v.shift_preserves_residue == (v.shift_used % v.order == 0)
+
+    def test_shift_preserves_a_periodic_residue_the_order_does_not_divide(self):
+        v = csp_check("st638", "reverse", 4)
+        assert (v.shift_used, v.order) == (1, 2)
+        assert v.residue_f == poly({0: 12, 1: 12})
+        assert v.shift_preserves_residue
+        for stat in ("st638", "st1377"):
+            for key in ("reverse", "rotation", "corteel"):
+                v = csp_check(stat, key, 5)
+                coeffs = v.residue_f.dense(0, v.order - 1)
+                period = gcd(v.shift_used, v.order)
+                periodic = all(coeffs[i] == coeffs[i % period] for i in range(v.order))
+                assert v.shift_preserves_residue == periodic, (stat, key)
 
     def test_verdict_residue_equality_definition(self):
         v = csp_check("st004", "rotation", 5)

@@ -1,0 +1,42 @@
+"""The package surface that the export list and the benchmark tracer rely on."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import permsieve
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from tracer import Recorder, install
+rec = Recorder("guard")
+install(rec)
+from permsieve import orbits
+from permsieve.scan import KNOWN_INSTANCES as known
+for _ in range(2):
+    orbits.orbit_sizes("reverse", 4)
+print(json.dumps({
+    "orbit_spans": [detail for name, detail, *_ in rec.spans if name == "orbits"],
+    "known_is_tuple_of_triples": isinstance(known, tuple)
+        and all(isinstance(t, tuple) and len(t) == 3 for t in known),
+}))
+"""
+
+
+def test_exports_and_tracer_hooks_resolve():
+    # every exported name resolves
+    missing = [name for name in permsieve.__all__ if not hasattr(permsieve, name)]
+    assert missing == []
+
+    # the tracer installs on a fresh interpreter; -B keeps bytecode out of perfbench/
+    src = str(Path(permsieve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-B", "-c", TRACED_RUN], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"orbit_spans": ["reverse"], "known_is_tuple_of_triples": True}
