@@ -11,7 +11,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from itertools import permutations as iter_permutations
-from math import comb, lcm
+from math import comb
 from typing import Callable, Optional
 
 from .bijections import MAPS, get_map
@@ -20,10 +20,9 @@ from .bijections.motzkin import fz_decode, fz_encode, motzkin_complement
 from .orbits import orbit_sizes
 from .permutations import parse_permutation
 from .polynomials import IntPolynomial
-from .scan import conjecture_suite
+from .scan import INSTANCE_FAMILIES, conjecture_suite, instance_applies
 from .sieving import (
     csp_check,
-    equidistribution,
     generating_function,
     parity_pairing_check,
     q_minus_one,
@@ -55,11 +54,13 @@ def _s_n(n: int):
     return iter_permutations(range(1, n + 1))
 
 
-def _check_all(pairs, ns, failures: list[str]) -> None:
-    for stat, mp in pairs:
-        for n in ns:
-            if not csp_check(stat, mp, n).holds:
-                failures.append(f"({stat}, {mp}) fails at n={n}")
+def _check_family(family: str, ns, failures: list[str]) -> None:
+    """Check every catalog row of ``family`` at each n in ``ns`` its condition admits."""
+    for stat, maps, condition in INSTANCE_FAMILIES[family]:
+        for mp in maps:
+            for n in ns:
+                if instance_applies(condition, n) and not csp_check(stat, mp, n).holds:
+                    failures.append(f"({stat}, {mp}) fails at n={n}")
 
 
 def criterion_1() -> CriterionResult:
@@ -108,16 +109,7 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """Sieving vs corteel and invert Laguerre heap, n = 4..7."""
     failures = []
-    stats = ["st039", "st223", "st356", "st358", "st317", "st1744",
-             "st371", "st372", "st1683", "st1687", "st360", "st357"]
-    _check_all(
-        [(s, m) for s in stats for m in ("corteel", "invert_laguerre_heap")],
-        range(4, 8), failures,
-    )
-    for n in (4, 6):
-        for m in ("corteel", "invert_laguerre_heap"):
-            if not csp_check("st1004", m, n).holds:
-                failures.append(f"(st1004, {m}) fails at even n={n}")
+    _check_family("involutions with 2^(n-1) fixed points", range(4, 8), failures)
     details = []
     for n in (5, 7):
         value = q_minus_one("st1004", n)
@@ -130,11 +122,7 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """Sieving vs alexandersson_kebede and psi_block, n = 4..7."""
     failures = []
-    _check_all(
-        [(s, m) for s in ("extrema_sum", "st1005", "st1727")
-         for m in ("alexandersson_kebede", "psi_block")],
-        range(4, 8), failures,
-    )
+    _check_family("involutions with 2^(floor(n/2)) fixed points", range(4, 8), failures)
     return CriterionResult(4, "2^(n//2) involution sieving, n=4..7", not failures, failures)
 
 
@@ -142,22 +130,7 @@ def criterion_5() -> CriterionResult:
     """Sieving vs reverse and complement, n = 4..7, ranges per statement."""
     failures = []
     details = []
-    always = ["st031", "st007", "st314", "st541", "st542", "st991", "st216", "st316",
-              "st864", "st495", "st483", "st538", "st638", "st677", "st809", "st1579",
-              "st1076", "st1077", "st1114", "st1115", "st1726"]
-    _check_all([(s, m) for s in always for m in ("reverse", "complement")], range(4, 8), failures)
-    # distance-3 inversions sieve at odd n only
-    for n in (5, 7):
-        for m in ("reverse", "complement"):
-            if not csp_check("st494", m, n).holds:
-                failures.append(f"(st494, {m}) fails at odd n={n}")
-    # width-k descents sieve when n and k have opposite parity
-    for key, k in (("st021", 1), ("st836", 2), ("st1520", 3)):
-        for n in range(4, 8):
-            if (n - k) % 2 == 1:
-                for m in ("reverse", "complement"):
-                    if not csp_check(key, m, n).holds:
-                        failures.append(f"({key}, {m}) fails at n={n} (k={k})")
+    _check_family("involutions without fixed points", range(4, 8), failures)
     # documented small-n failures reproduce exactly
     f483 = generating_function("st483", 3)
     if f483 != IntPolynomial((2, 4), 0):
@@ -175,34 +148,20 @@ def criterion_5() -> CriterionResult:
         details.append(f"{key}: smallest n with f(-1) = 0 is {smallest}")
         if smallest != 4:
             failures.append(f"{key} first vanishes at {smallest}, expected 4")
-        for m in ("reverse", "complement"):
-            for n in range(4, 8):
-                if not csp_check(key, m, n).holds:
-                    failures.append(f"({key}, {m}) fails at n={n}")
     return CriterionResult(5, "fixed-point-free involution sieving, n=4..7", not failures, failures + details)
 
 
 def criterion_6() -> CriterionResult:
     """Sieving for constant-orbit-size maps, n = 4..7."""
     failures = []
-    mahonian_maps = ("rotation", "toric_promotion", "reverse", "complement")
-    _check_all([(s, m) for s in ("st004", "st018", "st833") for m in mahonian_maps],
-               range(4, 8), failures)
-    rank_maps = mahonian_maps + ("lehmer_code_rotation",)
-    _check_all([("st020", m) for m in rank_maps], range(4, 8), failures)
-    _check_all([(s, "rotation") for s in ("st054", "st740", "st1806", "st1807")],
-               range(4, 8), failures)
-    _check_all([("st1557", "toric_promotion"), ("st1911", "toric_promotion")],
-               range(4, 8), failures)
+    _check_family("maps with constant orbit size", range(4, 8), failures)
     return CriterionResult(6, "constant-orbit-size sieving, n=4..7", not failures, failures)
 
 
 def criterion_7() -> CriterionResult:
     """Sieving under conjugation by the long cycle, n = 4..6."""
     failures = []
-    stats = ["st825", "st1379", "st1377", "maj_minus_imaj",
-             "st462", "st463", "st866", "st961"]
-    _check_all([(s, "conj_long_cycle") for s in stats], range(4, 7), failures)
+    _check_family("conjugation by the long cycle", range(4, 7), failures)
     return CriterionResult(7, "long-cycle conjugation sieving, n=4..6", not failures, failures)
 
 
@@ -214,9 +173,7 @@ def criterion_8() -> CriterionResult:
         mp = get_map(key)
         if any(mp(mp(p)) != p for p in _s_n(6)):
             failures.append(f"{key} is not an involution on S_6")
-    for key, size_of in (("rotation", lambda n: n),
-                         ("toric_promotion", lambda n: n - 1),
-                         ("lehmer_code_rotation", lambda n: lcm(*range(1, n + 1)))):
+    for key, size_of in ((k, d.orbit_size) for k, d in MAPS.items() if d.orbit_size):
         for n in range(4, 8):
             sizes = orbit_sizes(key, n)
             if set(sizes) != {size_of(n)}:
@@ -312,14 +269,14 @@ def criterion_10() -> CriterionResult:
     """Conjecture suite observations."""
     failures = []
     details = []
-    for n in range(4, 9):
-        if not equidistribution("st373", "st317", n):
+    suite = conjecture_suite(8)
+    for n, same in suite["equidistribution_373_317"].items():
+        if not same:
             failures.append(f"st373 and st317 differ at n={n}")
     for n in (4, 6, 8):
-        value = q_minus_one("st494", n)
+        value = suite["inv_distance_3_at_minus_one"][n]
         if value != 0:
             failures.append(f"st494 f(-1) at n={n} is {value}")
-    suite = conjecture_suite(8)
     inconsistent = [row for row in suite["width_k"] if not row["consistent"]]
     details.append(
         f"width-k observation: {len(suite['width_k'])} (n, k) cases, "

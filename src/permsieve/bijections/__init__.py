@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Optional
 
+from ..errors import UsageError
 from ..permutations import Perm
 from . import basic, involutions, laguerre, motzkin
 from .basic import (
@@ -91,6 +92,11 @@ class MapDescriptor:
 
     def __call__(self, p: Perm) -> Perm:
         return self.applier(p)
+
+    def require_n(self, n: int) -> None:
+        """Raise :class:`UsageError` when S_n is below the smallest n the map is defined on."""
+        if n < self.min_n:
+            raise UsageError(f"map {self.key} is defined for n >= {self.min_n}, got n={n}")
 
 
 def _descriptors() -> list[MapDescriptor]:

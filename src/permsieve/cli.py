@@ -184,7 +184,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
         return 0
     desc = get_map(args.key)
     if args.map_command == "apply":
-        print(format_permutation(desc(parse_permutation(args.perm))))
+        p = parse_permutation(args.perm)
+        desc.require_n(len(p))
+        print(format_permutation(desc(p)))
         return 0
     # orbits
     sizes = orbit_sizes(desc.key, args.n)

@@ -21,10 +21,12 @@ from .permutations import lex_table
 def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
     """Size multiset of the map's orbits on S_n, sizes in order of first seed.
 
-    Raises :class:`NotABijection` when an image is not a permutation in S_n
-    or when two trajectories merge.
+    Raises :class:`UsageError` when n is below the map's ``min_n``, and
+    :class:`NotABijection` when an image is not a permutation in S_n or when
+    two trajectories merge.
     """
     desc = get_map(map_desc) if isinstance(map_desc, str) else map_desc
+    desc.require_n(n)
     perms, rank = lex_table(n)
     visited = bytearray(len(perms))
     sizes: dict[int, int] = {}

@@ -119,8 +119,7 @@ def cycle_form(p: Perm, canonical: str = "smallest-first") -> tuple[tuple[int, .
 
     ``canonical`` picks the presentation: ``smallest-first`` starts each cycle
     at its minimum and sorts cycles by minimum, ``largest-first`` starts each
-    cycle at its maximum and sorts cycles by maximum, ``as-produced`` starts
-    cycles at the least unvisited point in scan order.
+    cycle at its maximum and sorts cycles by maximum.
 
     >>> cycle_form((2, 4, 3, 1))
     ((1, 2, 4), (3,))
@@ -141,8 +140,6 @@ def cycle_form(p: Perm, canonical: str = "smallest-first") -> tuple[tuple[int, .
             seen[x] = True
             x = p[x - 1]
         cycles.append(cyc)
-    if canonical == "as-produced":
-        return tuple(tuple(c) for c in cycles)
     if canonical == "smallest-first":
         # scan order already begins each cycle at its minimum
         return tuple(tuple(c) for c in cycles)

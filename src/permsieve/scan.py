@@ -300,10 +300,8 @@ def q_minus_one_width(n: int, k: int) -> int:
     )
 
 
-KNOWN_INSTANCES: tuple[tuple[str, str, str], ...] = tuple(
-    (stat, mp, condition)
-    for stat, maps, condition in [
-        # involutions with 2^(n-1) fixed points
+INSTANCE_FAMILIES: dict[str, tuple[tuple[str, tuple[str, ...], str], ...]] = {
+    "involutions with 2^(n-1) fixed points": (
         ("st039", ("corteel", "invert_laguerre_heap"), "n>=4"),
         ("st223", ("corteel", "invert_laguerre_heap"), "n>=4"),
         ("st356", ("corteel", "invert_laguerre_heap"), "n>=4"),
@@ -317,11 +315,13 @@ KNOWN_INSTANCES: tuple[tuple[str, str, str], ...] = tuple(
         ("st360", ("corteel", "invert_laguerre_heap"), "n>=4"),
         ("st357", ("corteel", "invert_laguerre_heap"), "n>=4"),
         ("st1004", ("corteel", "invert_laguerre_heap"), "even"),
-        # involutions with 2^(floor(n/2)) fixed points
+    ),
+    "involutions with 2^(floor(n/2)) fixed points": (
         ("extrema_sum", ("alexandersson_kebede", "psi_block"), "n>=4"),
         ("st1005", ("alexandersson_kebede", "psi_block"), "n>=4"),
         ("st1727", ("alexandersson_kebede", "psi_block"), "n>=4"),
-        # involutions without fixed points
+    ),
+    "involutions without fixed points": (
         ("st031", ("reverse", "complement"), "n>=4"),
         ("st007", ("reverse", "complement"), "n>=4"),
         ("st314", ("reverse", "complement"), "n>=4"),
@@ -351,7 +351,8 @@ KNOWN_INSTANCES: tuple[tuple[str, str, str], ...] = tuple(
         ("st423", ("reverse", "complement"), "n>=4"),
         ("st428", ("reverse", "complement"), "n>=4"),
         ("st437", ("reverse", "complement"), "n>=4"),
-        # maps with constant orbit size
+    ),
+    "maps with constant orbit size": (
         ("st004", ("rotation", "toric_promotion", "reverse", "complement"), "n>=4"),
         ("st018", ("rotation", "toric_promotion", "reverse", "complement"), "n>=4"),
         ("st833", ("rotation", "toric_promotion", "reverse", "complement"), "n>=4"),
@@ -362,7 +363,8 @@ KNOWN_INSTANCES: tuple[tuple[str, str, str], ...] = tuple(
         ("st1807", ("rotation",), "n>=4"),
         ("st1557", ("toric_promotion",), "n>=4"),
         ("st1911", ("toric_promotion",), "n>=4"),
-        # conjugation by the long cycle
+    ),
+    "conjugation by the long cycle": (
         ("st825", ("conj_long_cycle",), "n>=4"),
         ("st1379", ("conj_long_cycle",), "n>=4"),
         ("st1377", ("conj_long_cycle",), "n>=4"),
@@ -371,10 +373,18 @@ KNOWN_INSTANCES: tuple[tuple[str, str, str], ...] = tuple(
         ("st463", ("conj_long_cycle",), "n>=4"),
         ("st866", ("conj_long_cycle",), "n>=4"),
         ("st961", ("conj_long_cycle",), "n>=4"),
-    ]
+    ),
+}
+"""Proven instances as (stat, maps, n-condition) rows, grouped by the orbit structure
+of the map; "even"/"odd" restrict the range."""
+
+KNOWN_INSTANCES: tuple[tuple[str, str, str], ...] = tuple(
+    (stat, mp, condition)
+    for rows in INSTANCE_FAMILIES.values()
+    for stat, maps, condition in rows
     for mp in maps
 )
-"""Catalog of proven instances with their n-conditions ("even"/"odd" restrict the range)."""
+"""The catalog flattened to (stat, map, n-condition) triples, in family order."""
 
 
 def instance_applies(condition: str, n: int) -> bool:

@@ -4,9 +4,12 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or via
 ``permsieve verify``) and fails loudly with the recorded details otherwise.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from permsieve import acceptance
+from permsieve.scan import INSTANCE_FAMILIES, KNOWN_INSTANCES, instance_applies
 
 CRITERIA = {number: fn for number, fn in acceptance.CRITERIA}
 
@@ -77,3 +80,41 @@ def test_run_all_selector():
     results = acceptance.run_all([1, 7])
     assert [r.number for r in results] == [1, 7]
     assert all(r.passed for r in results)
+
+
+def test_sieving_criteria_check_exactly_the_catalog(monkeypatch):
+    """Criteria 3-7 check every catalog triple over the gate's ranges, one family each."""
+    calls = {number: set() for number in range(3, 8)}
+
+    def record(stat, mp, n):
+        calls[number].add((stat, mp, n))
+        return SimpleNamespace(holds=True)
+
+    monkeypatch.setattr(acceptance, "csp_check", record)
+    for number in calls:
+        CRITERIA[number]()
+
+    # n = 4..7, except conjugation by the long cycle at n = 4..6
+    expected = {
+        (stat, mp, n)
+        for stat, mp, condition in KNOWN_INSTANCES
+        for n in (range(4, 7) if mp == "conj_long_cycle" else range(4, 8))
+        if instance_applies(condition, n)
+    }
+    checked = {(stat, mp, n) for triples in calls.values() for stat, mp, n in triples if n >= 4}
+    assert len(expected) == 456
+    assert checked == expected
+
+    family_of = {
+        (stat, mp): family
+        for family, rows in INSTANCE_FAMILIES.items()
+        for stat, maps, _ in rows
+        for mp in maps
+    }
+    assert len(family_of) == len(KNOWN_INSTANCES)
+    families = {
+        number: {family_of[stat, mp] for stat, mp, n in triples if n >= 4}
+        for number, triples in calls.items()
+    }
+    assert all(len(checked_families) == 1 for checked_families in families.values())
+    assert sorted(f for fs in families.values() for f in fs) == sorted(INSTANCE_FAMILIES)

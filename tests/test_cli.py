@@ -74,6 +74,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "argument --n: must be a positive integer" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["map", "orbits", "swap_first_third", "--n", "2"],
+        ["map", "orbits", "prefix_reverse_3", "--n", "2"],
+        ["csp", "check", "st018", "swap_first_third", "--n", "2"],
+        ["map", "apply", "swap_first_third", "21"],
+    ], ids=["map-orbits", "map-orbits-prefix-reverse", "csp-check", "map-apply"])
+    def test_n_below_map_min_n_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "swap_first_third" in err or "prefix_reverse_3" in err
+        assert "n >= 3" in err
+
 
 class TestListingAndGf:
     def test_stat_list(self, capsys):

@@ -123,6 +123,11 @@ class TestCycles:
     def test_largest_first(self):
         assert cycle_form((2, 4, 3, 1), canonical="largest-first") == ((3,), (4, 1, 2),)
 
+    @pytest.mark.parametrize("canonical", ["as-produced", "largest"])
+    def test_unknown_canonicalization_rejected(self, canonical):
+        with pytest.raises(ValueError, match="unknown canonicalization"):
+            cycle_form((2, 4, 3, 1), canonical=canonical)
+
     def test_from_cycles_round_trip(self):
         for p in permutations(range(1, 6)):
             assert from_cycles(cycle_form(p), 5) == p

@@ -1,5 +1,6 @@
 """The package surface that the export list and the benchmark tracer rely on."""
 
+import ast
 import json
 import os
 import subprocess
@@ -40,3 +41,23 @@ def test_exports_and_tracer_hooks_resolve():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"orbit_spans": ["reverse"], "known_is_tuple_of_triples": True}
+
+
+def test_no_unused_module_imports():
+    """Every module-level import binds a name its module reads (``__future__`` aside)."""
+    package = Path(permsieve.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(package)}: {name}" for name in bound if name not in read]
+    assert unused == []
