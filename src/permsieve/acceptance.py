@@ -317,17 +317,24 @@ def criterion_11() -> CriterionResult:
 
 
 def criterion_12() -> CriterionResult:
-    """Scan determinism: cold vs warm cache, any worker count."""
+    """Scan determinism: cold vs warm cache, any worker count.
+
+    The two-worker run has a cache of its own, so it really starts a pool.
+    """
     from .cli import main as cli_main
 
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         outputs = []
-        for tag, extra in (("cold", []), ("warm", []), ("workers2", ["--workers", "2"])):
+        for tag, cache, extra in (
+            ("cold", "cache", []),
+            ("warm", "cache", []),
+            ("workers2", "cache2", ["--workers", "2"]),
+        ):
             out_path = f"{tmp}/report_{tag}.json"
             code = cli_main(
                 ["scan", "--min-n", "4", "--max-n", "6",
-                 "--cache-dir", f"{tmp}/cache", "--output", out_path] + extra
+                 "--cache-dir", f"{tmp}/{cache}", "--output", out_path] + extra
             )
             if code != 0:
                 failures.append(f"scan exited {code} on {tag} run")

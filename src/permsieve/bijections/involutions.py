@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..permutations import Perm
-from ..statistics.extrema import r2l_min_values
 from .basic import swap_positions
 
 
@@ -12,17 +11,20 @@ def alexandersson_kebede(p: Perm) -> Perm:
     right-to-left minima; identity if no odd position qualifies.
 
     An involution preserving the set of right-to-left minima, with exactly
-    2^(floor(n/2)) fixed points.
+    2^(floor(n/2)) fixed points.  Swapping p_i and p_(i+1) keeps that set
+    exactly when max(p_i, p_(i+1)) exceeds min(p_(i+2), ..., p_n), which
+    never holds for i + 1 = n.
 
     >>> alexandersson_kebede((2, 1, 3, 4, 7, 5, 6))
     (2, 1, 3, 4, 5, 7, 6)
     """
     n = len(p)
-    minima = r2l_min_values(p)
-    for i in range(1, n, 2):
-        candidate = swap_positions(p, i, i + 1)
-        if r2l_min_values(candidate) == minima:
-            return candidate
+    suffix_min = [n + 1] * (n + 1)  # suffix_min[k] = min(p[k:]), 0-based
+    for k in range(n - 1, -1, -1):
+        suffix_min[k] = min(p[k], suffix_min[k + 1])
+    for k in range(0, n - 2, 2):
+        if max(p[k], p[k + 1]) > suffix_min[k + 2]:
+            return p[:k] + (p[k + 1], p[k]) + p[k + 2:]
     return p
 
 

@@ -8,6 +8,15 @@ right otherwise; this side data makes the diagram noncrossing and determines
 the permutation uniquely.  Reflecting the diagram swaps every side marker,
 and decoding the reflected diagram gives an involution on S_n with 2^(n-1)
 fixed points (the diagrams whose arcs only join adjacent values).
+
+Reflection keeps every arc, so :func:`invert_laguerre_heap` works on p
+directly: the image has the same maximal decreasing runs in another order,
+and every side constraint reverses direction.  Those constraints and the
+ascent between consecutive runs fix the order.  A smallest-head-first
+placement finds it without backtracking on all of S_1..S_8 (checked against
+the oracle); a dead end raises :class:`NoPreimage`.  The diagram objects and
+the encode/reflect/decode functions stay as its oracle, and
+:func:`laguerre_decode` keeps its backtracking search.
 """
 
 from __future__ import annotations
@@ -139,9 +148,51 @@ def laguerre_decode(d: ArcDiagram) -> Perm:
 
 
 def invert_laguerre_heap(p: Perm) -> Perm:
-    """Reflect the arc diagram of p and decode.
+    """Reflect the arc diagram of p and decode, without building either diagram.
+
+    Equal to ``laguerre_decode(laguerre_reflect(laguerre_encode(p)))`` (the
+    test oracle).  The image keeps the maximal decreasing runs of p; for an
+    arc (a, b) and a value v strictly between b and a, v's run goes before
+    a's run when v sits right of a in p, and after it otherwise.  The runs
+    are placed smallest admissible head first; a dead end raises
+    :class:`NoPreimage`.
 
     >>> invert_laguerre_heap((1, 10, 12, 2, 7, 6, 9, 8, 5, 11, 4, 3))
     (1, 11, 4, 3, 9, 8, 5, 7, 6, 12, 2, 10)
     """
-    return laguerre_decode(laguerre_reflect(laguerre_encode(p)))
+    n = len(p)
+    runs: list[list[int]] = []
+    run_of = [0] * (n + 1)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(p):
+        if i and v < p[i - 1]:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+        run_of[v] = len(runs) - 1
+        pos[v] = i
+    before = [0] * len(runs)  # bit s of before[r]: run s must precede run r
+    for i in range(n - 1):
+        a, b = p[i], p[i + 1]
+        if a > b:
+            r = run_of[a]
+            for v in range(b + 1, a):
+                s = run_of[v]
+                if pos[v] > i:
+                    before[r] |= 1 << s
+                else:
+                    before[s] |= 1 << r
+    by_head = sorted(range(len(runs)), key=lambda r: runs[r][0])
+    placed = 0
+    last = 0
+    word: list[int] = []
+    for _ in runs:
+        for r in by_head:
+            if not placed >> r & 1 and runs[r][0] > last and not before[r] & ~placed:
+                break
+        else:
+            raise NoPreimage(f"no order of the runs of {p} realizes the reflected diagram")
+        placed |= 1 << r
+        word.extend(runs[r])
+        last = word[-1]
+    return tuple(word)

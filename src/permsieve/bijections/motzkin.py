@@ -14,6 +14,12 @@ Reading u as an up-step, d as a down-step and r, b as level steps gives a
 Motzkin path; the weight of step i counts the open arcs nesting it.  The
 complement flips every weight within its height bound, and decoding the
 complemented path back to a permutation exchanges crossings with nestings.
+
+:func:`corteel` runs that pipeline as one left-to-right pass on plain lists:
+each step's letter and weight are read off p, the weight is complemented
+against the running height (the number of open arcs above the diagonal), and
+the result drives the decoder's arc lists directly.  The path objects and the
+encode/complement/decode functions stay as its oracle.
 """
 
 from __future__ import annotations
@@ -154,12 +160,43 @@ def fz_decode(m: ColoredMotzkinPath) -> Perm:
 
 
 def corteel(p: Perm) -> Perm:
-    """Complement the colored Motzkin encoding and decode.
+    """Complement the colored Motzkin encoding and decode, in one pass.
 
     An involution on S_n with 2^(n-1) fixed points; it exchanges the number
-    of crossings with the number of nestings.
+    of crossings with the number of nestings.  Equal to
+    ``fz_decode(motzkin_complement(fz_encode(p)))`` (the test oracle) without
+    building either path: at step i, with c the number of earlier entries
+    above p_i, the weight is c on u and b steps and p_i - i + c on d and r
+    steps, and its complement against the running height goes straight into
+    the decoder's arc lists.
 
     >>> corteel((1, 7, 6, 3, 8, 10, 9, 12, 2, 11, 4, 5))
     (1, 10, 12, 2, 7, 6, 9, 8, 5, 11, 4, 3)
     """
-    return fz_decode(motzkin_complement(fz_encode(p)))
+    n = len(p)
+    back = [0] * (n + 1)
+    for i, v in enumerate(p, start=1):
+        back[v] = i
+    sigma = [0] * (n + 1)
+    upper: list[int] = []  # as in fz_decode; len(upper) is the running height
+    lower: list[int] = []
+    seen = 0  # bit v set when the value v sits left of step i
+    for i in range(1, n + 1):
+        fwd = p[i - 1]
+        c = (seen >> fwd).bit_count()
+        seen |= 1 << fwd
+        if fwd > i and back[i] > i:  # u, complemented weight len(upper) - c
+            upper.insert(c, i)
+            lower.append(i)
+        elif fwd < i:  # d or r, weight fwd - i + c complemented within len(upper) - 1
+            sigma[i] = lower.pop(len(upper) - 1 - (fwd - i + c))
+            if back[i] < i:
+                sigma[upper.pop(0)] = i
+            else:
+                lower.append(i)
+        elif c == 0:  # b, complemented weight len(upper): a fixed point
+            sigma[i] = i
+        else:  # b, complemented weight len(upper) - c
+            sigma[upper.pop(0)] = i
+            upper.insert(c - 1, i)
+    return tuple(sigma[1:])

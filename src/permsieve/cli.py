@@ -245,9 +245,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .acceptance import run_all
+    from .acceptance import CRITERIA, run_all
 
-    numbers = [int(t) for t in args.criteria.split(",")] if args.criteria else None
+    numbers = None
+    if args.criteria is not None:
+        valid = [k for k, _ in CRITERIA]
+        tokens = [t.strip() for t in args.criteria.split(",")]
+        if not all(t.isdecimal() and int(t) in valid for t in tokens):
+            raise UsageError(
+                f"criteria must be comma-separated numbers in {valid[0]}..{valid[-1]}, "
+                f"got {args.criteria!r}"
+            )
+        numbers = [int(t) for t in tokens]
     results = run_all(numbers)
     ok = True
     for res in results:

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or via
 ``permsieve verify``) and fails loudly with the recorded details otherwise.
 """
 
+from importlib import import_module
 from types import SimpleNamespace
 
 import pytest
@@ -74,6 +75,21 @@ def test_criterion_11_negative_controls():
 
 def test_criterion_12_scan_determinism():
     _run(12)
+
+
+def test_criterion_12_starts_one_pool(monkeypatch):
+    """The two-worker scan has an empty cache of its own, so it starts exactly one pool."""
+    scan_module = import_module("permsieve.scan")  # the package binds ``scan`` to the function
+    pools = []
+
+    class Spy(scan_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", Spy)
+    assert acceptance.criterion_12().passed
+    assert pools == [2]
 
 
 def test_run_all_selector():

@@ -11,6 +11,7 @@ from permsieve.bijections.basic import (
     lehmer_code_rotation,
     reverse,
     rotation,
+    swap_positions,
     toric_promotion,
 )
 from permsieve.bijections.involutions import (
@@ -101,6 +102,21 @@ class TestAlexanderssonKebede:
     def test_involution_s7(self):
         for p in S(7):
             assert alexandersson_kebede(alexandersson_kebede(p)) == p
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kernel_matches_swap_search_oracle(self, n):
+        """The suffix-minimum test picks the same swap as trying each odd pair in turn."""
+
+        def oracle(p):
+            minima = r2l_min_values(p)
+            for i in range(1, len(p), 2):
+                candidate = swap_positions(p, i, i + 1)
+                if r2l_min_values(candidate) == minima:
+                    return candidate
+            return p
+
+        for p in S(n):
+            assert alexandersson_kebede(p) == oracle(p)
 
 
 class TestPsi3Star:

@@ -88,6 +88,14 @@ class TestExitCodes:
         assert "swap_first_third" in err or "prefix_reverse_3" in err
         assert "n >= 3" in err
 
+    @pytest.mark.parametrize("criteria", ["13", "0", "x", "2,x"])
+    def test_verify_rejects_unknown_criteria(self, capsys, criteria):
+        code, out, err = run(capsys, "verify", "--criteria", criteria)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1..12" in err
+
 
 class TestListingAndGf:
     def test_stat_list(self, capsys):

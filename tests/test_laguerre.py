@@ -87,6 +87,11 @@ class TestInvertLaguerreHeap:
         for p in permutations(range(1, 8)):
             assert invert_laguerre_heap(invert_laguerre_heap(p)) == p
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kernel_matches_encoding_oracle(self, n):
+        for p in permutations(range(1, n + 1)):
+            assert invert_laguerre_heap(p) == laguerre_decode(laguerre_reflect(laguerre_encode(p)))
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_fixed_point_count_and_shape(self, n):
         count = 0

@@ -122,6 +122,11 @@ class TestCorteel:
         for p in permutations(range(1, 7)):
             assert corteel(corteel(p)) == p
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kernel_matches_encoding_oracle(self, n):
+        for p in permutations(range(1, n + 1)):
+            assert corteel(p) == fz_decode(motzkin_complement(fz_encode(p)))
+
     def test_swaps_crossings_and_nestings(self):
         for p in permutations(range(1, 7)):
             q = corteel(p)
