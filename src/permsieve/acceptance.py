@@ -22,6 +22,7 @@ from .permutations import parse_permutation
 from .polynomials import IntPolynomial
 from .scan import INSTANCE_FAMILIES, conjecture_suite, instance_applies
 from .sieving import (
+    _enumerated_gf,
     csp_check,
     generating_function,
     parity_pairing_check,
@@ -226,23 +227,32 @@ def _brute_shifted_tableaux(shape: tuple[int, ...]) -> int:
     return count()
 
 
+def _empirical_matches(key: str, n: int, target: IntPolynomial) -> bool:
+    """Whether S_n, enumerated, and the generating function in use both give ``target``.
+
+    Enumeration checks the closed form independently of the transfer-matrix
+    steps that produce the generating function in use.
+    """
+    return _enumerated_gf(get_statistic(key), n) == generating_function(key, n) == target
+
+
 def criterion_9() -> CriterionResult:
     """Closed forms match empirical generating functions."""
     failures = []
     for n in range(4, 8):
         target = mahonian_gf(n)
         for key in ("st018", "st004", "st833"):
-            if generating_function(key, n) != target:
+            if not _empirical_matches(key, n, target):
                 failures.append(f"{key} gf differs from q-factorial at n={n}")
         if generating_function("st031", n) != cycles_gf(n):
             failures.append(f"cycle gf mismatch at n={n}")
         if generating_function("st020", n) != rank_gf(n):
             failures.append(f"rank gf mismatch at n={n}")
         for key in ("st054", "st740", "st1806", "st1807"):
-            if generating_function(key, n) != entry_gf(n):
+            if not _empirical_matches(key, n, entry_gf(n)):
                 failures.append(f"{key} gf differs from entry distribution at n={n}")
         for key, i in (("st1557", 2), ("st1556", 3)):
-            if generating_function(key, n) != inv_entry_gf(n, i):
+            if not _empirical_matches(key, n, inv_entry_gf(n, i)):
                 failures.append(f"{key} gf differs from code-entry distribution at n={n}")
         recomputed = IntPolynomial.zero()
         one_plus_q = IntPolynomial((1, 1), 0)
@@ -257,7 +267,7 @@ def criterion_9() -> CriterionResult:
         if recomputed != shifted_circled_gf(n):
             failures.append(f"shifted circled gf mismatch at n={n}")
     for n in range(4, 9):
-        if crossings_gf_closed(n) != generating_function("st039", n):
+        if not _empirical_matches("st039", n, crossings_gf_closed(n)):
             failures.append(f"crossing gf mismatch at n={n}")
         for k in range(1, n + 1):
             if q_eulerian_hat(k, n).evaluate(-1) != comb(n - 1, k - 1):

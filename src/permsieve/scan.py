@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import permutations as iter_permutations
 from math import factorial
+from operator import gt
 from typing import Optional, Sequence, Union
 
 from .bijections import get_map, map_keys
@@ -261,8 +263,9 @@ def conjecture_suite(n_max: int = 8) -> dict:
     dist3 = {n: q_minus_one("st494", n) for n in range(3, n_max + 1)}
     width_rows = []
     for n in range(4, min(n_max, 8) + 1):
+        at_minus_one = q_minus_one_widths(n)
         for k in range(1, n):
-            holds = q_minus_one_width(n, k) == 0
+            holds = at_minus_one[k] == 0
             predicted_fail = n % (2 * k) == k % (2 * k)
             width_rows.append(
                 {
@@ -289,15 +292,18 @@ def conjecture_suite(n_max: int = 8) -> dict:
     }
 
 
-def q_minus_one_width(n: int, k: int) -> int:
-    """f(-1) for the width-k descent count on S_n, for any 1 <= k < n."""
-    from itertools import permutations as iter_permutations
+def q_minus_one_widths(n: int) -> dict[int, int]:
+    """f(-1) of the width-k descent count on S_n for every 1 <= k < n, from one walk of S_n.
 
-    from .statistics.basic import width_k_descents
-
-    return sum(
-        (-1) ** width_k_descents(p, k) for p in iter_permutations(range(1, n + 1))
-    )
+    >>> q_minus_one_widths(5)
+    {1: 16, 2: 0, 3: 0, 4: 0}
+    """
+    totals = dict.fromkeys(range(1, n), 0)
+    for p in iter_permutations(range(1, n + 1)):
+        for k in totals:
+            # map stops at the shorter tail, so this counts p_i > p_(i+k)
+            totals[k] += 1 - 2 * (sum(map(gt, p, p[k:])) & 1)
+    return totals
 
 
 INSTANCE_FAMILIES: dict[str, tuple[tuple[str, tuple[str, ...], str], ...]] = {

@@ -37,11 +37,45 @@ def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
+    """The statistic's closed form, else its transfer-matrix walk, else enumeration.
+
+    The walk writes permutations left to right and keeps, per (placed-value
+    mask, step state), the distribution of the statistic so far: 2^n masks
+    times the few states a step keeps, where enumeration visits n!
+    permutations.  Below ``min_n`` the statistic is undefined, and
+    enumeration raises its error.
+    """
     desc = get_statistic(stat_key)
     if desc.evaluator is None:
         if desc.gf is None:
             raise ValueError(f"{desc.key} has neither evaluator nor closed form")
         return desc.gf(n)
+    if desc.step is None or n < desc.min_n:
+        return _enumerated_gf(desc, n)
+    step = desc.step
+    values = range(1, n + 1)
+    layer: dict[tuple, dict[int, int]] = {(0, desc.start): {0: 1}}
+    for i in values:
+        nxt: dict[tuple, dict[int, int]] = {}
+        for (mask, state), dist in layer.items():
+            for v in values:
+                bit = 1 << (v - 1)
+                if mask & bit:
+                    continue
+                new_state, inc = step(mask, state, v, i, n)
+                target = nxt.setdefault((mask | bit, new_state), {})
+                for e, c in dist.items():
+                    target[e + inc] = target.get(e + inc, 0) + c
+        layer = nxt
+    return IntPolynomial.from_terms(term for dist in layer.values() for term in dist.items())
+
+
+def _enumerated_gf(desc: StatDescriptor, n: int) -> IntPolynomial:
+    """sum over S_n of q**desc(sigma), one evaluation per permutation.
+
+    The generating function of every statistic without a step, and the test
+    oracle of every step.
+    """
     counts: dict[int, int] = {}
     for p in iter_permutations(range(1, n + 1)):
         e = desc.evaluator(p)

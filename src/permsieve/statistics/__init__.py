@@ -3,16 +3,19 @@
 Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and metadata the scanning layer needs
-(smallest meaningful n, whether values may be negative).  One statistic (the
-circled-entry count of the shifted recording tableau) is registered through
-its closed-form generating function only.
+(smallest meaningful n, whether values may be negative).  Most statistics also
+carry a transfer-matrix step, from which their generating functions are built
+without visiting every permutation.  One statistic (the circled-entry count of
+the shifted recording tableau) is registered through its closed-form
+generating function only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
+from ..errors import UsageError
 from ..permutations import Perm
 from ..polynomials import IntPolynomial
 from . import basic, closed_forms, cycles, distances, entries, extrema, longcycle, patterns
@@ -21,6 +24,8 @@ from .basic import (
     descents,
     inversions,
     major_index,
+    placed_above,
+    placed_below,
 )
 from .closed_forms import (
     crossings_gf_closed,
@@ -63,9 +68,27 @@ __all__ = [
 ]
 
 
+Step = Callable[[int, Hashable, int, int, int], tuple[Hashable, int]]
+
+
 @dataclass(frozen=True)
 class StatDescriptor:
-    """A registered statistic: evaluator, identifiers, and scan metadata."""
+    """A registered statistic: evaluator, identifiers, and scan metadata.
+
+    ``step``, when given, lets the generating function be built left to right
+    (the transfer-matrix method) instead of by evaluating every permutation.
+    A permutation is written one position at a time; before position i
+    (1-based) the values already placed form ``mask`` (bit v - 1 set for each
+    placed v), and ``state`` is what the statistic remembers of them, starting
+    from ``start``.  ``step(mask, state, v, i, n)`` places v at position i and
+    returns ``(new_state, increment)``; the statistic of a permutation must be
+    the sum of the increments along its n steps.  The increment may read only
+    ``mask``, ``state``, v, i and n, so it can count the placed (or still
+    unplaced) values above or below v but not their positions; the state is
+    kept small, at most the last few values, since permutations that reach the
+    same (mask, state) are counted together.  The evaluator stays the
+    definition, and enumerating S_n through it is the step's test oracle.
+    """
 
     key: str
     name: str
@@ -74,91 +97,145 @@ class StatDescriptor:
     gf: Optional[Callable[[int], IntPolynomial]] = None
     min_n: int = 1
     signed: bool = False
+    step: Optional[Step] = None
+    start: Hashable = 0
 
     def __call__(self, p: Perm) -> int:
         if self.evaluator is None:
-            raise ValueError(f"{self.key} is registered through its generating function only")
+            raise UsageError(f"{self.key} is registered through its generating function only")
         return self.evaluator(p)
 
 
 def _descriptors() -> list[StatDescriptor]:
     S = StatDescriptor
+    above, below = placed_above, placed_below
+    # Steps: "m, s" are the mask and a state the step leaves alone; "m, p" are
+    # the mask and the previous value (0 before position 1), so p > v marks a
+    # descent ending at position i.
     return [
         # Mahonian representatives
-        S("st004", "major index", major_index, 4),
-        S("st018", "number of inversions", inversions, 18),
-        S("st833", "comajor index", comajor_index, 833),
+        S("st004", "major index", major_index, 4, step=lambda m, p, v, i, n: (v, i - 1 if p > v else 0)),
+        S("st018", "number of inversions", inversions, 18, step=lambda m, s, v, i, n: (s, above(m, v))),
+        S("st833", "comajor index", comajor_index, 833,
+          step=lambda m, p, v, i, n: (v, n - i + 1 if p > v else 0)),
         # descents and run shapes
-        S("st021", "number of descents", descents, 21),
-        S("st836", "number of width-2 descents", lambda p: basic.width_k_descents(p, 2), 836, min_n=3),
-        S("st1520", "number of width-3 descents", lambda p: basic.width_k_descents(p, 3), 1520, min_n=4),
-        S("st1114", "number of odd descents", basic.odd_descents, 1114),
-        S("st1115", "number of even descents", basic.even_descents, 1115),
-        S("st483", "number of monotone switches", basic.monotone_switches, 483),
-        S("st638", "number of up-down runs", basic.up_down_runs, 638),
+        S("st021", "number of descents", descents, 21, step=lambda m, p, v, i, n: (v, int(p > v))),
+        S("st836", "number of width-2 descents", lambda p: basic.width_k_descents(p, 2), 836, min_n=3,
+          step=basic.width_k_descents_step(2), start=(0, 0)),
+        S("st1520", "number of width-3 descents", lambda p: basic.width_k_descents(p, 3), 1520, min_n=4,
+          step=basic.width_k_descents_step(3), start=(0, 0, 0)),
+        S("st1114", "number of odd descents", basic.odd_descents, 1114,
+          step=lambda m, p, v, i, n: (v, int(p > v and i % 2 == 0))),
+        S("st1115", "number of even descents", basic.even_descents, 1115,
+          step=lambda m, p, v, i, n: (v, int(p > v and i % 2 == 1))),
+        S("st483", "number of monotone switches", basic.monotone_switches, 483,
+          step=basic.monotone_switches_step, start=(0, None)),
+        S("st638", "number of up-down runs", basic.up_down_runs, 638,
+          step=basic.up_down_runs_step, start=(0, None)),
         # cycle diagram statistics
-        S("st039", "number of crossings", cycles.crossings, 39),
-        S("st223", "number of nestings", cycles.nestings, 223),
+        S("st039", "number of crossings", cycles.crossings, 39, step=cycles.crossings_step),
+        S("st223", "number of nestings", cycles.nestings, 223, step=cycles.nestings_step),
         S("st317", "cycle descent number", cycles.cycle_descents, 317),
-        S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, 1744),
+        S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, 1744,
+          step=cycles.arrow_12_patterns_step),
         # vincular patterns
-        S("st356", "occurrences of 13-2", patterns.occurrences_13_2, 356),
-        S("st357", "occurrences of 12-3", patterns.occurrences_12_3, 357),
-        S("st358", "occurrences of 31-2", patterns.occurrences_31_2, 358),
-        S("st360", "occurrences of 32-1", patterns.occurrences_32_1, 360),
+        S("st356", "occurrences of 13-2", patterns.occurrences_13_2, 356,
+          step=patterns.glued_then_later_step((1, 3, 2))),
+        S("st357", "occurrences of 12-3", patterns.occurrences_12_3, 357,
+          step=patterns.glued_then_later_step((1, 2, 3))),
+        S("st358", "occurrences of 31-2", patterns.occurrences_31_2, 358,
+          step=patterns.glued_then_later_step((3, 1, 2))),
+        S("st360", "occurrences of 32-1", patterns.occurrences_32_1, 360,
+          step=patterns.glued_then_later_step((3, 2, 1))),
         # classical pattern pairs
-        S("st423", "occurrences of 123 or 132", patterns.occurrences_123_or_132, 423),
-        S("st428", "occurrences of 123 or 213", patterns.occurrences_123_or_213, 428),
-        S("st436", "occurrences of 231 or 321", patterns.occurrences_231_or_321, 436),
-        S("st437", "occurrences of 312 or 321", patterns.occurrences_312_or_321, 437),
-        # midpoints of length-3 monotone subsequences
-        S("st371", "midpoints of decreasing length-3 subsequences", extrema.count_decreasing_midpoints, 371),
-        S("st372", "midpoints of increasing length-3 subsequences", extrema.count_increasing_midpoints, 372),
-        S("st1683", "distinct positions of 3 in 132 occurrences", extrema.distinct_positions_of_3_in_132, 1683),
+        S("st423", "occurrences of 123 or 132", patterns.occurrences_123_or_132, 423,
+          step=patterns.choose_two_step(left=False, larger=True)),
+        S("st428", "occurrences of 123 or 213", patterns.occurrences_123_or_213, 428,
+          step=patterns.choose_two_step(left=True, larger=False)),
+        S("st436", "occurrences of 231 or 321", patterns.occurrences_231_or_321, 436,
+          step=patterns.choose_two_step(left=True, larger=True)),
+        S("st437", "occurrences of 312 or 321", patterns.occurrences_312_or_321, 437,
+          step=patterns.choose_two_step(left=False, larger=False)),
+        # midpoints of length-3 monotone subsequences: a placed value above v
+        # and an unplaced one below it, or the other way round
+        S("st371", "midpoints of decreasing length-3 subsequences", extrema.count_decreasing_midpoints, 371,
+          step=lambda m, s, v, i, n: (s, int(above(m, v) > 0 and below(m, v) < v - 1))),
+        S("st372", "midpoints of increasing length-3 subsequences", extrema.count_increasing_midpoints, 372,
+          step=lambda m, s, v, i, n: (s, int(below(m, v) > 0 and above(m, v) < n - v))),
+        S("st1683", "distinct positions of 3 in 132 occurrences", extrema.distinct_positions_of_3_in_132, 1683,
+          step=extrema.distinct_positions_of_3_in_132_step),
         S("st1687", "distinct positions of 2 in 213 occurrences", extrema.distinct_positions_of_2_in_213, 1687),
-        S("st373", "weak excedances that are decreasing midpoints", extrema.weak_excedance_decreasing_midpoints, 373),
-        # partial extrema and cycles
-        S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, 7),
+        S("st373", "weak excedances that are decreasing midpoints", extrema.weak_excedance_decreasing_midpoints, 373,
+          step=lambda m, s, v, i, n: (s, int(v >= i and above(m, v) > 0 and below(m, v) < v - 1))),
+        # partial extrema and cycles: v is a left-to-right maximum when no
+        # placed value exceeds it, a right-to-left minimum when every smaller
+        # value is placed, and so on
+        S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, 7,
+          step=lambda m, s, v, i, n: (s, int(above(m, v) == n - v))),
         S("st031", "number of cycles", extrema.cycle_count, 31),
-        S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, 314),
-        S("st541", "values >= 2 with all smaller values to the right", extrema.small_values_to_the_right, 541),
-        S("st542", "number of left-to-right minima", extrema.count_l2r_minima, 542),
-        S("st991", "number of right-to-left minima", extrema.count_r2l_minima, 991),
+        S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, 314,
+          step=lambda m, s, v, i, n: (s, int(above(m, v) == 0))),
+        S("st541", "values >= 2 with all smaller values to the right", extrema.small_values_to_the_right, 541,
+          step=lambda m, s, v, i, n: (s, int(v > 1 and below(m, v) == 0))),
+        S("st542", "number of left-to-right minima", extrema.count_l2r_minima, 542,
+          step=lambda m, s, v, i, n: (s, int(below(m, v) == 0))),
+        S("st991", "number of right-to-left minima", extrema.count_r2l_minima, 991,
+          step=lambda m, s, v, i, n: (s, int(below(m, v) == v - 1))),
         S("st216", "absolute length", extrema.absolute_length, 216),
-        S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, 316),
-        S("st1004", "positions that are l2r maxima or r2l minima", extrema.extrema_union, 1004),
-        S("st1005", "positions that are l2r maxima xor r2l minima", extrema.extrema_xor, 1005),
-        S("extrema_sum", "l2r maxima plus r2l minima", extrema.extrema_sum, None),
+        S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, 316,
+          step=lambda m, s, v, i, n: (s, int(above(m, v) > 0))),
+        S("st1004", "positions that are l2r maxima or r2l minima", extrema.extrema_union, 1004,
+          step=lambda m, s, v, i, n: (s, int(above(m, v) == 0 or below(m, v) == v - 1))),
+        S("st1005", "positions that are l2r maxima xor r2l minima", extrema.extrema_xor, 1005,
+          step=lambda m, s, v, i, n: (s, int((above(m, v) == 0) != (below(m, v) == v - 1)))),
+        S("extrema_sum", "l2r maxima plus r2l minima", extrema.extrema_sum, None,
+          step=lambda m, s, v, i, n: (s, (above(m, v) == 0) + (below(m, v) == v - 1))),
         # inversion variants
-        S("st495", "inversions of distance at most 2", lambda p: basic.inversions_within_distance(p, 2), 495),
-        S("st494", "inversions of distance at most 3", lambda p: basic.inversions_within_distance(p, 3), 494),
+        S("st495", "inversions of distance at most 2", lambda p: basic.inversions_within_distance(p, 2), 495,
+          step=basic.inversions_within_distance_step(2), start=(0, 0)),
+        S("st494", "inversions of distance at most 3", lambda p: basic.inversions_within_distance(p, 3), 494,
+          step=basic.inversions_within_distance_step(3), start=(0, 0, 0)),
         S("st538", "number of even inversions", basic.even_inversions, 538),
         S("st539", "number of odd inversions", basic.odd_inversions, 539),
-        S("st1726", "number of visible inversions", basic.visible_inversions, 1726),
-        S("st1727", "number of invisible inversions", basic.invisible_inversions, 1727),
+        S("st1726", "number of visible inversions", basic.visible_inversions, 1726,
+          step=basic.visible_inversions_step),
+        S("st1727", "number of invisible inversions", basic.invisible_inversions, 1727,
+          step=basic.invisible_inversions_step),
         # signed and alternating combinations
         S("st677", "standardized bi-alternating inversion number", basic.bialternating, 677),
-        S("st825", "major index plus inverse major index", longcycle.maj_plus_imaj, 825),
-        S("st1379", "inversions plus major index", longcycle.inv_plus_maj, 1379),
-        S("st1377", "major index minus inversions", longcycle.maj_minus_inv, 1377, signed=True),
-        S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, None, signed=True),
-        S("st462", "major index minus excedances", longcycle.maj_minus_excedances, 462, signed=True),
+        S("st825", "major index plus inverse major index", longcycle.maj_plus_imaj, 825,
+          step=longcycle.maj_plus_imaj_step),
+        S("st1379", "inversions plus major index", longcycle.inv_plus_maj, 1379,
+          step=longcycle.inv_plus_maj_step),
+        S("st1377", "major index minus inversions", longcycle.maj_minus_inv, 1377, signed=True,
+          step=longcycle.maj_minus_inv_step),
+        S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, None, signed=True,
+          step=longcycle.maj_minus_imaj_step),
+        S("st462", "major index minus excedances", longcycle.maj_minus_excedances, 462, signed=True,
+          step=longcycle.maj_minus_excedances_step),
         S("st463", "admissible inversions (Lin-Zeng)", longcycle.admissible_inversions_lz, 463),
         S("st866", "admissible inversions (Shareshian-Wachs)", longcycle.admissible_inversions_sw, 866),
-        S("st961", "shifted major index", longcycle.shifted_major_index, 961),
-        S("st1911", "weighted descent variant minus inversions", basic.descent_variant_minus_inversions, 1911, signed=True),
+        S("st961", "shifted major index", longcycle.shifted_major_index, 961,
+          step=longcycle.shifted_major_index_step),
+        S("st1911", "weighted descent variant minus inversions", basic.descent_variant_minus_inversions, 1911,
+          signed=True, step=basic.descent_variant_minus_inversions_step),
         # sorting and factorization distances
-        S("st809", "reduced reflection length", distances.reduced_reflection_length, 809),
+        S("st809", "reduced reflection length", distances.reduced_reflection_length, 809,
+          step=lambda m, s, v, i, n: (s, 2 * max(v - i, 0) - above(m, v))),
         S("st1579", "cyclic comparator swaps to sort", distances.cyclic_sort_swaps, 1579),
         S("st1076", "factorization length over cyclic shifts of (12)", distances.cyclic_shift_factorization_length, 1076),
         S("st1077", "prefix exchange distance", distances.prefix_exchange_distance, 1077),
         # entries and rank
-        S("st054", "first entry", entries.first_entry, 54),
-        S("st740", "last entry", entries.last_entry, 740),
-        S("st1806", "upper middle entry", entries.upper_middle_entry, 1806),
-        S("st1807", "lower middle entry", entries.lower_middle_entry, 1807),
-        S("st1557", "inversions of the second entry", lambda p: entries.inversions_of_ith_entry(p, 2), 1557, min_n=2),
-        S("st1556", "inversions of the third entry", lambda p: entries.inversions_of_ith_entry(p, 3), 1556, min_n=3),
+        S("st054", "first entry", entries.first_entry, 54, step=lambda m, s, v, i, n: (s, v if i == 1 else 0)),
+        S("st740", "last entry", entries.last_entry, 740, step=lambda m, s, v, i, n: (s, v if i == n else 0)),
+        S("st1806", "upper middle entry", entries.upper_middle_entry, 1806,
+          step=lambda m, s, v, i, n: (s, v if i == n // 2 + 1 else 0)),
+        S("st1807", "lower middle entry", entries.lower_middle_entry, 1807,
+          step=lambda m, s, v, i, n: (s, v if i == (n + 1) // 2 else 0)),
+        S("st1557", "inversions of the second entry", lambda p: entries.inversions_of_ith_entry(p, 2), 1557, min_n=2,
+          step=lambda m, s, v, i, n: (s, v - 1 - below(m, v) if i == 2 else 0)),
+        S("st1556", "inversions of the third entry", lambda p: entries.inversions_of_ith_entry(p, 3), 1556, min_n=3,
+          step=lambda m, s, v, i, n: (s, v - 1 - below(m, v) if i == 3 else 0)),
         S("st020", "lexicographic rank", entries.rank, 20),
         # generating-function-only entry
         S("st864", "circled entries of the shifted recording tableau", None, 864, gf=shifted_circled_gf),

@@ -6,6 +6,21 @@ from ..errors import ParityViolation, WidthOutOfRange
 from ..permutations import Perm
 
 
+def placed_above(mask: int, v: int) -> int:
+    """How many values above v a transfer-matrix mask marks as placed (bit w - 1 for w)."""
+    return (mask >> v).bit_count()
+
+
+def placed_below(mask: int, v: int) -> int:
+    """How many values below v a transfer-matrix mask marks as placed."""
+    return (mask & ((1 << (v - 1)) - 1)).bit_count()
+
+
+def placed_between(mask: int, lo: int, hi: int) -> int:
+    """How many values strictly between lo and hi a transfer-matrix mask marks as placed."""
+    return placed_below(mask, hi) - placed_below(mask, lo + 1)
+
+
 def inversions(p: Perm) -> int:
     n = len(p)
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[j] < p[i])
@@ -37,6 +52,19 @@ def width_k_descents(p: Perm, k: int) -> int:
     return sum(1 for i in range(n - k) if p[i] > p[i + k])
 
 
+def width_k_descents_step(k: int):
+    """Transfer-matrix step for :func:`width_k_descents`; the state is the last k values.
+
+    Start from k zeros: a zero never exceeds v, so no pair is counted before
+    position k + 1.
+    """
+
+    def step(mask: int, window: tuple[int, ...], v: int, i: int, n: int):
+        return window[1:] + (v,), int(window[0] > v)
+
+    return step
+
+
 def odd_descents(p: Perm) -> int:
     return sum(1 for i in descent_set(p) if i % 2 == 1)
 
@@ -51,6 +79,15 @@ def monotone_switches(p: Perm) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def monotone_switches_step(mask: int, state: tuple, v: int, i: int, n: int):
+    """Transfer-matrix step; the state is (previous value or 0, whether the last pair rose)."""
+    prev, rose = state
+    if not prev:
+        return (v, None), 0
+    up = prev < v
+    return (v, up), int(rose is not None and up != rose)
+
+
 def up_down_runs(p: Perm) -> int:
     """Maximal monotone consecutive runs, plus one when the word opens with a descent."""
     n = len(p)
@@ -60,12 +97,29 @@ def up_down_runs(p: Perm) -> int:
     return runs + (1 if p[0] > p[1] else 0)
 
 
+def up_down_runs_step(mask: int, state: tuple, v: int, i: int, n: int):
+    """One run for the first entry and one for an opening descent, then one per switch."""
+    if i == 1:
+        return (v, None), 1
+    new_state, switched = monotone_switches_step(mask, state, v, i, n)
+    return new_state, switched + int(i == 2 and state[0] > v)
+
+
 def inversions_within_distance(p: Perm, k: int) -> int:
     """Inversions (i, i+m) over all 1 <= m <= k."""
     n = len(p)
     return sum(
         1 for m in range(1, k + 1) for i in range(n - m) if p[i] > p[i + m]
     )
+
+
+def inversions_within_distance_step(k: int):
+    """Transfer-matrix step for :func:`inversions_within_distance`; the state is the last k values."""
+
+    def step(mask: int, window: tuple[int, ...], v: int, i: int, n: int):
+        return window[1:] + (v,), sum(w > v for w in window)
+
+    return step
 
 
 def even_inversions(p: Perm) -> int:
@@ -101,6 +155,13 @@ def visible_inversions(p: Perm) -> int:
     )
 
 
+def visible_inversions_step(mask: int, state: int, v: int, i: int, n: int):
+    """Transfer-matrix step: v at position i pairs with the later values w <= min(i, v - 1),
+    which are the unplaced ones; no state."""
+    m = min(i, v - 1)
+    return state, m - placed_below(mask, m + 1)
+
+
 def invisible_inversions(p: Perm) -> int:
     """Inversions (i, j) with p_i > p_j > i."""
     n = len(p)
@@ -110,6 +171,14 @@ def invisible_inversions(p: Perm) -> int:
         for j in range(i + 1, n + 1)
         if p[i - 1] > p[j - 1] > i
     )
+
+
+def invisible_inversions_step(mask: int, state: int, v: int, i: int, n: int):
+    """Transfer-matrix step: v at position i pairs with the unplaced values strictly
+    between i and v; no state."""
+    if v <= i + 1:
+        return state, 0
+    return state, v - i - 1 - placed_between(mask, i, v)
 
 
 def bialternating_inversion_raw(p: Perm) -> int:
@@ -140,3 +209,9 @@ def descent_variant_weighted(p: Perm) -> int:
 
 def descent_variant_minus_inversions(p: Perm) -> int:
     return descent_variant_weighted(p) - inversions(p)
+
+
+def descent_variant_minus_inversions_step(mask: int, prev: int, v: int, i: int, n: int):
+    """Transfer-matrix step; the state is the previous value (0 before position 1)."""
+    d = i - 1
+    return v, (d * (n - d) if prev > v else 0) - placed_above(mask, v)

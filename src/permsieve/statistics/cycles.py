@@ -9,6 +9,7 @@ distinct points.
 from __future__ import annotations
 
 from ..permutations import Perm, cycle_form, fundamental_transform
+from .basic import placed_above, placed_below, placed_between
 
 
 def crossings(p: Perm) -> int:
@@ -23,6 +24,20 @@ def crossings(p: Perm) -> int:
     return total
 
 
+def crossings_step(mask: int, state: int, v: int, i: int, n: int):
+    """Transfer-matrix step; no state.
+
+    With v at an excedance (v > i) it counts the crossings i' < i <= p_i' < v,
+    whose other value is placed; at a deficiency (v < i), the crossings
+    v < p_j < i < j, whose other value is not placed yet.
+    """
+    if v > i:
+        return state, placed_between(mask, i - 1, v)
+    if v < i:
+        return state, i - v - 1 - placed_between(mask, v, i)
+    return state, 0
+
+
 def nestings(p: Perm) -> int:
     n = len(p)
     total = 0
@@ -33,6 +48,16 @@ def nestings(p: Perm) -> int:
             elif i < j and p[j - 1] < p[i - 1] < i < j:
                 total += 1
     return total
+
+
+def nestings_step(mask: int, state: int, v: int, i: int, n: int):
+    """Transfer-matrix step; no state.
+
+    A nesting with v at a weak excedance (i <= v) has its other point
+    earlier, holding a larger value; one with v at a deficiency (v < i) has
+    its other point later, holding a smaller value.
+    """
+    return state, placed_above(mask, v) if v >= i else v - 1 - placed_below(mask, v)
 
 
 def cycle_descents(p: Perm) -> int:
@@ -61,3 +86,9 @@ def arrow_12_patterns(p: Perm) -> int:
         for i in range(len(p) - 1)
         if p[i] < p[i + 1] and sigma[p[i] - 1] == p[i + 1]
     )
+
+
+def arrow_12_patterns_step(mask: int, prev: int, v: int, i: int, n: int):
+    """Transfer-matrix step: an ascent into v counts unless v is a left-to-right maximum;
+    the state is the previous value (0 before position 1)."""
+    return v, int(0 < prev < v and placed_above(mask, v) > 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ..permutations import Perm, cycle_form
+from .basic import placed_below
 
 
 def l2r_max_positions(p: Perm) -> frozenset[int]:
@@ -156,6 +157,13 @@ def distinct_positions_of_3_in_132(p: Perm) -> int:
             count += 1
         pre_min = min(pre_min, p[j - 1])
     return count
+
+
+def distinct_positions_of_3_in_132_step(mask: int, state: int, v: int, i: int, n: int):
+    """Transfer-matrix step: v plays the 3 when an unplaced value lies strictly
+    between the smallest placed value and v; no state."""
+    low = (mask & -mask).bit_length()
+    return state, int(mask != 0 and v - low > placed_below(mask, v))
 
 
 def distinct_positions_of_2_in_213(p: Perm) -> int:

@@ -8,7 +8,20 @@ values, which the polynomial layer absorbs through its exponent offset.
 from __future__ import annotations
 
 from ..permutations import Perm, inverse
-from .basic import inversions, major_index
+from .basic import inversions, major_index, placed_above
+
+# Transfer-matrix steps (see StatDescriptor).  The state is the previous value,
+# 0 before position 1, so a descent ending at position i adds i - 1 to maj.
+# The inverse has a descent at v exactly when v + 1 sits left of v, that is,
+# when v + 1 is already placed as v is placed; it adds v to imaj.
+
+
+def _maj(prev: int, v: int, i: int) -> int:
+    return i - 1 if prev > v else 0
+
+
+def _imaj(mask: int, v: int) -> int:
+    return v if mask >> v & 1 else 0
 
 
 def inverse_major_index(p: Perm) -> int:
@@ -19,16 +32,32 @@ def maj_plus_imaj(p: Perm) -> int:
     return major_index(p) + inverse_major_index(p)
 
 
+def maj_plus_imaj_step(mask: int, prev: int, v: int, i: int, n: int):
+    return v, _maj(prev, v, i) + _imaj(mask, v)
+
+
 def inv_plus_maj(p: Perm) -> int:
     return inversions(p) + major_index(p)
+
+
+def inv_plus_maj_step(mask: int, prev: int, v: int, i: int, n: int):
+    return v, _maj(prev, v, i) + placed_above(mask, v)
 
 
 def maj_minus_inv(p: Perm) -> int:
     return major_index(p) - inversions(p)
 
 
+def maj_minus_inv_step(mask: int, prev: int, v: int, i: int, n: int):
+    return v, _maj(prev, v, i) - placed_above(mask, v)
+
+
 def maj_minus_imaj(p: Perm) -> int:
     return major_index(p) - inverse_major_index(p)
+
+
+def maj_minus_imaj_step(mask: int, prev: int, v: int, i: int, n: int):
+    return v, _maj(prev, v, i) - _imaj(mask, v)
 
 
 def excedances(p: Perm) -> int:
@@ -38,6 +67,10 @@ def excedances(p: Perm) -> int:
 
 def maj_minus_excedances(p: Perm) -> int:
     return major_index(p) - excedances(p)
+
+
+def maj_minus_excedances_step(mask: int, prev: int, v: int, i: int, n: int):
+    return v, _maj(prev, v, i) - int(v > i)
 
 
 def admissible_inversions_lz(p: Perm) -> int:
@@ -73,3 +106,7 @@ def admissible_inversions_sw(p: Perm) -> int:
 def shifted_major_index(p: Perm) -> int:
     """sum of i over indices with p_i > p_{i+1} + 1."""
     return sum(i for i in range(1, len(p)) if p[i - 1] > p[i] + 1)
+
+
+def shifted_major_index_step(mask: int, prev: int, v: int, i: int, n: int):
+    return v, i - 1 if prev > v + 1 else 0

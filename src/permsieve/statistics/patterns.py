@@ -7,7 +7,9 @@ glued and the 1 may appear anywhere later, so an occurrence consists of
 positions (i, i+1, k) with k > i+1 and sigma_i > sigma_{i+1} > sigma_k.
 
 The registered pattern statistics use direct O(n^2) kernels; the generic
-recursive :func:`pattern_count` is their test oracle.
+recursive :func:`pattern_count` is their test oracle.  Their generating
+functions come from transfer-matrix steps that count, when a value is placed,
+the still unplaced values in the right window: those all come later.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..permutations import Perm, check_permutation
+from .basic import placed_above, placed_below, placed_between
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,27 @@ def _glued_then_later(p: Perm, pattern: tuple[int, int, int]) -> int:
     return total
 
 
+def glued_then_later_step(pattern: tuple[int, int, int]):
+    """Transfer-matrix step for ``xy-z``; the state is the previous value (0 before position 1).
+
+    Placing y's value v right after x's value completes the glued pair, and
+    every occurrence it starts takes its z from the values still unplaced.
+    """
+    x, y, z = pattern
+
+    def step(mask: int, prev: int, v: int, i: int, n: int):
+        if not prev or (prev < v) != (x < y):
+            return v, 0
+        lo, hi = (prev, v) if prev < v else (v, prev)
+        if z == 1:
+            return v, lo - 1 - placed_below(mask, lo)
+        if z == 2:
+            return v, hi - lo - 1 - placed_between(mask, lo, hi)
+        return v, n - hi - placed_above(mask, hi)
+
+    return step
+
+
 def occurrences_13_2(p: Perm) -> int:
     """
     >>> occurrences_13_2((1, 3, 2, 4))
@@ -190,6 +214,20 @@ def _choose_two_sum(p: Perm, left: bool, larger: bool) -> int:
         m = sum(w > v for w in side) if larger else sum(w < v for w in side)
         total += m * (m - 1) // 2
     return total
+
+
+def choose_two_step(left: bool, larger: bool):
+    """Transfer-matrix step for :func:`_choose_two_sum`: the entries left of position i
+    are the placed values, those right of it the unplaced ones; no state."""
+
+    def step(mask: int, state: int, v: int, i: int, n: int):
+        if larger:
+            m = placed_above(mask, v) if left else n - v - placed_above(mask, v)
+        else:
+            m = placed_below(mask, v) if left else v - 1 - placed_below(mask, v)
+        return state, m * (m - 1) // 2
+
+    return step
 
 
 def occurrences_123_or_132(p: Perm) -> int:

@@ -56,6 +56,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "stat", "eval", "st018", "2231")
         assert code == 2
 
+    def test_eval_of_gf_only_statistic_exits_two(self, capsys):
+        code, out, err = run(capsys, "stat", "eval", "st864", "1,2,3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "st864" in err
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--format", "yaml"])

@@ -1,5 +1,7 @@
 """The pair scanner: classification, dedup, conjecture observations, determinism."""
 
+from itertools import permutations
+
 import pytest
 
 from permsieve.bijections import MAPS, MapDescriptor
@@ -8,8 +10,10 @@ from permsieve.scan import (
     conjecture_suite,
     dedupe,
     instance_applies,
+    q_minus_one_widths,
     scan,
 )
+from permsieve.statistics.basic import width_k_descents
 
 SMALL_STATS = ["st018", "st021", "st039", "st223", "st539", "st031"]
 SMALL_MAPS = ["reverse", "complement", "corteel", "rotation", "inverse"]
@@ -163,6 +167,14 @@ class TestConjectureSuite:
 
     def test_width_k_consistency(self, suite):
         assert all(row["consistent"] for row in suite["width_k"])
+
+    def test_width_k_values_match_a_walk_per_width(self):
+        for n in range(1, 8):
+            per_width = {
+                k: sum((-1) ** width_k_descents(p, k) for p in permutations(range(1, n + 1)))
+                for k in range(1, n)
+            }
+            assert q_minus_one_widths(n) == per_width, n
 
     def test_descent_variant_observation(self, suite):
         for row in suite["descent_variant_closed_form"].values():

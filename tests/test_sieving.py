@@ -12,6 +12,8 @@ from permsieve.orbits import decompose
 from permsieve.permutations import fundamental_transform, inverse
 from permsieve.polynomials import IntPolynomial
 from permsieve.sieving import (
+    _enumerated_gf,
+    _generating_function_cached,
     csp_check,
     equidistribution,
     generating_function,
@@ -20,7 +22,7 @@ from permsieve.sieving import (
     q_minus_one,
     transport_check,
 )
-from permsieve.statistics import get_statistic, mahonian_gf
+from permsieve.statistics import REGISTRY, get_statistic, mahonian_gf
 
 
 def poly(terms):
@@ -42,6 +44,14 @@ class TestGeneratingFunction:
     def test_gf_only_statistic(self):
         with pytest.raises(ValueError):
             get_statistic("st864")((1, 2, 3))
+
+
+@pytest.mark.parametrize("key", [key for key, desc in REGISTRY.items() if desc.step is not None])
+def test_transfer_matrix_matches_enumeration(key):
+    """Every statistic with a step: its left-to-right walk equals enumeration of S_n."""
+    desc = REGISTRY[key]
+    for n in range(desc.min_n, 8):
+        assert _generating_function_cached.__wrapped__(key, n) == _enumerated_gf(desc, n), n
 
 
 class TestFold:

@@ -43,6 +43,30 @@ def test_exports_and_tracer_hooks_resolve():
     assert json.loads(done.stdout) == {"orbit_spans": ["reverse"], "known_is_tuple_of_triples": True}
 
 
+GF_SPANS_RUN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from tracer import Recorder, install
+rec = Recorder("guard")
+install(rec)
+from permsieve.sieving import generating_function
+for key in ("st423", "st039"):  # with a transfer-matrix step, and without
+    for _ in range(2):
+        generating_function(key, 5)
+print(json.dumps([detail for name, detail, *_ in rec.spans if name == "gf"]))
+"""
+
+
+def test_tracer_sees_one_gf_span_per_computed_function():
+    """Both generating-function paths run inside the memoized function the tracer wraps."""
+    src = str(Path(permsieve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-B", "-c", GF_SPANS_RUN], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["st423", "st039"]
+
+
 def test_no_unused_module_imports():
     """Every module-level import binds a name its module reads (``__future__`` aside)."""
     package = Path(permsieve.__file__).resolve().parent
