@@ -40,7 +40,7 @@ from .errors import PermsieveError, UsageError
 from .orbits import fixed_counts, orbit_signature, orbit_sizes
 from .permutations import format_permutation, parse_permutation
 from .polynomials import IntPolynomial
-from .scan import ScanReport, scan
+from .scan import MAX_SCAN_N, ScanReport, scan
 from .sieving import csp_check, equidistribution, generating_function
 from .statistics import get_statistic, statistic_keys
 
@@ -269,9 +269,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """The type of every ``--n`` option: S_n needs n >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    """The type of every ``--n`` option: S_n needs n >= 1, and no command goes past the scan's n."""
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_SCAN_N:
+        raise argparse.ArgumentTypeError(f"must be a positive integer at most {MAX_SCAN_N}, got {text!r}")
     return int(text)
 
 
@@ -347,6 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

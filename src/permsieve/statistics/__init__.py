@@ -26,6 +26,7 @@ from .basic import (
     major_index,
     placed_above,
     placed_below,
+    walk,
 )
 from .closed_forms import (
     crossings_gf_closed,
@@ -38,7 +39,7 @@ from .closed_forms import (
     rank_gf,
     shifted_circled_gf,
 )
-from .patterns import PatternSpec, classical_pattern_count, pattern_count, vincular_pattern_count
+from .patterns import PatternSpec, pattern_count
 
 __all__ = [
     "StatDescriptor",
@@ -47,8 +48,7 @@ __all__ = [
     "statistic_keys",
     "PatternSpec",
     "pattern_count",
-    "classical_pattern_count",
-    "vincular_pattern_count",
+    "walk",
     "mahonian_gf",
     "cycles_gf",
     "rank_gf",
@@ -87,7 +87,9 @@ class StatDescriptor:
     unplaced) values above or below v but not their positions; the state is
     kept small, at most the last few values, since permutations that reach the
     same (mask, state) are counted together.  The evaluator stays the
-    definition, and enumerating S_n through it is the step's test oracle.
+    definition, and enumerating S_n through it is the step's test oracle, except
+    for the eight pattern statistics: their evaluator is their step
+    :func:`basic.walk` along p, and :func:`patterns.pattern_count` defines them.
     """
 
     key: str
@@ -108,6 +110,7 @@ class StatDescriptor:
 
 def _descriptors() -> list[StatDescriptor]:
     S = StatDescriptor
+
     above, below = placed_above, placed_below
     # Steps: "m, s" are the mask and a state the step leaves alone; "m, p" are
     # the mask and the previous value (0 before position 1), so p > v marks a
@@ -139,23 +142,15 @@ def _descriptors() -> list[StatDescriptor]:
         S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, 1744,
           step=cycles.arrow_12_patterns_step),
         # vincular patterns
-        S("st356", "occurrences of 13-2", patterns.occurrences_13_2, 356,
-          step=patterns.glued_then_later_step((1, 3, 2))),
-        S("st357", "occurrences of 12-3", patterns.occurrences_12_3, 357,
-          step=patterns.glued_then_later_step((1, 2, 3))),
-        S("st358", "occurrences of 31-2", patterns.occurrences_31_2, 358,
-          step=patterns.glued_then_later_step((3, 1, 2))),
-        S("st360", "occurrences of 32-1", patterns.occurrences_32_1, 360,
-          step=patterns.glued_then_later_step((3, 2, 1))),
+        S("st356", "occurrences of 13-2", patterns.occurrences_13_2, 356, step=patterns.STEPS["st356"]),
+        S("st357", "occurrences of 12-3", patterns.occurrences_12_3, 357, step=patterns.STEPS["st357"]),
+        S("st358", "occurrences of 31-2", patterns.occurrences_31_2, 358, step=patterns.STEPS["st358"]),
+        S("st360", "occurrences of 32-1", patterns.occurrences_32_1, 360, step=patterns.STEPS["st360"]),
         # classical pattern pairs
-        S("st423", "occurrences of 123 or 132", patterns.occurrences_123_or_132, 423,
-          step=patterns.choose_two_step(left=False, larger=True)),
-        S("st428", "occurrences of 123 or 213", patterns.occurrences_123_or_213, 428,
-          step=patterns.choose_two_step(left=True, larger=False)),
-        S("st436", "occurrences of 231 or 321", patterns.occurrences_231_or_321, 436,
-          step=patterns.choose_two_step(left=True, larger=True)),
-        S("st437", "occurrences of 312 or 321", patterns.occurrences_312_or_321, 437,
-          step=patterns.choose_two_step(left=False, larger=False)),
+        S("st423", "occurrences of 123 or 132", patterns.occurrences_123_or_132, 423, step=patterns.STEPS["st423"]),
+        S("st428", "occurrences of 123 or 213", patterns.occurrences_123_or_213, 428, step=patterns.STEPS["st428"]),
+        S("st436", "occurrences of 231 or 321", patterns.occurrences_231_or_321, 436, step=patterns.STEPS["st436"]),
+        S("st437", "occurrences of 312 or 321", patterns.occurrences_312_or_321, 437, step=patterns.STEPS["st437"]),
         # midpoints of length-3 monotone subsequences: a placed value above v
         # and an unplaced one below it, or the other way round
         S("st371", "midpoints of decreasing length-3 subsequences", extrema.count_decreasing_midpoints, 371,

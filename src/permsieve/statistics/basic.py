@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, Hashable
+
 from ..errors import ParityViolation, WidthOutOfRange
 from ..permutations import Perm
 
@@ -19,6 +21,16 @@ def placed_below(mask: int, v: int) -> int:
 def placed_between(mask: int, lo: int, hi: int) -> int:
     """How many values strictly between lo and hi a transfer-matrix mask marks as placed."""
     return placed_below(mask, hi) - placed_below(mask, lo + 1)
+
+
+def walk(step: Callable, p: Perm, start: Hashable = 0) -> int:
+    """The sum of a transfer-matrix ``step``'s increments along p, from state ``start``."""
+    n, mask, state, total = len(p), 0, start, 0
+    for i, v in enumerate(p, 1):
+        state, inc = step(mask, state, v, i, n)
+        mask |= 1 << (v - 1)
+        total += inc
+    return total
 
 
 def inversions(p: Perm) -> int:

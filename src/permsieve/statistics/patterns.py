@@ -6,10 +6,11 @@ never on values.  The dash notation ``32-1`` means the letters 3 and 2 are
 glued and the 1 may appear anywhere later, so an occurrence consists of
 positions (i, i+1, k) with k > i+1 and sigma_i > sigma_{i+1} > sigma_k.
 
-The registered pattern statistics use direct O(n^2) kernels; the generic
-recursive :func:`pattern_count` is their test oracle.  Their generating
-functions come from transfer-matrix steps that count, when a value is placed,
-the still unplaced values in the right window: those all come later.
+Each of the eight registered pattern statistics is one transfer-matrix step
+(:data:`STEPS`) that counts, when a value is placed, the still unplaced values
+in the right window: those all come later.  Its ``occurrences_*`` evaluator
+walks that step along p.  The generic recursive :func:`pattern_count` is their
+definition and their test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..permutations import Perm, check_permutation
-from .basic import placed_above, placed_below, placed_between
+from .basic import placed_above, placed_below, placed_between, walk
 
 
 @dataclass(frozen=True)
@@ -112,46 +113,13 @@ def pattern_count(p: Perm, spec: PatternSpec) -> int:
     return count
 
 
-def classical_pattern_count(p: Perm, spec: PatternSpec) -> int:
-    if spec.kind != "classical":
-        raise ValueError("classical spec expected")
-    return pattern_count(p, spec)
-
-
-def vincular_pattern_count(p: Perm, spec: PatternSpec) -> int:
-    if spec.kind != "vincular":
-        raise ValueError("vincular spec expected")
-    return pattern_count(p, spec)
-
-
-def _glued_then_later(p: Perm, pattern: tuple[int, int, int]) -> int:
-    """Occurrences of the vincular pattern ``xy-z`` given as (x, y, z), in O(n^2).
-
-    For each adjacent pair (p_i, p_{i+1}) ordered like (x, y), count the
-    later entries lying in the value window that z's rank names: below both,
-    between them, or above both.
-    """
-    x, y, z = pattern
-    total = 0
-    for i in range(len(p) - 2):
-        a, b = p[i], p[i + 1]
-        if (a < b) != (x < y):
-            continue
-        lo, hi = (a, b) if a < b else (b, a)
-        if z == 1:
-            total += sum(w < lo for w in p[i + 2 :])
-        elif z == 2:
-            total += sum(lo < w < hi for w in p[i + 2 :])
-        else:
-            total += sum(w > hi for w in p[i + 2 :])
-    return total
-
-
 def glued_then_later_step(pattern: tuple[int, int, int]):
-    """Transfer-matrix step for ``xy-z``; the state is the previous value (0 before position 1).
+    """Transfer-matrix step for the vincular pattern ``xy-z`` given as (x, y, z).
 
-    Placing y's value v right after x's value completes the glued pair, and
-    every occurrence it starts takes its z from the values still unplaced.
+    The state is the previous value (0 before position 1).  Placing y's value
+    v right after x's value completes the glued pair, and every occurrence it
+    starts takes its z from the values still unplaced, in the window that z's
+    rank names: below both, between them, or above both.
     """
     x, y, z = pattern
 
@@ -168,57 +136,16 @@ def glued_then_later_step(pattern: tuple[int, int, int]):
     return step
 
 
-def occurrences_13_2(p: Perm) -> int:
-    """
-    >>> occurrences_13_2((1, 3, 2, 4))
-    1
-    """
-    return _glued_then_later(p, (1, 3, 2))
-
-
-def occurrences_12_3(p: Perm) -> int:
-    """
-    >>> occurrences_12_3((1, 2, 3, 4))
-    3
-    """
-    return _glued_then_later(p, (1, 2, 3))
-
-
-def occurrences_31_2(p: Perm) -> int:
-    """
-    >>> occurrences_31_2((3, 1, 4, 2))
-    1
-    """
-    return _glued_then_later(p, (3, 1, 2))
-
-
-def occurrences_32_1(p: Perm) -> int:
-    """
-    >>> occurrences_32_1((3, 2, 4, 1))
-    1
-    """
-    return _glued_then_later(p, (3, 2, 1))
-
-
-def _choose_two_sum(p: Perm, left: bool, larger: bool) -> int:
-    """Sum over positions of C(m, 2), m the entries on one side larger (or smaller).
-
-    Two classical length-3 patterns sharing the position and rank of their
-    extreme letter are counted together this way in O(n^2): 123 and 132 both
-    start with their smallest letter, so their occurrences are the pairs of
-    larger entries to the right of each position.
-    """
-    total = 0
-    for i, v in enumerate(p):
-        side = p[:i] if left else p[i + 1 :]
-        m = sum(w > v for w in side) if larger else sum(w < v for w in side)
-        total += m * (m - 1) // 2
-    return total
-
-
 def choose_two_step(left: bool, larger: bool):
-    """Transfer-matrix step for :func:`_choose_two_sum`: the entries left of position i
-    are the placed values, those right of it the unplaced ones; no state."""
+    """Transfer-matrix step summing C(m, 2) over positions, no state.
+
+    m counts the entries on one side of position i that are larger (or
+    smaller) than its value v: the placed values when ``left``, else the
+    unplaced ones.  Two classical length-3 patterns sharing the position and
+    rank of their extreme letter are counted together this way: 123 and 132
+    both start with their smallest letter, so their occurrences are the pairs
+    of larger entries to the right of each position.
+    """
 
     def step(mask: int, state: int, v: int, i: int, n: int):
         if larger:
@@ -230,33 +157,86 @@ def choose_two_step(left: bool, larger: bool):
     return step
 
 
-def occurrences_123_or_132(p: Perm) -> int:
+# The one definition of each registered pattern statistic: its step, built once.
+STEPS = {
+    "st356": glued_then_later_step((1, 3, 2)),
+    "st357": glued_then_later_step((1, 2, 3)),
+    "st358": glued_then_later_step((3, 1, 2)),
+    "st360": glued_then_later_step((3, 2, 1)),
+    "st423": choose_two_step(left=False, larger=True),
+    "st428": choose_two_step(left=True, larger=False),
+    "st436": choose_two_step(left=True, larger=True),
+    "st437": choose_two_step(left=False, larger=False),
+}
+
+
+def occurrences_13_2(p: Perm) -> int:
+    """st356: its step walked along p.
+
+    >>> occurrences_13_2((1, 3, 2, 4))
+    1
     """
+    return walk(STEPS["st356"], p)
+
+
+def occurrences_12_3(p: Perm) -> int:
+    """st357: its step walked along p.
+
+    >>> occurrences_12_3((1, 2, 3, 4))
+    3
+    """
+    return walk(STEPS["st357"], p)
+
+
+def occurrences_31_2(p: Perm) -> int:
+    """st358: its step walked along p.
+
+    >>> occurrences_31_2((3, 1, 4, 2))
+    1
+    """
+    return walk(STEPS["st358"], p)
+
+
+def occurrences_32_1(p: Perm) -> int:
+    """st360: its step walked along p.
+
+    >>> occurrences_32_1((3, 2, 4, 1))
+    1
+    """
+    return walk(STEPS["st360"], p)
+
+
+def occurrences_123_or_132(p: Perm) -> int:
+    """st423: its step walked along p.
+
     >>> occurrences_123_or_132((1, 3, 2, 4))
     3
     """
-    return _choose_two_sum(p, left=False, larger=True)
+    return walk(STEPS["st423"], p)
 
 
 def occurrences_123_or_213(p: Perm) -> int:
-    """
+    """st428: its step walked along p.
+
     >>> occurrences_123_or_213((2, 1, 4, 3))
     2
     """
-    return _choose_two_sum(p, left=True, larger=False)
+    return walk(STEPS["st428"], p)
 
 
 def occurrences_231_or_321(p: Perm) -> int:
-    """
+    """st436: its step walked along p.
+
     >>> occurrences_231_or_321((4, 2, 3, 1))
     3
     """
-    return _choose_two_sum(p, left=True, larger=True)
+    return walk(STEPS["st436"], p)
 
 
 def occurrences_312_or_321(p: Perm) -> int:
-    """
+    """st437: its step walked along p.
+
     >>> occurrences_312_or_321((4, 1, 3, 2))
     3
     """
-    return _choose_two_sum(p, left=False, larger=False)
+    return walk(STEPS["st437"], p)

@@ -73,13 +73,34 @@ class TestExitCodes:
         ["stat", "gf", "st018", "--n", "0"],
         ["map", "orbits", "reverse", "--n", "-1"],
         ["equidist", "st018", "st021", "--n", "0"],
-    ], ids=["csp-check", "stat-gf", "map-orbits", "equidist"])
+        ["csp", "check", "st018", "rotation", "--n", "9"],
+        ["stat", "gf", "st018", "--n", "9"],
+        ["map", "orbits", "reverse", "--n", "9"],
+        ["equidist", "st018", "st021", "--n", "9"],
+    ], ids=["csp-check", "stat-gf", "map-orbits", "equidist",
+            "csp-check-9", "stat-gf-9", "map-orbits-9", "equidist-9"])
     def test_n_below_one_exits_two(self, capsys, argv):
+        """Also an n above scan.MAX_SCAN_N, the largest n any command accepts."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "argument --n: must be a positive integer" in err
+
+    @pytest.mark.parametrize("flag, target", [
+        ("--cache-dir", "file"),
+        ("--output", "nodir/x.json"),
+        ("--config", "."),
+    ], ids=["cache-dir-is-a-file", "output-dir-missing", "config-is-a-dir"])
+    def test_bad_path_exits_two(self, capsys, tmp_path, flag, target):
+        (tmp_path / "file").write_text("")
+        code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4", "--stats", "st018",
+                             "--maps", "reverse", "--cache-dir", str(tmp_path / "c"),
+                             flag, str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
 
     @pytest.mark.parametrize("argv", [
         ["map", "orbits", "swap_first_third", "--n", "2"],

@@ -5,12 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from permsieve.statistics import get_statistic
-from permsieve.statistics.patterns import (
-    PatternSpec,
-    classical_pattern_count,
-    pattern_count,
-    vincular_pattern_count,
-)
+from permsieve.statistics.patterns import PatternSpec, pattern_count
 
 
 def brute_count(p, pattern, adjacent=frozenset()):
@@ -52,12 +47,6 @@ class TestSpecParsing:
     def test_too_long_rejected(self):
         with pytest.raises(ValueError):
             PatternSpec("classical", (1, 2, 3, 4, 5))
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            classical_pattern_count((1, 2, 3), PatternSpec.from_string("32-1"))
-        with pytest.raises(ValueError):
-            vincular_pattern_count((1, 2, 3), PatternSpec.from_string("321"))
 
 
 class TestAgainstOracle:

@@ -22,7 +22,7 @@ from permsieve.sieving import (
     q_minus_one,
     transport_check,
 )
-from permsieve.statistics import REGISTRY, get_statistic, mahonian_gf
+from permsieve.statistics import REGISTRY, get_statistic, mahonian_gf, walk
 
 
 def poly(terms):
@@ -48,10 +48,14 @@ class TestGeneratingFunction:
 
 @pytest.mark.parametrize("key", [key for key, desc in REGISTRY.items() if desc.step is not None])
 def test_transfer_matrix_matches_enumeration(key):
-    """Every statistic with a step: its left-to-right walk equals enumeration of S_n."""
+    """Every statistic with a step: its left-to-right walk equals enumeration of S_n,
+    as a generating function and on each permutation (equidistributed statistics,
+    such as major index and inversions, share a generating function)."""
     desc = REGISTRY[key]
     for n in range(desc.min_n, 8):
         assert _generating_function_cached.__wrapped__(key, n) == _enumerated_gf(desc, n), n
+        for p in permutations(range(1, n + 1)):
+            assert walk(desc.step, p, desc.start) == desc.evaluator(p), p
 
 
 class TestFold:

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import permsieve
+import permsieve.bijections
+import permsieve.statistics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,8 +32,10 @@ print(json.dumps({
 
 
 def test_exports_and_tracer_hooks_resolve():
-    # every exported name resolves
-    missing = [name for name in permsieve.__all__ if not hasattr(permsieve, name)]
+    # every exported name of every package resolves
+    missing = [f"{package.__name__}.{name}"
+               for package in (permsieve, permsieve.statistics, permsieve.bijections)
+               for name in package.__all__ if not hasattr(package, name)]
     assert missing == []
 
     # the tracer installs on a fresh interpreter; -B keeps bytecode out of perfbench/
