@@ -236,6 +236,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     fmt = args.format or config.get("format", "json")
     if fmt not in _SCAN_EMITTERS:
         raise UsageError(f"format must be one of {', '.join(sorted(_SCAN_EMITTERS))}, got {fmt!r}")
+    if args.output and not Path(args.output).parent.is_dir():
+        raise UsageError(f"cannot write {args.output}: {Path(args.output).parent} is not a directory")
     cache = RecordCache(resolve_cache_dir(args.cache_dir, config))
     stats = args.stats.split(",") if args.stats else None
     maps = args.maps.split(",") if args.maps else None

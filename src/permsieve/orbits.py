@@ -2,20 +2,20 @@
 
 A map's orbit structure is its size multiset, ``{orbit size: number of
 orbits}``: the fixed-point count of every power of the map, the orbit
-polynomial and the orbit signature depend on nothing else.  Permutations are
-indexed by their position in the shared lexicographic table of S_n
-(:func:`~permsieve.permutations.lex_table`), so the visited set is a flat
-byte array and each map image costs one dict lookup.
+polynomial and the orbit signature depend on nothing else.  Seeds are taken in
+lexicographic order from :func:`itertools.permutations`, and one set of the
+not yet visited permutations, local to each call, both marks what has been
+visited and checks that every image lies in S_n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from math import lcm
 
 from .bijections import MapDescriptor, get_map
 from .errors import NotABijection
-from .permutations import lex_table
 
 
 def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
@@ -27,27 +27,24 @@ def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
     """
     desc = get_map(map_desc) if isinstance(map_desc, str) else map_desc
     desc.require_n(n)
-    perms, rank = lex_table(n)
-    visited = bytearray(len(perms))
+    values = range(1, n + 1)
+    unvisited = set(permutations(values))
     sizes: dict[int, int] = {}
-    for seed, current in enumerate(perms):
-        if visited[seed]:
+    for seed in permutations(values):
+        if seed not in unvisited:
             continue
-        visited[seed] = 1
+        unvisited.remove(seed)
         length = 1
-        while True:
-            current = desc(current)
-            r = rank.get(current)
-            if r is None:
-                raise NotABijection(f"{desc.key} maps into {current!r}, which is not in S_{n}")
-            if r == seed:
-                break
-            if visited[r]:
-                raise NotABijection(
-                    f"{desc.key} merged two trajectories at rank {r} in S_{n}"
-                )
-            visited[r] = 1
+        current = desc(seed)
+        while current != seed:
+            try:
+                unvisited.remove(current)
+            except KeyError:
+                if sorted(current) != list(values):
+                    raise NotABijection(f"{desc.key} maps into {current!r}, which is not in S_{n}") from None
+                raise NotABijection(f"{desc.key} merged two trajectories at {current!r} in S_{n}") from None
             length += 1
+            current = desc(current)
         sizes[length] = sizes.get(length, 0) + 1
     return sizes
 

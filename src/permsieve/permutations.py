@@ -12,8 +12,6 @@ permutation round-trips unambiguously.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -211,21 +209,6 @@ def perm_unrank(r: int, n: int) -> Perm:
         code.append(r // f)
         r %= f
     return lehmer_decode(code)
-
-
-@lru_cache(maxsize=None)
-def lex_table(n: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
-    """S_n in lex order and the dict from permutation to position: its Lehmer rank.
-
-    Memoized and shared, so callers must not mutate the dict; build it only
-    where an index into S_n is needed, since the S_8 table holds about 7 MB.
-
-    >>> perms, rank = lex_table(3)
-    >>> perms[3], rank[(2, 3, 1)]
-    ((2, 3, 1), 3)
-    """
-    perms = tuple(permutations(range(1, n + 1)))
-    return perms, {p: r for r, p in enumerate(perms)}
 
 
 def left_to_right_maxima_positions(p: Perm) -> tuple[int, ...]:

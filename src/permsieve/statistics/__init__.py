@@ -2,12 +2,11 @@
 
 Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
-FindStat identifier when one exists, and metadata the scanning layer needs
-(smallest meaningful n, whether values may be negative).  Most statistics also
-carry a transfer-matrix step, from which their generating functions are built
-without visiting every permutation.  One statistic (the circled-entry count of
-the shifted recording tableau) is registered through its closed-form
-generating function only.
+FindStat identifier when one exists, and the smallest meaningful n the
+scanning layer needs.  Most statistics also carry a transfer-matrix step, from
+which their generating functions are built without visiting every
+permutation.  One statistic (the circled-entry count of the shifted recording
+tableau) is registered through its closed-form generating function only.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ class StatDescriptor:
     findstat_id: Optional[int] = None
     gf: Optional[Callable[[int], IntPolynomial]] = None
     min_n: int = 1
-    signed: bool = False
     step: Optional[Step] = None
     start: Hashable = 0
 
@@ -202,18 +200,18 @@ def _descriptors() -> list[StatDescriptor]:
           step=longcycle.maj_plus_imaj_step),
         S("st1379", "inversions plus major index", longcycle.inv_plus_maj, 1379,
           step=longcycle.inv_plus_maj_step),
-        S("st1377", "major index minus inversions", longcycle.maj_minus_inv, 1377, signed=True,
+        S("st1377", "major index minus inversions", longcycle.maj_minus_inv, 1377,
           step=longcycle.maj_minus_inv_step),
-        S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, None, signed=True,
+        S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, None,
           step=longcycle.maj_minus_imaj_step),
-        S("st462", "major index minus excedances", longcycle.maj_minus_excedances, 462, signed=True,
+        S("st462", "major index minus excedances", longcycle.maj_minus_excedances, 462,
           step=longcycle.maj_minus_excedances_step),
         S("st463", "admissible inversions (Lin-Zeng)", longcycle.admissible_inversions_lz, 463),
         S("st866", "admissible inversions (Shareshian-Wachs)", longcycle.admissible_inversions_sw, 866),
         S("st961", "shifted major index", longcycle.shifted_major_index, 961,
           step=longcycle.shifted_major_index_step),
         S("st1911", "weighted descent variant minus inversions", basic.descent_variant_minus_inversions, 1911,
-          signed=True, step=basic.descent_variant_minus_inversions_step),
+          step=basic.descent_variant_minus_inversions_step),
         # sorting and factorization distances
         S("st809", "reduced reflection length", distances.reduced_reflection_length, 809,
           step=lambda m, s, v, i, n: (s, 2 * max(v - i, 0) - above(m, v))),

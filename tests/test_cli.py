@@ -101,6 +101,7 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path) in err
+        assert list(tmp_path.glob("c/*.rec")) == []
 
     @pytest.mark.parametrize("argv", [
         ["map", "orbits", "swap_first_third", "--n", "2"],

@@ -20,7 +20,6 @@ from permsieve.permutations import (
     lehmer_code,
     lehmer_decode,
     left_to_right_maxima_positions,
-    lex_table,
     parse_permutation,
     perm_rank,
     perm_unrank,
@@ -165,14 +164,6 @@ class TestLehmer:
             assert ranks == list(range(math.factorial(n)))
             for r in ranks:
                 assert perm_rank(perm_unrank(r, n)) == r
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_lex_table_positions_are_ranks(self, n):
-        perms, rank = lex_table(n)
-        assert len(perms) == len(rank) == len(set(perms))
-        for r, p in enumerate(perms):
-            assert rank[p] == perm_rank(p) == r
-            assert perm_unrank(r, n) == p
 
 
 class TestFundamentalTransform:

@@ -437,14 +437,15 @@ class TestRegistryInvariants:
     def test_signed_flags(self):
         from permsieve.statistics import REGISTRY
 
-        signed = {key for key, d in REGISTRY.items() if d.signed}
-        assert signed == {"st1377", "maj_minus_imaj", "st462", "st1911"}
+        negative = {key for key, desc in REGISTRY.items()
+                    if any(generating_function(key, n).offset < 0 for n in range(desc.min_n, 6))}
+        assert negative == {"st1377", "maj_minus_imaj"}
 
     def test_unsigned_statistics_are_nonnegative(self):
         from permsieve.statistics import REGISTRY
 
         for key, desc in REGISTRY.items():
-            if desc.signed or desc.evaluator is None or desc.min_n > 5:
+            if key in ("st1377", "maj_minus_imaj") or desc.evaluator is None or desc.min_n > 5:
                 continue
             assert all(desc(p) >= 0 for p in S(5)), key
 

@@ -25,6 +25,7 @@ for _ in range(2):
     orbits.orbit_sizes("reverse", 4)
 print(json.dumps({
     "orbit_spans": [detail for name, detail, *_ in rec.spans if name == "orbits"],
+    "apply_calls": rec.counts["bijections.apply_calls"],
     "known_is_tuple_of_triples": isinstance(known, tuple)
         and all(isinstance(t, tuple) and len(t) == 3 for t in known),
 }))
@@ -44,7 +45,9 @@ def test_exports_and_tracer_hooks_resolve():
     done = subprocess.run([sys.executable, "-B", "-c", TRACED_RUN], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"orbit_spans": ["reverse"], "known_is_tuple_of_triples": True}
+    # one map call per permutation of S_4, so decompose goes through MapDescriptor.__call__
+    assert json.loads(done.stdout) == {"orbit_spans": ["reverse"], "apply_calls": 24,
+                                       "known_is_tuple_of_triples": True}
 
 
 GF_SPANS_RUN = """
