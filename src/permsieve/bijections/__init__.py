@@ -3,9 +3,10 @@
 Every map is a pure function from a permutation tuple to a permutation tuple
 of the same size, wrapped in a :class:`MapDescriptor` with a stable key, the
 FindStat identifier where one exists, and metadata the orbit and scanning
-layers use: the smallest n the map is defined on, whether the map is an
-involution, and the expected orbit size as a function of n when every orbit
-has the same size.
+layers use: the smallest n the map is defined on and, where the map's orbit
+structure is known, the orbit sizes it allows on S_n as a function of n
+(``{1, 2}`` for an involution, a single size when every orbit has the same
+size, as for the fixed-point-free involutions).
 """
 
 from __future__ import annotations
@@ -80,15 +81,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MapDescriptor:
-    """A registered bijection with the metadata used by orbit analysis."""
+    """A registered bijection with the metadata used by orbit analysis.
+
+    ``sizes(n)``, when given, contains the size of every orbit of the map on
+    S_n; acceptance criterion 8 checks it against the decomposition.
+    """
 
     key: str
     name: str
     applier: Callable[[Perm], Perm]
     findstat_id: Optional[int] = None
     min_n: int = 1
-    involution: bool = False
-    orbit_size: Optional[Callable[[int], int]] = None
+    sizes: Optional[Callable[[int], frozenset[int]]] = None
 
     def __call__(self, p: Perm) -> Perm:
         return self.applier(p)
@@ -99,20 +103,25 @@ class MapDescriptor:
             raise UsageError(f"map {self.key} is defined for n >= {self.min_n}, got n={n}")
 
 
+def _involution(n: int) -> frozenset[int]:
+    """Orbit sizes of an involution on S_n: fixed points and 2-cycles."""
+    return frozenset((1, 2))
+
+
 def _descriptors() -> list[MapDescriptor]:
     M = MapDescriptor
     return [
-        M("reverse", "reverse", reverse, involution=True, orbit_size=lambda n: 2 if n >= 2 else 1),
-        M("complement", "complement", complement, involution=True, orbit_size=lambda n: 2 if n >= 2 else 1),
-        M("inverse", "inverse", inverse_map, involution=True),
-        M("rotation", "rotation", rotation, findstat_id=179, orbit_size=lambda n: n),
+        M("reverse", "reverse", reverse, sizes=lambda n: frozenset((2 if n >= 2 else 1,))),
+        M("complement", "complement", complement, sizes=lambda n: frozenset((2 if n >= 2 else 1,))),
+        M("inverse", "inverse", inverse_map, sizes=_involution),
+        M("rotation", "rotation", rotation, findstat_id=179, sizes=lambda n: frozenset((n,))),
         M("conj_long_cycle", "conjugation by the long cycle", conjugate_by_long_cycle, findstat_id=265),
         M(
             "lehmer_code_rotation",
             "Lehmer code rotation",
             lehmer_code_rotation,
             findstat_id=149,
-            orbit_size=lambda n: lcm(*range(1, n + 1)),
+            sizes=lambda n: frozenset((lcm(*range(1, n + 1)),)),
         ),
         M(
             "toric_promotion",
@@ -120,26 +129,20 @@ def _descriptors() -> list[MapDescriptor]:
             toric_promotion,
             findstat_id=310,
             min_n=2,
-            orbit_size=lambda n: n - 1 if n >= 2 else 1,
+            sizes=lambda n: frozenset((n - 1 if n >= 2 else 1,)),
         ),
-        M("corteel", "Corteel map", corteel, findstat_id=239, involution=True),
-        M(
-            "invert_laguerre_heap",
-            "invert Laguerre heap",
-            invert_laguerre_heap,
-            findstat_id=241,
-            involution=True,
-        ),
-        M("alexandersson_kebede", "Alexandersson-Kebede map", alexandersson_kebede, involution=True),
-        M("psi_3star", "maximal 3**-midpoint toggle", psi_3star, involution=True),
-        M("psi_32_1", "recursive 1-2 value swap", psi_32_1, involution=True),
-        M("psi_block", "out-of-block value pair swap", psi_block, involution=True),
-        M("swap_last_two", "swap last two positions", swap_last_two, min_n=2, involution=True),
-        M("swap_first_third", "swap positions 1 and 3", swap_first_third, min_n=3, involution=True),
-        M("prefix_reverse_3", "reverse first three positions", prefix_reverse_3, min_n=3, involution=True),
-        M("swap_first_last", "swap first and last positions", swap_first_last, min_n=2, involution=True),
-        M("swap_first_two", "swap first two positions", swap_first_two, min_n=2, involution=True),
-        M("swap_second_third", "swap positions 2 and 3", swap_second_third, min_n=3, involution=True),
+        M("corteel", "Corteel map", corteel, findstat_id=239, sizes=_involution),
+        M("invert_laguerre_heap", "invert Laguerre heap", invert_laguerre_heap, findstat_id=241, sizes=_involution),
+        M("alexandersson_kebede", "Alexandersson-Kebede map", alexandersson_kebede, sizes=_involution),
+        M("psi_3star", "maximal 3**-midpoint toggle", psi_3star, sizes=_involution),
+        M("psi_32_1", "recursive 1-2 value swap", psi_32_1, sizes=_involution),
+        M("psi_block", "out-of-block value pair swap", psi_block, sizes=_involution),
+        M("swap_last_two", "swap last two positions", swap_last_two, min_n=2, sizes=_involution),
+        M("swap_first_third", "swap positions 1 and 3", swap_first_third, min_n=3, sizes=_involution),
+        M("prefix_reverse_3", "reverse first three positions", prefix_reverse_3, min_n=3, sizes=_involution),
+        M("swap_first_last", "swap first and last positions", swap_first_last, min_n=2, sizes=_involution),
+        M("swap_first_two", "swap first two positions", swap_first_two, min_n=2, sizes=_involution),
+        M("swap_second_third", "swap positions 2 and 3", swap_second_third, min_n=3, sizes=_involution),
     ]
 
 

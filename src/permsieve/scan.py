@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import permutations as iter_permutations
 from math import factorial
-from operator import gt
+from operator import gt, mul
 from typing import Optional, Sequence, Union
 
 from .bijections import get_map, map_keys
@@ -69,7 +69,6 @@ class DedupClass:
     members: tuple[str, ...]
     apparent: bool
     signature_key: tuple[str, ...]
-    gf_key: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,12 @@ def _compute(job: Job) -> Part:
 
 
 def _load(cache: RecordCache, job: Job) -> Optional[Part]:
-    """The job's cached value, or None when absent, corrupt or malformed.
+    """The job's cached value, or None when absent, corrupt or not a value on S_n.
 
-    Records are ``gf_<stat>`` (offset and coefficients) and ``orbit_<map>``
-    (flat size, count pairs, sizes ascending).
+    Records are ``gf_<stat>`` (offset and trimmed coefficients summing to n!)
+    and ``orbit_<map>`` (flat size, count pairs: sizes positive and strictly
+    ascending, counts positive, size times count summing to n!).  A record
+    that passes its checksum but breaks this is recomputed, never trusted.
     """
     kind, key, n = job
     rec = cache.load_vector(f"{kind}_{key}", n)
@@ -119,9 +120,17 @@ def _load(cache: RecordCache, job: Job) -> Optional[Part]:
         return None
     offset, values = rec
     if kind == "gf":
-        return IntPolynomial(values, offset) if values else IntPolynomial.zero()
-    if values and len(values) % 2 == 0:
-        return {values[i]: values[i + 1] for i in range(0, len(values), 2)}
+        if values and values[0] and values[-1] and sum(values) == factorial(n):
+            return IntPolynomial(values, offset)
+        return None
+    sizes, counts = values[::2], values[1::2]
+    if (
+        len(sizes) == len(counts)
+        and all(count > 0 for count in counts)
+        and all(a < b for a, b in zip((0, *sizes), sizes))
+        and sum(map(mul, sizes, counts)) == factorial(n)
+    ):
+        return dict(zip(sizes, counts))
     return None
 
 
@@ -234,16 +243,9 @@ def dedupe(report: ScanReport) -> tuple[DedupClass, ...]:
         gf_key = tuple((r.gf_offset, r.gf_coeffs) for r in rows)
         classes.setdefault((tuple(r.n for r in rows), sig_key, gf_key), []).append(pair)
     out = []
-    for (_, sig_key, gf_key), members in classes.items():
+    for (_, sig_key, _), members in classes.items():
         members = tuple(sorted(members))
-        out.append(
-            DedupClass(
-                members=members,
-                apparent=status[members[0]] == "apparent",
-                signature_key=sig_key,
-                gf_key=gf_key,
-            )
-        )
+        out.append(DedupClass(members, status[members[0]] == "apparent", sig_key))
     out.sort(key=lambda c: c.members)
     return tuple(out)
 
@@ -257,8 +259,8 @@ def conjecture_suite(n_max: int = 8) -> dict:
     rule, and the mismatch between the quoted closed form for the weighted
     descent variant and the empirical distribution.
     """
-    if n_max > 10:
-        raise ValueError("conjecture suite runs up to n = 10")
+    if n_max > MAX_SCAN_N:
+        raise ValueError(f"conjecture suite runs up to n = {MAX_SCAN_N}")
     equi = {n: equidistribution("st373", "st317", n) for n in range(4, min(n_max, 8) + 1)}
     dist3 = {n: q_minus_one("st494", n) for n in range(3, n_max + 1)}
     width_rows = []

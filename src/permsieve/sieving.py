@@ -37,13 +37,14 @@ def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
-    """The statistic's closed form, else its transfer-matrix walk, else enumeration.
+    """The statistic's transfer-matrix walk, else enumeration of S_n.
 
     The walk writes permutations left to right and keeps, per (placed-value
     mask, step state), the distribution of the statistic so far: 2^n masks
     times the few states a step keeps, where enumeration visits n!
     permutations.  Below ``min_n`` the statistic is undefined, and
-    enumeration raises its error.
+    enumeration raises its error.  The closed form is used only for a
+    statistic with no evaluator (st864), which is registered by it alone.
     """
     desc = get_statistic(stat_key)
     if desc.evaluator is None:
@@ -112,7 +113,19 @@ class CspVerdict:
     residue_f: IntPolynomial
     residue_t: IntPolynomial
     shift_used: int
-    shift_preserves_residue: bool
+
+    @cached_property
+    def shift_preserves_residue(self) -> bool:
+        """Whether shifting the minimum exponent away leaves the residue unchanged; lazy.
+
+        Folding commutes with multiplying by q^k modulo q^c - 1, so shifting
+        the residue is shifting the generating function.  The shift rotates
+        the c residue coefficients, so the residue is unchanged exactly when
+        its coefficients have period gcd(shift, c): always when c divides the
+        shift, but also, e.g., for ``st638`` under ``reverse`` on S_4 (shift
+        1, order 2, residue 12 + 12q).
+        """
+        return self.residue_f.shift(-self.shift_used).fold(self.order) == self.residue_f
 
     @cached_property
     def float_evals(self) -> tuple[complex, ...]:
@@ -180,20 +193,13 @@ def verdict_from_parts(
     """Assemble the exact verdict from a generating function and orbit sizes.
 
     For statistics taking negative values the folding reduces the true signed
-    exponents modulo the order; the verdict records the minimum exponent and
-    whether shifting it away would leave the residue unchanged.  Modulo
-    q^c - 1 the shift rotates the c residue coefficients, so the residue is
-    unchanged exactly when its coefficients have period gcd(shift, c): always
-    when c divides the shift, but also, e.g., for ``st638`` under ``reverse``
-    on S_4 (shift 1, order 2, residue 12 + 12q).
+    exponents modulo the order; the verdict records the minimum exponent.
     """
     c = lcm(*sizes)
     residue_f = f.fold(c)
     residue_t = orbit_polynomial(sizes)
     holds = residue_f == residue_t
     fixed = fixed_counts(sizes)
-    shift = f.min_exponent
-    shifted_residue = f.shift(-shift).fold(c)
     return CspVerdict(
         stat_key=stat_key,
         map_key=map_key,
@@ -203,8 +209,7 @@ def verdict_from_parts(
         fixed=fixed,
         residue_f=residue_f,
         residue_t=residue_t,
-        shift_used=shift,
-        shift_preserves_residue=shifted_residue == residue_f,
+        shift_used=f.min_exponent,
     )
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Optional
 from ..errors import UsageError
 from ..permutations import Perm
 from ..polynomials import IntPolynomial
-from . import basic, closed_forms, cycles, distances, entries, extrema, longcycle, patterns
+from . import basic, cycles, distances, entries, extrema, longcycle, patterns
 from .basic import (
     comajor_index,
     descents,

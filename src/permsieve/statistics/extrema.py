@@ -2,17 +2,8 @@
 
 from __future__ import annotations
 
-from ..permutations import Perm, cycle_form
+from ..permutations import Perm, cycle_form, left_to_right_maxima_positions
 from .basic import placed_below
-
-
-def l2r_max_positions(p: Perm) -> frozenset[int]:
-    out, best = [], 0
-    for i, v in enumerate(p, start=1):
-        if v > best:
-            out.append(i)
-            best = v
-    return frozenset(out)
 
 
 def l2r_min_positions(p: Perm) -> frozenset[int]:
@@ -47,7 +38,7 @@ def r2l_min_values(p: Perm) -> frozenset[int]:
 
 
 def count_l2r_maxima(p: Perm) -> int:
-    return len(l2r_max_positions(p))
+    return len(left_to_right_maxima_positions(p))
 
 
 def count_l2r_minima(p: Perm) -> int:
@@ -88,12 +79,12 @@ def non_l2r_maxima(p: Perm) -> int:
 
 def extrema_union(p: Perm) -> int:
     """Indices that are left-to-right maxima or right-to-left minima."""
-    return len(l2r_max_positions(p) | r2l_min_positions(p))
+    return len(frozenset(left_to_right_maxima_positions(p)) | r2l_min_positions(p))
 
 
 def extrema_xor(p: Perm) -> int:
     """Indices that are left-to-right maxima or right-to-left minima, not both."""
-    return len(l2r_max_positions(p) ^ r2l_min_positions(p))
+    return len(frozenset(left_to_right_maxima_positions(p)) ^ r2l_min_positions(p))
 
 
 def extrema_sum(p: Perm) -> int:

@@ -60,6 +60,19 @@ def test_criterion_08_structural_properties():
     _run(8)
 
 
+def test_criterion_08_rejects_a_wrong_orbit_size_declaration(monkeypatch):
+    """A map declared an involution whose applier is rotation fails on its orbit sizes."""
+    from permsieve.bijections import MAPS, MapDescriptor, rotation
+
+    key = "rotation_declared_involution"
+    monkeypatch.setitem(MAPS, key, MapDescriptor(key, key, rotation, sizes=lambda n: frozenset((1, 2))))
+    result = acceptance.criterion_8()
+    assert not result.passed
+    assert result.details == [
+        f"{key} orbit sizes on S_{n}: [{n}], declared [1, 2]" for n in range(4, 8)
+    ]
+
+
 def test_criterion_09_closed_forms():
     _run(9)
 

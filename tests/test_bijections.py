@@ -213,7 +213,7 @@ class TestRegistry:
 
     def test_declared_involutions_square_to_identity_s5(self):
         for key, desc in MAPS.items():
-            if desc.involution:
+            if desc.sizes is not None and desc.sizes(5) <= {1, 2}:
                 for p in S(5):
                     assert desc(desc(p)) == p, key
 
@@ -221,8 +221,24 @@ class TestRegistry:
         from permsieve.orbits import decompose
 
         for key, desc in MAPS.items():
-            if desc.orbit_size is not None and desc.min_n <= 5:
-                assert set(decompose(key, 5)) == {desc.orbit_size(5)}, key
+            if desc.sizes is not None and desc.min_n <= 5:
+                assert set(decompose(key, 5)) <= desc.sizes(5), key
+
+    def test_instance_families_match_declared_sizes(self):
+        """Each catalog family's maps declare the orbit structure the family is named for."""
+        from permsieve.scan import INSTANCE_FAMILIES, MAX_SCAN_N
+
+        def declared(family, n):
+            return {mp: MAPS[mp].sizes(n) for _, maps, _ in INSTANCE_FAMILIES[family] for mp in maps}
+
+        for n in range(4, MAX_SCAN_N + 1):
+            for family in ("involutions with 2^(n-1) fixed points",
+                           "involutions with 2^(floor(n/2)) fixed points"):
+                assert all(sizes <= {1, 2} for sizes in declared(family, n).values()), (family, n)
+            assert all(sizes == {2} for sizes in
+                       declared("involutions without fixed points", n).values()), n
+            assert all(len(sizes) == 1 for sizes in
+                       declared("maps with constant orbit size", n).values()), n
 
     def test_n1_everything_is_identity(self):
         for key in map_keys():

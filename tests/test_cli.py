@@ -178,6 +178,21 @@ class TestScanCommand:
         _, recomputed, _ = run(capsys, *self.ARGS, "--cache-dir", str(cache_dir))
         assert recomputed == cold
 
+    @pytest.mark.parametrize("record", [
+        ("gf_st021", 4, 0, (0, 1)),  # not trimmed
+        ("orbit_reverse", 4, 0, (2, 5)),  # 2 x 5 = 10 permutations, not 4! = 24
+    ])
+    def test_record_not_describing_s_n_recomputed(self, capsys, tmp_path, record):
+        """A record that passes its checksum but is no value on S_n is recomputed and overwritten."""
+        _, clean, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "clean"))
+        cache = RecordCache(tmp_path / "c")
+        cache.store_vector(*record)
+        code, out, err = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "c"))
+        assert (code, err) == (0, "")
+        assert out == clean
+        key, n, *_ = record
+        assert cache.load_vector(key, n) == RecordCache(tmp_path / "clean").load_vector(key, n)
+
     def test_csv_and_md_views(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
         _, csv_out, _ = run(capsys, *self.ARGS, "--cache-dir", cache, "--format", "csv")

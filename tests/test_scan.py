@@ -7,6 +7,7 @@ import pytest
 from permsieve.bijections import MAPS, MapDescriptor
 from permsieve.scan import (
     KNOWN_INSTANCES,
+    MAX_SCAN_N,
     conjecture_suite,
     dedupe,
     instance_applies,
@@ -181,5 +182,6 @@ class TestConjectureSuite:
             assert not row["matches_distribution"]
 
     def test_range_limit(self):
-        with pytest.raises(ValueError):
-            conjecture_suite(11)
+        for n_max in (MAX_SCAN_N + 1, 11):
+            with pytest.raises(ValueError):
+                conjecture_suite(n_max)

@@ -75,14 +75,21 @@ def test_tracer_sees_one_gf_span_per_computed_function():
 
 
 def test_no_unused_module_imports():
-    """Every module-level import binds a name its module reads (``__future__`` aside)."""
+    """Every module-level import binds a name its module reads or exports (``__future__`` aside).
+
+    A name listed in the module's ``__all__`` counts as read, so a package
+    ``__init__.py`` may import what it re-exports.
+    """
     package = Path(permsieve.__file__).resolve().parent
     unused = []
     for path in sorted(package.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
         for node in tree.body:
             if isinstance(node, ast.Import):
                 bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
