@@ -30,18 +30,17 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .bijections import get_map, map_keys
 from .cache import RecordCache
 from .errors import PermsieveError, UsageError
-from .orbits import fixed_counts, orbit_signature, orbit_sizes
+from .orbits import orbit_sizes
 from .permutations import format_permutation, parse_permutation
 from .polynomials import IntPolynomial
 from .scan import MAX_SCAN_N, ScanReport, scan
-from .sieving import csp_check, equidistribution, generating_function
+from .sieving import csp_check, equidistribution, generating_function, orbit_parts
 from .statistics import get_statistic, statistic_keys
 
 CONFIG_FILE = "permsieve.cfg"
@@ -73,8 +72,36 @@ def resolve_cache_dir(flag_value: Optional[str], config: dict[str, str]) -> str:
     return config.get("cache_dir", DEFAULT_CACHE_DIR)
 
 
+_json_scalar = json.JSONEncoder().encode
+
+
+def _json_text(obj, newline: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, nested at the line break ``newline``."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        items = (_json_scalar(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(x) is int for x in obj):  # not bool, which JSON writes as true/false
+            items = map(str, obj)
+        else:
+            items = (_json_text(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _json_scalar(obj)  # a scalar, or an empty list or dict
+
+
+def to_json(doc) -> str:
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline; string keys only.
+
+    Every JSON output is written here.  ``json.dumps`` with ``indent`` always
+    takes the pure-Python encoder, which joins one string per token; this
+    writes each list of ints with one ``join``.
+    """
+    return _json_text(doc, "\n") + "\n"
+
+
 def _gf_to_dict(f: IntPolynomial) -> dict:
-    return {"offset": f.offset, "coeffs": list(f.coeffs)}
+    return {"offset": f.offset, "coeffs": f.coeffs}
 
 
 def scan_report_rows(report: ScanReport) -> list[dict]:
@@ -84,9 +111,9 @@ def scan_report_rows(report: ScanReport) -> list[dict]:
             "pair": r.pair,
             "n": r.n,
             "holds": r.holds,
-            "table": list(r.table),
+            "table": r.table,
             "signature": r.signature,
-            "gf": {"offset": r.gf_offset, "coeffs": list(r.gf_coeffs)},
+            "gf": {"offset": r.gf_offset, "coeffs": r.gf_coeffs},
         }
         for r in report.rows
     ]
@@ -100,12 +127,11 @@ def scan_report_to_json(report: ScanReport) -> str:
         "rows": scan_report_rows(report),
         "verdicts": [asdict(v) for v in report.verdicts],
         "classes": [
-            {"members": list(c.members), "apparent": c.apparent,
-             "signatures": list(c.signature_key)}
+            {"members": c.members, "apparent": c.apparent, "signatures": c.signature_key}
             for c in report.classes
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return to_json(doc)
 
 
 def _row_cells(row: dict) -> list[str]:
@@ -170,8 +196,8 @@ def _cmd_stat(args: argparse.Namespace) -> int:
         return 0
     # gf
     f = generating_function(desc, args.n)
-    _emit(json.dumps({"stat": desc.key, "n": args.n, "gf": _gf_to_dict(f),
-                      "display": str(f)}, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(to_json({"stat": desc.key, "n": args.n, "gf": _gf_to_dict(f), "display": str(f)}),
+          args.output)
     return 0
 
 
@@ -190,15 +216,16 @@ def _cmd_map(args: argparse.Namespace) -> int:
         return 0
     # orbits
     sizes = orbit_sizes(desc.key, args.n)
+    orbit = orbit_parts(sizes)
     doc = {
         "map": desc.key,
         "n": args.n,
-        "signature": orbit_signature(sizes),
+        "signature": orbit.signature,
         "sizes": {str(k): v for k, v in sorted(sizes.items())},
-        "order": lcm(*sizes),
-        "fixed_counts": list(fixed_counts(sizes)),
+        "order": orbit.order,
+        "fixed_counts": orbit.fixed,
     }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(to_json(doc), args.output)
     return 0
 
 
@@ -210,15 +237,15 @@ def _cmd_csp(args: argparse.Namespace) -> int:
         "n": v.n,
         "holds": v.holds,
         "order": v.order,
-        "table": list(v.fixed),
+        "table": v.fixed,
         "float_evals": [[z.real, z.imag] for z in v.float_evals],
-        "witnesses": list(v.witnesses),
+        "witnesses": v.witnesses,
         "shift_used": v.shift_used,
         "shift_preserves_residue": v.shift_preserves_residue,
         "residue_f": _gf_to_dict(v.residue_f),
         "residue_t": _gf_to_dict(v.residue_t),
     }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(to_json(doc), args.output)
     return 0 if v.holds else 1
 
 

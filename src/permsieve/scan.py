@@ -8,9 +8,12 @@ without aborting the scan.  Pairs are then deduplicated by their joint
 two maps with the same orbit structure sieve for exactly the same generating
 functions.  Phase 1 loads each distinct generating function and orbit size
 multiset from the cache once and computes only the misses, so a warm scan
-starts no worker process; phase 2 folds the S x M verdicts in-process.
-Reports are deterministic: rows are keyed and sorted, and neither the cache
-nor the worker count can change any value.
+starts no worker process.  Phase 2 folds the S x M verdicts in-process: it
+builds the order, orbit polynomial, fixed-point counts and signature of each
+(map, n) once, and folds each generating function once per (statistic, n,
+order), in dicts local to the ``scan`` call.  Reports are deterministic:
+rows are keyed and sorted, and neither the cache nor the worker count can
+change any value.
 """
 
 from __future__ import annotations
@@ -25,9 +28,16 @@ from typing import Optional, Sequence, Union
 from .bijections import get_map, map_keys
 from .cache import RecordCache
 from .errors import PermsieveError, UsageError
-from .orbits import orbit_signature, orbit_sizes
+from .orbits import orbit_sizes
 from .polynomials import IntPolynomial
-from .sieving import equidistribution, generating_function, q_minus_one, verdict_from_parts
+from .sieving import (
+    OrbitParts,
+    equidistribution,
+    generating_function,
+    orbit_parts,
+    q_minus_one,
+    verdict_from_parts,
+)
 from .statistics import descent_variant_gf, get_statistic, statistic_keys
 
 Job = tuple[str, str, int]  # ("gf", stat key, n) or ("orbit", map key, n)
@@ -111,8 +121,9 @@ def _load(cache: RecordCache, job: Job) -> Optional[Part]:
 
     Records are ``gf_<stat>`` (offset and trimmed coefficients summing to n!)
     and ``orbit_<map>`` (flat size, count pairs: sizes positive and strictly
-    ascending, counts positive, size times count summing to n!).  A record
-    that passes its checksum but breaks this is recomputed, never trusted.
+    ascending and among the map's declared ``sizes(n)``, counts positive,
+    size times count summing to n!).  A record that passes its checksum but
+    breaks this is recomputed, never trusted.
     """
     kind, key, n = job
     rec = cache.load_vector(f"{kind}_{key}", n)
@@ -124,8 +135,10 @@ def _load(cache: RecordCache, job: Job) -> Optional[Part]:
             return IntPolynomial(values, offset)
         return None
     sizes, counts = values[::2], values[1::2]
+    declared = get_map(key).sizes
     if (
         len(sizes) == len(counts)
+        and (declared is None or declared(n).issuperset(sizes))
         and all(count > 0 for count in counts)
         and all(a < b for a, b in zip((0, *sizes), sizes))
         and sum(map(mul, sizes, counts)) == factorial(n)
@@ -163,9 +176,18 @@ def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> d
 
 
 def _pair_outcome(
-    stat_key: str, map_key: str, ns: list[int], parts: dict[Job, Part]
+    stat_key: str,
+    map_key: str,
+    ns: list[int],
+    parts: dict[Job, Part],
+    orbits: dict[tuple[str, int], OrbitParts],
+    residues: dict[tuple[str, int, int], IntPolynomial],
 ) -> tuple[list[ScanRow], PairVerdict]:
-    """Phase 2 for one pair: its rows up to any failed evaluation, and its verdict."""
+    """Phase 2 for one pair: its rows up to any failed evaluation, and its verdict.
+
+    ``orbits`` holds the parts of each (map, n); ``residues`` collects each
+    generating function folded once per (statistic, n, order).
+    """
     pair = f"{stat_key}|{map_key}"
     if not ns:
         return [], PairVerdict(pair, stat_key, map_key, "skipped", (),
@@ -180,9 +202,13 @@ def _pair_outcome(
         if error is not None:
             return rows, PairVerdict(pair, stat_key, map_key, "skipped", tuple(ns),
                                      reason=f"evaluation failed at n={n}: {error}")
-        v = verdict_from_parts(stat_key, map_key, n, f, sizes)
+        orbit = orbits[map_key, n]
+        residue_f = residues.get((stat_key, n, orbit.order))
+        if residue_f is None:
+            residue_f = residues[stat_key, n, orbit.order] = f.fold(orbit.order)
+        v = verdict_from_parts(stat_key, map_key, n, residue_f, f.min_exponent, orbit)
         rows.append(ScanRow(pair, stat_key, map_key, n, v.holds, v.fixed,
-                            orbit_signature(sizes), f.offset, f.coeffs))
+                            orbit.signature, f.offset, f.coeffs))
         if not v.holds and failing_n is None:
             failing_n = n
             witness = v.witnesses[0] if v.witnesses else None
@@ -216,10 +242,13 @@ def scan(
         job for s, m, ns in pairs for n in ns for job in (("gf", s, n), ("orbit", m, n))
     )
     parts = _parts(list(jobs), workers, cache)
+    orbits = {(key, n): orbit_parts(value) for (kind, key, n), value in parts.items()
+              if kind == "orbit" and not isinstance(value, PermsieveError)}
+    residues: dict[tuple[str, int, int], IntPolynomial] = {}
     rows: list[ScanRow] = []
     verdicts: list[PairVerdict] = []
     for s, m, ns in pairs:
-        pair_rows, verdict = _pair_outcome(s, m, ns, parts)
+        pair_rows, verdict = _pair_outcome(s, m, ns, parts, orbits, residues)
         rows += pair_rows
         verdicts.append(verdict)
     rows.sort(key=lambda r: (r.stat_key, r.map_key, r.n))

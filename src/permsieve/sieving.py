@@ -23,7 +23,7 @@ from typing import Callable
 
 from .bijections import get_map
 from .errors import NotAnInvolution
-from .orbits import fixed_counts, orbit_sizes
+from .orbits import fixed_counts, orbit_signature, orbit_sizes
 from .permutations import Perm
 from .polynomials import IntPolynomial
 from .statistics import StatDescriptor, get_statistic
@@ -187,29 +187,40 @@ def _cyclotomic(e: int) -> tuple[int, ...]:
     return tuple(quot)
 
 
-def verdict_from_parts(
-    stat_key: str, map_key: str, n: int, f: IntPolynomial, sizes: dict[int, int]
-) -> CspVerdict:
-    """Assemble the exact verdict from a generating function and orbit sizes.
+@dataclass(frozen=True)
+class OrbitParts:
+    """The map's half of every verdict on S_n; it depends on the orbit sizes alone."""
 
-    For statistics taking negative values the folding reduces the true signed
-    exponents modulo the order; the verdict records the minimum exponent.
+    order: int
+    residue_t: IntPolynomial
+    fixed: tuple[int, ...]
+    signature: str
+
+
+def orbit_parts(sizes: dict[int, int]) -> OrbitParts:
+    """Order, orbit polynomial, fixed-point counts and signature of one size multiset."""
+    return OrbitParts(lcm(*sizes), orbit_polynomial(sizes), fixed_counts(sizes), orbit_signature(sizes))
+
+
+def verdict_from_parts(
+    stat_key: str, map_key: str, n: int, residue_f: IntPolynomial, shift: int, orbit: OrbitParts
+) -> CspVerdict:
+    """Assemble the exact verdict from the folded generating function and the map's parts.
+
+    ``residue_f`` is the generating function folded modulo q^order - 1 and
+    ``shift`` its minimum exponent.  For statistics taking negative values the
+    folding reduces the true signed exponents modulo the order.
     """
-    c = lcm(*sizes)
-    residue_f = f.fold(c)
-    residue_t = orbit_polynomial(sizes)
-    holds = residue_f == residue_t
-    fixed = fixed_counts(sizes)
     return CspVerdict(
         stat_key=stat_key,
         map_key=map_key,
         n=n,
-        holds=holds,
-        order=c,
-        fixed=fixed,
+        holds=residue_f == orbit.residue_t,
+        order=orbit.order,
+        fixed=orbit.fixed,
         residue_f=residue_f,
-        residue_t=residue_t,
-        shift_used=f.min_exponent,
+        residue_t=orbit.residue_t,
+        shift_used=shift,
     )
 
 
@@ -217,9 +228,9 @@ def csp_check(stat: StatDescriptor | str, map_desc, n: int) -> CspVerdict:
     """Exact sieving verdict for (statistic, map) on S_n."""
     stat_desc = get_statistic(stat) if isinstance(stat, str) else stat
     map_key = map_desc if isinstance(map_desc, str) else map_desc.key
-    sizes = orbit_sizes(get_map(map_key).key, n)
+    orbit = orbit_parts(orbit_sizes(get_map(map_key).key, n))
     f = generating_function(stat_desc, n)
-    return verdict_from_parts(stat_desc.key, map_key, n, f, sizes)
+    return verdict_from_parts(stat_desc.key, map_key, n, f.fold(orbit.order), f.min_exponent, orbit)
 
 
 def q_minus_one(stat: StatDescriptor | str, n: int) -> int:

@@ -5,8 +5,10 @@ from importlib import import_module
 
 import pytest
 
+from permsieve import cli
 from permsieve.cache import RecordCache
-from permsieve.cli import main
+from permsieve.cli import main, to_json
+from permsieve.scan import scan
 
 
 def run(capsys, *argv):
@@ -181,6 +183,7 @@ class TestScanCommand:
     @pytest.mark.parametrize("record", [
         ("gf_st021", 4, 0, (0, 1)),  # not trimmed
         ("orbit_reverse", 4, 0, (2, 5)),  # 2 x 5 = 10 permutations, not 4! = 24
+        ("orbit_reverse", 4, 0, (1, 24)),  # 24 fixed points; reverse declares only 2-orbits
     ])
     def test_record_not_describing_s_n_recomputed(self, capsys, tmp_path, record):
         """A record that passes its checksum but is no value on S_n is recomputed and overwritten."""
@@ -301,3 +304,46 @@ class TestScanUsageErrors:
         (tmp_path / "permsieve.cfg").write_text("format = xml\n")
         _, _, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4")
         assert "'xml'" in err and "csv, json, md" in err
+
+
+EDGE_CASES = {
+    "empty list": [],
+    "empty dict": {},
+    "none": None,
+    "bools": [True, False],
+    "ints and bools": [1, True, 0, False, -3],
+    "negative": -7,
+    "big ints": [0, -1, 2**70],
+    "floats": [0.1, -2.0, 1e-300, float("inf")],
+    "strings": ['a "quote"', "back\\slash", "new\nline", "na\u00efve \u2211 \U0001f600"],
+    "tuple": (1, 2, 3),
+    "nested tuples": ("a", (1,), ()),
+    "nested": [[[1, 2], [], [None]], {"b": [{"c": {"d": [False]}}], "a": [[]]}],
+    "": "empty key",
+    'key "quoted"': True,
+}
+
+
+class TestJsonWriter:
+    """Every JSON output is ``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte."""
+
+    def test_edge_cases(self):
+        assert to_json(EDGE_CASES) == json.dumps(EDGE_CASES, sort_keys=True, indent=2) + "\n"
+        for value in EDGE_CASES.values():
+            assert to_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_scan_report(self, monkeypatch):
+        docs = []
+        monkeypatch.setattr(cli, "to_json", lambda doc: docs.append(doc) or to_json(doc))
+        text = cli.scan_report_to_json(scan(4, 6))
+        assert text == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["stat", "gf", "st018", "--n", "5"],
+        ["map", "orbits", "corteel", "--n", "5"],
+        ["csp", "check", "st020", "lehmer_code_rotation", "--n", "8"],  # float_evals are floats
+    ], ids=["stat-gf", "map-orbits", "csp-check"])
+    def test_single_pair_commands(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

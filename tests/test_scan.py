@@ -1,5 +1,6 @@
 """The pair scanner: classification, dedup, conjecture observations, determinism."""
 
+from importlib import import_module
 from itertools import permutations
 
 import pytest
@@ -65,6 +66,15 @@ class TestScan:
         verdicts = {v.pair: v for v in report.verdicts}
         assert verdicts["st1520|reverse"].status == "skipped"
         assert verdicts["st018|reverse"].status in ("apparent", "fail")
+
+    def test_phase_two_builds_each_map_part_once(self, monkeypatch):
+        # import_module: the package binds the name ``scan`` to the function
+        module = import_module("permsieve.scan")
+        built = []
+        orbit_parts = module.orbit_parts
+        monkeypatch.setattr(module, "orbit_parts", lambda sizes: built.append(sizes) or orbit_parts(sizes))
+        scan(4, 5, stats=["st018", "st021", "st039"], maps=["reverse", "corteel"])
+        assert len(built) == 4  # 2 maps x 2 n, shared by the 3 statistics
 
     def test_worker_count_does_not_change_report(self, small_report):
         parallel = scan(4, 5, stats=SMALL_STATS, maps=SMALL_MAPS, workers=2)

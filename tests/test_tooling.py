@@ -74,6 +74,38 @@ def test_tracer_sees_one_gf_span_per_computed_function():
     assert json.loads(done.stdout) == ["st423", "st039"]
 
 
+TRACED_SCAN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from tracer import Recorder, install
+rec = Recorder("guard")
+install(rec)
+import permsieve.cli
+code = permsieve.cli.main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "report_bytes": rec.counts["cli.report_bytes"],
+    "emit_details": [detail for name, detail, *_ in rec.spans if name == "cli.emit"],
+}))
+"""
+
+
+def test_tracer_measures_the_emitted_report(tmp_path):
+    """The tracer wraps the emitter table and ``cli._emit``: one json emission, its bytes counted."""
+    src = str(Path(permsieve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    report = tmp_path / "report.json"
+    argv = ["scan", "--min-n", "4", "--max-n", "4", "--stats", "st018", "--maps", "reverse",
+            "--cache-dir", str(tmp_path / "c"), "--output", str(report)]
+    done = subprocess.run([sys.executable, "-B", "-c", TRACED_SCAN, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["code"] == 0
+    assert out["report_bytes"] == report.stat().st_size > 0
+    assert out["emit_details"].count("json") == 1
+
+
 def test_no_unused_module_imports():
     """Every module-level import binds a name its module reads or exports (``__future__`` aside).
 
