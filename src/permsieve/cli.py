@@ -82,7 +82,7 @@ def _json_text(obj, newline: str) -> str:
         items = (_json_scalar(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        if all(type(x) is int for x in obj):  # not bool, which JSON writes as true/false
+        if set(map(type, obj)) == {int}:  # not bool, which JSON writes as true/false
             items = map(str, obj)
         else:
             items = (_json_text(x, inner) for x in obj)
