@@ -84,7 +84,22 @@ class MapDescriptor:
     """A registered bijection with the metadata used by orbit analysis.
 
     ``sizes(n)``, when given, contains the size of every orbit of the map on
-    S_n; acceptance criterion 8 checks it against the decomposition.
+    S_n; acceptance criterion 8 checks it against the decomposition.  When it
+    has a single element s, every orbit has size s, there are n!/s of them,
+    and :func:`~permsieve.orbits.orbit_sizes` returns that without walking
+    S_n.  The eleven single-size declarations hold for these reasons:
+
+    - p -> p o sigma and p -> sigma o p act freely (p o sigma = p forces sigma
+      to be the identity), so every orbit has size ord(sigma).  This covers
+      reverse, complement and rotation (sigma the long reversal, the value
+      reversal, the n-cycle) and the six positional swaps (sigma a
+      transposition, so none of them fixes a permutation).
+    - Lehmer code rotation adds (1, ..., 1) to the Lehmer code in
+      Z_n x Z_(n-1) x ... x Z_1.  Adding a fixed element is a free action,
+      of order lcm(1..n).
+    - Toric promotion has every orbit of size n - 1 (C. Defant, *Toric
+      promotion*, Proc. Amer. Math. Soc. 151 (2023), applied to the path
+      graph).
     """
 
     key: str
@@ -108,11 +123,16 @@ def _involution(n: int) -> frozenset[int]:
     return frozenset((1, 2))
 
 
+def _fixed_point_free_involution(n: int) -> frozenset[int]:
+    """Orbit sizes of a fixed-point-free involution on S_n: 2-cycles, for n >= 2."""
+    return frozenset((2 if n >= 2 else 1,))
+
+
 def _descriptors() -> list[MapDescriptor]:
     M = MapDescriptor
     return [
-        M("reverse", "reverse", reverse, sizes=lambda n: frozenset((2 if n >= 2 else 1,))),
-        M("complement", "complement", complement, sizes=lambda n: frozenset((2 if n >= 2 else 1,))),
+        M("reverse", "reverse", reverse, sizes=_fixed_point_free_involution),
+        M("complement", "complement", complement, sizes=_fixed_point_free_involution),
         M("inverse", "inverse", inverse_map, sizes=_involution),
         M("rotation", "rotation", rotation, findstat_id=179, sizes=lambda n: frozenset((n,))),
         M("conj_long_cycle", "conjugation by the long cycle", conjugate_by_long_cycle, findstat_id=265),
@@ -137,12 +157,18 @@ def _descriptors() -> list[MapDescriptor]:
         M("psi_3star", "maximal 3**-midpoint toggle", psi_3star, sizes=_involution),
         M("psi_32_1", "recursive 1-2 value swap", psi_32_1, sizes=_involution),
         M("psi_block", "out-of-block value pair swap", psi_block, sizes=_involution),
-        M("swap_last_two", "swap last two positions", swap_last_two, min_n=2, sizes=_involution),
-        M("swap_first_third", "swap positions 1 and 3", swap_first_third, min_n=3, sizes=_involution),
-        M("prefix_reverse_3", "reverse first three positions", prefix_reverse_3, min_n=3, sizes=_involution),
-        M("swap_first_last", "swap first and last positions", swap_first_last, min_n=2, sizes=_involution),
-        M("swap_first_two", "swap first two positions", swap_first_two, min_n=2, sizes=_involution),
-        M("swap_second_third", "swap positions 2 and 3", swap_second_third, min_n=3, sizes=_involution),
+        M("swap_last_two", "swap last two positions", swap_last_two, min_n=2,
+          sizes=_fixed_point_free_involution),
+        M("swap_first_third", "swap positions 1 and 3", swap_first_third, min_n=3,
+          sizes=_fixed_point_free_involution),
+        M("prefix_reverse_3", "reverse first three positions", prefix_reverse_3, min_n=3,
+          sizes=_fixed_point_free_involution),
+        M("swap_first_last", "swap first and last positions", swap_first_last, min_n=2,
+          sizes=_fixed_point_free_involution),
+        M("swap_first_two", "swap first two positions", swap_first_two, min_n=2,
+          sizes=_fixed_point_free_involution),
+        M("swap_second_third", "swap positions 2 and 3", swap_second_third, min_n=3,
+          sizes=_fixed_point_free_involution),
     ]
 
 
@@ -172,7 +198,10 @@ def map_keys() -> tuple[str, ...]:
     return tuple(MAPS)
 
 
-def get_map(key: str) -> MapDescriptor:
+def get_map(key: str | MapDescriptor) -> MapDescriptor:
+    """Look a map up by registry key or swap alias; a descriptor is returned as it is."""
+    if isinstance(key, MapDescriptor):
+        return key
     if key in MAPS:
         return MAPS[key]
     if key in _SWAP_ALIASES:

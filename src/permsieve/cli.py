@@ -76,17 +76,22 @@ _json_scalar = json.JSONEncoder().encode
 
 
 def _json_text(obj, newline: str) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, nested at the line break ``newline``."""
+    """``json.dumps(obj, sort_keys=True, indent=2)``, nested at the line break ``newline``.
+
+    Each container is one f-string, so its text is allocated once; a chain of
+    ``+`` would copy the whole body once per operand, and on a scan report of
+    several MB those transient copies raise the peak RSS.
+    """
     inner = newline + "  "
     if isinstance(obj, dict) and obj:
         items = (_json_scalar(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:  # not bool, which JSON writes as true/false
             items = map(str, obj)
         else:
             items = (_json_text(x, inner) for x in obj)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
     return _json_scalar(obj)  # a scalar, or an empty list or dict
 
 

@@ -2,7 +2,11 @@
 
 A map's orbit structure is its size multiset, ``{orbit size: number of
 orbits}``: the fixed-point count of every power of the map, the orbit
-polynomial and the orbit signature depend on nothing else.  Seeds are taken in
+polynomial and the orbit signature depend on nothing else.  A map that
+declares a single orbit size on S_n has that structure by a theorem (see
+:class:`~permsieve.bijections.MapDescriptor`), and :func:`orbit_sizes` reads
+it off.  Every other structure is found by :func:`decompose`, which walks S_n
+and is also the oracle of every declaration.  Seeds are taken in
 lexicographic order from :func:`itertools.permutations`, and one set of the
 not yet visited permutations, local to each call, both marks what has been
 visited and checks that every image lies in S_n.
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 
 from .bijections import MapDescriptor, get_map
 from .errors import NotABijection
@@ -25,7 +29,7 @@ def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
     :class:`NotABijection` when an image is not a permutation in S_n or when
     two trajectories merge.
     """
-    desc = get_map(map_desc) if isinstance(map_desc, str) else map_desc
+    desc = get_map(map_desc)
     desc.require_n(n)
     values = range(1, n + 1)
     unvisited = set(permutations(values))
@@ -50,7 +54,18 @@ def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
 
 
 def orbit_sizes(map_key: str, n: int) -> dict[int, int]:
-    """Memoized :func:`decompose` keyed by registry name; a fresh dict per call."""
+    """Size multiset of the registered map's orbits on S_n; a fresh dict per call.
+
+    When the map declares a single orbit size s on S_n, that declaration is
+    the structure, ``{s: n! // s}``; otherwise this is :func:`decompose`,
+    memoized by registry name.  Raises :class:`UsageError` when n is below
+    the map's ``min_n``.
+    """
+    desc = get_map(map_key)
+    desc.require_n(n)
+    if desc.sizes is not None and len(declared := desc.sizes(n)) == 1:
+        (size,) = declared
+        return {size: factorial(n) // size}
     return dict(_orbit_sizes(map_key, n))
 
 

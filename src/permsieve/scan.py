@@ -10,8 +10,9 @@ functions.  Phase 1 loads each distinct generating function and orbit size
 multiset from the cache once and computes only the misses, so a warm scan
 starts no worker process.  Phase 2 folds the S x M verdicts in-process: it
 builds the order, orbit polynomial, fixed-point counts and signature of each
-(map, n) once, and folds each generating function once per (statistic, n,
-order), in dicts local to the ``scan`` call.  Reports are deterministic:
+(map, n) once, folds each generating function once per (statistic, n, order),
+and finds the witness of a failure once per (statistic, n, orbit signature),
+in dicts local to the ``scan`` call.  Reports are deterministic:
 rows are keyed and sorted, and neither the cache nor the worker count can
 change any value.
 """
@@ -182,11 +183,14 @@ def _pair_outcome(
     parts: dict[Job, Part],
     orbits: dict[tuple[str, int], OrbitParts],
     residues: dict[tuple[str, int, int], IntPolynomial],
+    witnesses: dict[tuple[str, int, str], tuple[int, ...]],
 ) -> tuple[list[ScanRow], PairVerdict]:
     """Phase 2 for one pair: its rows up to any failed evaluation, and its verdict.
 
     ``orbits`` holds the parts of each (map, n); ``residues`` collects each
-    generating function folded once per (statistic, n, order).
+    generating function folded once per (statistic, n, order), and
+    ``witnesses`` the separating roots once per (statistic, n, orbit
+    signature), since both residues of a verdict depend on nothing else.
     """
     pair = f"{stat_key}|{map_key}"
     if not ns:
@@ -211,7 +215,10 @@ def _pair_outcome(
                             orbit.signature, f.offset, f.coeffs))
         if not v.holds and failing_n is None:
             failing_n = n
-            witness = v.witnesses[0] if v.witnesses else None
+            found = witnesses.get((stat_key, n, orbit.signature))
+            if found is None:
+                found = witnesses[stat_key, n, orbit.signature] = v.witnesses
+            witness = found[0] if found else None
     status = "apparent" if failing_n is None else "fail"
     return rows, PairVerdict(pair, stat_key, map_key, status, tuple(ns), failing_n, witness)
 
@@ -245,10 +252,11 @@ def scan(
     orbits = {(key, n): orbit_parts(value) for (kind, key, n), value in parts.items()
               if kind == "orbit" and not isinstance(value, PermsieveError)}
     residues: dict[tuple[str, int, int], IntPolynomial] = {}
+    witnesses: dict[tuple[str, int, str], tuple[int, ...]] = {}
     rows: list[ScanRow] = []
     verdicts: list[PairVerdict] = []
     for s, m, ns in pairs:
-        pair_rows, verdict = _pair_outcome(s, m, ns, parts, orbits, residues)
+        pair_rows, verdict = _pair_outcome(s, m, ns, parts, orbits, residues, witnesses)
         rows += pair_rows
         verdicts.append(verdict)
     rows.sort(key=lambda r: (r.stat_key, r.map_key, r.n))

@@ -31,25 +31,23 @@ from .statistics import StatDescriptor, get_statistic
 
 def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
     """sum over S_n of q**stat(sigma); exact, with f(1) = n!."""
-    desc = get_statistic(stat) if isinstance(stat, str) else stat
-    return _generating_function_cached(desc.key, n)
+    return _generating_function_cached(get_statistic(stat).key, n)
 
 
 @lru_cache(maxsize=None)
 def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
-    """The statistic's transfer-matrix walk, else enumeration of S_n.
+    """The statistic's registered closed form, else its transfer-matrix walk, else enumeration.
 
+    A registered ``gf`` is the generating function; acceptance criterion 9
+    checks each one that has an evaluator against :func:`_enumerated_gf`.
     The walk writes permutations left to right and keeps, per (placed-value
     mask, step state), the distribution of the statistic so far: 2^n masks
     times the few states a step keeps, where enumeration visits n!
     permutations.  Below ``min_n`` the statistic is undefined, and
-    enumeration raises its error.  The closed form is used only for a
-    statistic with no evaluator (st864), which is registered by it alone.
+    enumeration raises its error.
     """
     desc = get_statistic(stat_key)
-    if desc.evaluator is None:
-        if desc.gf is None:
-            raise ValueError(f"{desc.key} has neither evaluator nor closed form")
+    if desc.gf is not None:
         return desc.gf(n)
     if desc.step is None or n < desc.min_n:
         return _enumerated_gf(desc, n)
@@ -226,11 +224,10 @@ def verdict_from_parts(
 
 def csp_check(stat: StatDescriptor | str, map_desc, n: int) -> CspVerdict:
     """Exact sieving verdict for (statistic, map) on S_n."""
-    stat_desc = get_statistic(stat) if isinstance(stat, str) else stat
-    map_key = map_desc if isinstance(map_desc, str) else map_desc.key
-    orbit = orbit_parts(orbit_sizes(get_map(map_key).key, n))
-    f = generating_function(stat_desc, n)
-    return verdict_from_parts(stat_desc.key, map_key, n, f.fold(orbit.order), f.min_exponent, orbit)
+    stat_key, map_key = get_statistic(stat).key, get_map(map_desc).key
+    orbit = orbit_parts(orbit_sizes(map_key, n))
+    f = generating_function(stat_key, n)
+    return verdict_from_parts(stat_key, map_key, n, f.fold(orbit.order), f.min_exponent, orbit)
 
 
 def q_minus_one(stat: StatDescriptor | str, n: int) -> int:
@@ -245,8 +242,8 @@ def equidistribution(stat_a, stat_b, n: int) -> bool:
 
 def transport_check(stat_a, stat_b, bijection: Callable[[Perm], Perm], n: int) -> bool:
     """Whether stat_b(phi(sigma)) = stat_a(sigma) for every sigma in S_n."""
-    eval_a = (get_statistic(stat_a) if isinstance(stat_a, str) else stat_a).evaluator
-    eval_b = (get_statistic(stat_b) if isinstance(stat_b, str) else stat_b).evaluator
+    eval_a = get_statistic(stat_a).evaluator
+    eval_b = get_statistic(stat_b).evaluator
     return all(
         eval_b(bijection(p)) == eval_a(p)
         for p in iter_permutations(range(1, n + 1))
@@ -263,7 +260,7 @@ def parity_pairing_check(
     2-orbit must carry values of opposite parity.  Raises
     :class:`NotAnInvolution` if the map fails psi(psi(x)) = x anywhere.
     """
-    evaluator = (get_statistic(stat) if isinstance(stat, str) else stat).evaluator
+    evaluator = get_statistic(stat).evaluator
     want = expected_fixed_value % 2
     for p in iter_permutations(range(1, n + 1)):
         q = involution(p)

@@ -5,8 +5,9 @@ wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and the smallest meaningful n the
 scanning layer needs.  Most statistics also carry a transfer-matrix step, from
 which their generating functions are built without visiting every
-permutation.  One statistic (the circled-entry count of the shifted recording
-tableau) is registered through its closed-form generating function only.
+permutation.  Three (lexicographic rank, cycles, absolute length) carry a
+closed-form generating function instead, and one (the circled-entry count of
+the shifted recording tableau) is registered through its closed form only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .basic import (
     walk,
 )
 from .closed_forms import (
+    absolute_length_gf,
     crossings_gf_closed,
     cycles_gf,
     descent_variant_gf,
@@ -50,6 +52,7 @@ __all__ = [
     "walk",
     "mahonian_gf",
     "cycles_gf",
+    "absolute_length_gf",
     "rank_gf",
     "entry_gf",
     "inv_entry_gf",
@@ -89,6 +92,11 @@ class StatDescriptor:
     definition, and enumerating S_n through it is the step's test oracle, except
     for the eight pattern statistics: their evaluator is their step
     :func:`basic.walk` along p, and :func:`patterns.pattern_count` defines them.
+
+    ``gf``, when given, is a closed form of the generating function, and it is
+    the generating function: neither the step nor enumeration runs.  When the
+    statistic also has an evaluator, enumerating S_n through it is the closed
+    form's oracle (acceptance criterion 9).
     """
 
     key: str
@@ -165,7 +173,7 @@ def _descriptors() -> list[StatDescriptor]:
         # value is placed, and so on
         S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, 7,
           step=lambda m, s, v, i, n: (s, int(above(m, v) == n - v))),
-        S("st031", "number of cycles", extrema.cycle_count, 31),
+        S("st031", "number of cycles", extrema.cycle_count, 31, gf=cycles_gf),
         S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, 314,
           step=lambda m, s, v, i, n: (s, int(above(m, v) == 0))),
         S("st541", "values >= 2 with all smaller values to the right", extrema.small_values_to_the_right, 541,
@@ -174,7 +182,7 @@ def _descriptors() -> list[StatDescriptor]:
           step=lambda m, s, v, i, n: (s, int(below(m, v) == 0))),
         S("st991", "number of right-to-left minima", extrema.count_r2l_minima, 991,
           step=lambda m, s, v, i, n: (s, int(below(m, v) == v - 1))),
-        S("st216", "absolute length", extrema.absolute_length, 216),
+        S("st216", "absolute length", extrema.absolute_length, 216, gf=absolute_length_gf),
         S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, 316,
           step=lambda m, s, v, i, n: (s, int(above(m, v) > 0))),
         S("st1004", "positions that are l2r maxima or r2l minima", extrema.extrema_union, 1004,
@@ -229,7 +237,7 @@ def _descriptors() -> list[StatDescriptor]:
           step=lambda m, s, v, i, n: (s, v - 1 - below(m, v) if i == 2 else 0)),
         S("st1556", "inversions of the third entry", lambda p: entries.inversions_of_ith_entry(p, 3), 1556, min_n=3,
           step=lambda m, s, v, i, n: (s, v - 1 - below(m, v) if i == 3 else 0)),
-        S("st020", "lexicographic rank", entries.rank, 20),
+        S("st020", "lexicographic rank", entries.rank, 20, gf=rank_gf),
         # generating-function-only entry
         S("st864", "circled entries of the shifted recording tableau", None, 864, gf=shifted_circled_gf),
     ]
@@ -251,8 +259,13 @@ def statistic_keys() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
 
-def get_statistic(key: str | int) -> StatDescriptor:
-    """Look a statistic up by registry key, FindStat id, or bare number string."""
+def get_statistic(key: str | int | StatDescriptor) -> StatDescriptor:
+    """Look a statistic up by registry key, FindStat id, or bare number string.
+
+    A descriptor is returned as it is.
+    """
+    if isinstance(key, StatDescriptor):
+        return key
     if isinstance(key, int):
         if key in _BY_ID:
             return REGISTRY[_BY_ID[key]]

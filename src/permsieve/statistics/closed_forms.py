@@ -31,6 +31,20 @@ def cycles_gf(n: int) -> IntPolynomial:
     return out
 
 
+def absolute_length_gf(n: int) -> IntPolynomial:
+    """(1+q)(1+2q)...(1+(n-1)q), the distribution of the absolute length n - cycles.
+
+    It is :func:`cycles_gf` with its coefficients reversed.
+
+    >>> str(absolute_length_gf(3))
+    '1 + 3*q + 2*q^2'
+    """
+    out = IntPolynomial((1,), 0)
+    for k in range(1, n):
+        out = out * IntPolynomial((1, k), 0)
+    return out
+
+
 def rank_gf(n: int) -> IntPolynomial:
     """q + q^2 + ... + q^(n!), the distribution of the lexicographic rank."""
     return IntPolynomial((1,) * factorial(n), 1)

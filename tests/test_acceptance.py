@@ -61,15 +61,22 @@ def test_criterion_08_structural_properties():
 
 
 def test_criterion_08_rejects_a_wrong_orbit_size_declaration(monkeypatch):
-    """A map declared an involution whose applier is rotation fails on its orbit sizes."""
+    """Rotation declared an involution, or declared the single size n - 1, fails on its orbit sizes.
+
+    A single declared size is what ``orbit_sizes`` returns, so the second case
+    fails only when criterion 8 walks S_n."""
     from permsieve.bijections import MAPS, MapDescriptor, rotation
 
     key = "rotation_declared_involution"
     monkeypatch.setitem(MAPS, key, MapDescriptor(key, key, rotation, sizes=lambda n: frozenset((1, 2))))
+    single = "rotation_declared_n_minus_1"
+    monkeypatch.setitem(MAPS, single, MapDescriptor(single, single, rotation, sizes=lambda n: frozenset((n - 1,))))
     result = acceptance.criterion_8()
     assert not result.passed
     assert result.details == [
         f"{key} orbit sizes on S_{n}: [{n}], declared [1, 2]" for n in range(4, 8)
+    ] + [
+        f"{single} orbit sizes on S_{n}: [{n}], declared [{n - 1}]" for n in range(4, 8)
     ]
 
 

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from permsieve.bijections import MAPS, get_map, map_keys, position_swap_involution
+from permsieve.bijections import MAPS, MapDescriptor, get_map, map_keys, position_swap_involution
 from permsieve.bijections.basic import (
     complement,
     conjugate_by_long_cycle,
@@ -239,6 +239,12 @@ class TestRegistry:
                        declared("involutions without fixed points", n).values()), n
             assert all(len(sizes) == 1 for sizes in
                        declared("maps with constant orbit size", n).values()), n
+
+    def test_get_map_returns_a_descriptor_as_it_is(self):
+        registered = get_map("reverse")
+        unregistered = MapDescriptor("unregistered", "not in the registry", lambda p: p)
+        assert get_map(registered) is registered
+        assert get_map(unregistered) is unregistered
 
     def test_n1_everything_is_identity(self):
         for key in map_keys():

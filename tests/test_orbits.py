@@ -77,6 +77,7 @@ class TestDecompose:
         for n in range(desc.min_n, 8):
             reference = Counter(map(len, rank_based_orbits(desc, n)))
             assert list(decompose(desc, n).items()) == list(reference.items()), n
+            assert orbit_sizes(key, n) == reference, n
 
     def test_cached_variant(self):
         assert orbit_sizes("reverse", 4) == decompose("reverse", 4)

@@ -76,6 +76,18 @@ class TestScan:
         scan(4, 5, stats=["st018", "st021", "st039"], maps=["reverse", "corteel"])
         assert len(built) == 4  # 2 maps x 2 n, shared by the 3 statistics
 
+    def test_witnesses_found_once_per_statistic_n_and_signature(self, monkeypatch):
+        """reverse, complement and swap_first_two all have signature 2^12 on S_4."""
+        from permsieve.sieving import CspVerdict
+
+        found = []
+        witnesses = CspVerdict.__dict__["witnesses"]
+        monkeypatch.setattr(CspVerdict, "witnesses",
+                            property(lambda v: found.append(v.map_key) or witnesses.func(v)))
+        report = scan(4, 4, stats=["st539"], maps=["reverse", "complement", "swap_first_two"])
+        assert [(v.status, v.failing_n, v.witness_d) for v in report.verdicts] == [("fail", 4, 1)] * 3
+        assert len(found) == 1
+
     def test_worker_count_does_not_change_report(self, small_report):
         parallel = scan(4, 5, stats=SMALL_STATS, maps=SMALL_MAPS, workers=2)
         assert parallel == small_report

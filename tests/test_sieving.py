@@ -46,6 +46,15 @@ class TestGeneratingFunction:
             get_statistic("st864")((1, 2, 3))
 
 
+@pytest.mark.parametrize("key", [key for key, desc in REGISTRY.items()
+                                 if desc.gf is not None and desc.evaluator is not None])
+def test_closed_form_matches_enumeration(key):
+    """Every registered closed form with an evaluator equals enumeration of S_n."""
+    desc = REGISTRY[key]
+    for n in range(1, 8):
+        assert generating_function(key, n) == desc.gf(n) == _enumerated_gf(desc, n), n
+
+
 @pytest.mark.parametrize("key", [key for key, desc in REGISTRY.items() if desc.step is not None])
 def test_transfer_matrix_matches_enumeration(key):
     """Every statistic with a step: its left-to-right walk equals enumeration of S_n,

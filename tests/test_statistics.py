@@ -434,6 +434,14 @@ class TestLongCycleStats:
 
 
 class TestRegistryInvariants:
+    def test_get_statistic_returns_a_descriptor_as_it_is(self):
+        from permsieve.statistics import StatDescriptor
+
+        registered = get_statistic("st018")
+        unregistered = StatDescriptor("unregistered", "not in the registry", len)
+        assert get_statistic(registered) is registered
+        assert get_statistic(unregistered) is unregistered
+
     def test_signed_flags(self):
         from permsieve.statistics import REGISTRY
 

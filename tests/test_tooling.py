@@ -22,7 +22,8 @@ install(rec)
 from permsieve import orbits
 from permsieve.scan import KNOWN_INSTANCES as known
 for _ in range(2):
-    orbits.orbit_sizes("reverse", 4)
+    orbits.orbit_sizes("inverse", 4)
+orbits.orbit_sizes("reverse", 4)  # a single declared size: read off, never walked
 print(json.dumps({
     "orbit_spans": [detail for name, detail, *_ in rec.spans if name == "orbits"],
     "apply_calls": rec.counts["bijections.apply_calls"],
@@ -46,7 +47,7 @@ def test_exports_and_tracer_hooks_resolve():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     # one map call per permutation of S_4, so decompose goes through MapDescriptor.__call__
-    assert json.loads(done.stdout) == {"orbit_spans": ["reverse"], "apply_calls": 24,
+    assert json.loads(done.stdout) == {"orbit_spans": ["inverse"], "apply_calls": 24,
                                        "known_is_tuple_of_triples": True}
 
 
