@@ -172,6 +172,7 @@ def criterion_8() -> CriterionResult:
     failures = []
     for key, desc in MAPS.items():
         if desc.sizes is None:
+            failures.append(f"{key} declares no orbit sizes")
             continue
         for n in range(4, 8):
             declared = desc.sizes(n)

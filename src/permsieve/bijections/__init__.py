@@ -3,10 +3,9 @@
 Every map is a pure function from a permutation tuple to a permutation tuple
 of the same size, wrapped in a :class:`MapDescriptor` with a stable key, the
 FindStat identifier where one exists, and metadata the orbit and scanning
-layers use: the smallest n the map is defined on and, where the map's orbit
-structure is known, the orbit sizes it allows on S_n as a function of n
-(``{1, 2}`` for an involution, a single size when every orbit has the same
-size, as for the fixed-point-free involutions).
+layers use: the smallest n the map is defined on and the orbit sizes it
+allows on S_n as a function of n (``{1, 2}`` for an involution, a single size
+when every orbit has the same size, as for the fixed-point-free involutions).
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "MAPS",
     "get_map",
     "map_keys",
-    "position_swap_involution",
     "reverse",
     "complement",
     "rotation",
@@ -84,10 +82,13 @@ class MapDescriptor:
     """A registered bijection with the metadata used by orbit analysis.
 
     ``sizes(n)``, when given, contains the size of every orbit of the map on
-    S_n; acceptance criterion 8 checks it against the decomposition.  When it
-    has a single element s, every orbit has size s, there are n!/s of them,
-    and :func:`~permsieve.orbits.orbit_sizes` returns that without walking
-    S_n.  The eleven single-size declarations hold for these reasons:
+    S_n, and every registered map gives it: acceptance criterion 8 checks it
+    against the decomposition, and a cached orbit record outside it is
+    recomputed.  Conjugation by the long cycle c declares the divisors of n,
+    since c^n is the identity.  When ``sizes(n)`` has a single element s,
+    every orbit has size s, there are n!/s of them, and
+    :func:`~permsieve.orbits.orbit_sizes` returns that without walking S_n.
+    The eleven single-size declarations hold for these reasons:
 
     - p -> p o sigma and p -> sigma o p act freely (p o sigma = p forces sigma
       to be the identity), so every orbit has size ord(sigma).  This covers
@@ -135,7 +136,8 @@ def _descriptors() -> list[MapDescriptor]:
         M("complement", "complement", complement, sizes=_fixed_point_free_involution),
         M("inverse", "inverse", inverse_map, sizes=_involution),
         M("rotation", "rotation", rotation, findstat_id=179, sizes=lambda n: frozenset((n,))),
-        M("conj_long_cycle", "conjugation by the long cycle", conjugate_by_long_cycle, findstat_id=265),
+        M("conj_long_cycle", "conjugation by the long cycle", conjugate_by_long_cycle, findstat_id=265,
+          sizes=lambda n: frozenset(d for d in range(1, n + 1) if n % d == 0)),
         M(
             "lehmer_code_rotation",
             "Lehmer code rotation",
@@ -185,13 +187,6 @@ _SWAP_ALIASES = {
     "first-two": "swap_first_two",
     "second-third": "swap_second_third",
 }
-
-
-def position_swap_involution(spec: str) -> MapDescriptor:
-    """Look up one of the fixed-point-free positional swaps by its short name."""
-    if spec not in _SWAP_ALIASES:
-        raise KeyError(f"unknown position swap {spec!r}; choose from {sorted(_SWAP_ALIASES)}")
-    return MAPS[_SWAP_ALIASES[spec]]
 
 
 def map_keys() -> tuple[str, ...]:

@@ -32,11 +32,19 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 class RecordCache:
-    """Read-through store of integer vectors keyed by (name, n)."""
+    """Read-through store of integer vectors keyed by (name, n).
+
+    The directory is made at the first store, so a run that stops before
+    storing anything leaves none behind; a path that could never be one (it,
+    or the nearest part of it that exists, is a file) is rejected at once.
+    """
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        existing = next(p for p in (self.directory, *self.directory.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"cannot use {self.directory} as a cache directory: "
+                                     f"{existing} is not a directory")
 
     def _path(self, key: str, n: int) -> Path:
         safe = "".join(ch if ch.isalnum() or ch in "_-" else "-" for ch in key)
@@ -60,6 +68,7 @@ class RecordCache:
             + hashlib.sha256(payload).digest()
         )
         path = self._path(key, n)
+        self.directory.mkdir(parents=True, exist_ok=True)
         # A temp file of its own per writer: concurrent stores of one record
         # each replace it whole, and the last replace wins.
         fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=self.directory)

@@ -29,7 +29,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -130,7 +129,8 @@ def scan_report_to_json(report: ScanReport) -> str:
         "n_max": report.n_max,
         "summary": report.summary(),
         "rows": scan_report_rows(report),
-        "verdicts": [asdict(v) for v in report.verdicts],
+        # each verdict's own field dict, read as it is; asdict would deep-copy it
+        "verdicts": [vars(v) for v in report.verdicts],
         "classes": [
             {"members": c.members, "apparent": c.apparent, "signatures": c.signature_key}
             for c in report.classes

@@ -38,18 +38,21 @@ def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
 def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
     """The statistic's registered closed form, else its transfer-matrix walk, else enumeration.
 
-    A registered ``gf`` is the generating function; acceptance criterion 9
-    checks each one that has an evaluator against :func:`_enumerated_gf`.
-    The walk writes permutations left to right and keeps, per (placed-value
-    mask, step state), the distribution of the statistic so far: 2^n masks
-    times the few states a step keeps, where enumeration visits n!
-    permutations.  Below ``min_n`` the statistic is undefined, and
-    enumeration raises its error.
+    Below ``min_n`` the statistic is undefined, and enumeration comes first so
+    that the evaluator raises its own error (a closed form such as
+    ``inv_entry_gf(1, 2)`` would raise a bare ``ValueError``).  A registered
+    ``gf`` is the generating function; acceptance criterion 9 checks each one
+    that has an evaluator against :func:`_enumerated_gf`.  The walk writes
+    permutations left to right and keeps, per (placed-value mask, step
+    state), the distribution of the statistic so far: 2^n masks times the
+    few states a step keeps, where enumeration visits n! permutations.
     """
     desc = get_statistic(stat_key)
+    if n < desc.min_n:
+        return _enumerated_gf(desc, n)
     if desc.gf is not None:
         return desc.gf(n)
-    if desc.step is None or n < desc.min_n:
+    if desc.step is None:
         return _enumerated_gf(desc, n)
     step = desc.step
     values = range(1, n + 1)
@@ -72,8 +75,8 @@ def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
 def _enumerated_gf(desc: StatDescriptor, n: int) -> IntPolynomial:
     """sum over S_n of q**desc(sigma), one evaluation per permutation.
 
-    The generating function of every statistic without a step, and the test
-    oracle of every step.
+    The generating function of every statistic with neither a closed form nor
+    a step, and the test oracle of every closed form and every step.
     """
     counts: dict[int, int] = {}
     for p in iter_permutations(range(1, n + 1)):

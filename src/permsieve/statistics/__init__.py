@@ -3,11 +3,13 @@
 Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and the smallest meaningful n the
-scanning layer needs.  Most statistics also carry a transfer-matrix step, from
-which their generating functions are built without visiting every
-permutation.  Three (lexicographic rank, cycles, absolute length) carry a
-closed-form generating function instead, and one (the circled-entry count of
-the shifted recording tableau) is registered through its closed form only.
+scanning layer needs.  A generating function has at most one fast
+definition.  Fourteen statistics carry a closed form: the q-factorial for
+major index, inversions and comajor index (MacMahon), uniform distributions
+for the fixed entries and Lehmer-code entries, and the forms for crossings,
+cycles, absolute length, rank and (registered through it only) the circled
+entries of the shifted recording tableau.  Forty-two carry a transfer-matrix
+step instead, and the other ten enumerate S_n.
 """
 
 from __future__ import annotations
@@ -94,9 +96,10 @@ class StatDescriptor:
     :func:`basic.walk` along p, and :func:`patterns.pattern_count` defines them.
 
     ``gf``, when given, is a closed form of the generating function, and it is
-    the generating function: neither the step nor enumeration runs.  When the
-    statistic also has an evaluator, enumerating S_n through it is the closed
-    form's oracle (acceptance criterion 9).
+    the generating function from ``min_n`` on: enumeration does not run.
+    When the statistic also has an evaluator, enumerating S_n through it is
+    the closed form's oracle (acceptance criterion 9).  ``gf`` and ``step``
+    are exclusive: a step beside a closed form would never run.
     """
 
     key: str
@@ -107,6 +110,10 @@ class StatDescriptor:
     min_n: int = 1
     step: Optional[Step] = None
     start: Hashable = 0
+
+    def __post_init__(self) -> None:
+        if self.gf is not None and self.step is not None:
+            raise ValueError(f"{self.key} has both a closed form and a step; the step would never run")
 
     def __call__(self, p: Perm) -> int:
         if self.evaluator is None:
@@ -123,10 +130,9 @@ def _descriptors() -> list[StatDescriptor]:
     # descent ending at position i.
     return [
         # Mahonian representatives
-        S("st004", "major index", major_index, 4, step=lambda m, p, v, i, n: (v, i - 1 if p > v else 0)),
-        S("st018", "number of inversions", inversions, 18, step=lambda m, s, v, i, n: (s, above(m, v))),
-        S("st833", "comajor index", comajor_index, 833,
-          step=lambda m, p, v, i, n: (v, n - i + 1 if p > v else 0)),
+        S("st004", "major index", major_index, 4, gf=mahonian_gf),
+        S("st018", "number of inversions", inversions, 18, gf=mahonian_gf),
+        S("st833", "comajor index", comajor_index, 833, gf=mahonian_gf),
         # descents and run shapes
         S("st021", "number of descents", descents, 21, step=lambda m, p, v, i, n: (v, int(p > v))),
         S("st836", "number of width-2 descents", lambda p: basic.width_k_descents(p, 2), 836, min_n=3,
@@ -142,7 +148,7 @@ def _descriptors() -> list[StatDescriptor]:
         S("st638", "number of up-down runs", basic.up_down_runs, 638,
           step=basic.up_down_runs_step, start=(0, None)),
         # cycle diagram statistics
-        S("st039", "number of crossings", cycles.crossings, 39, step=cycles.crossings_step),
+        S("st039", "number of crossings", cycles.crossings, 39, gf=crossings_gf_closed),
         S("st223", "number of nestings", cycles.nestings, 223, step=cycles.nestings_step),
         S("st317", "cycle descent number", cycles.cycle_descents, 317),
         S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, 1744,
@@ -227,16 +233,14 @@ def _descriptors() -> list[StatDescriptor]:
         S("st1076", "factorization length over cyclic shifts of (12)", distances.cyclic_shift_factorization_length, 1076),
         S("st1077", "prefix exchange distance", distances.prefix_exchange_distance, 1077),
         # entries and rank
-        S("st054", "first entry", entries.first_entry, 54, step=lambda m, s, v, i, n: (s, v if i == 1 else 0)),
-        S("st740", "last entry", entries.last_entry, 740, step=lambda m, s, v, i, n: (s, v if i == n else 0)),
-        S("st1806", "upper middle entry", entries.upper_middle_entry, 1806,
-          step=lambda m, s, v, i, n: (s, v if i == n // 2 + 1 else 0)),
-        S("st1807", "lower middle entry", entries.lower_middle_entry, 1807,
-          step=lambda m, s, v, i, n: (s, v if i == (n + 1) // 2 else 0)),
+        S("st054", "first entry", entries.first_entry, 54, gf=entry_gf),
+        S("st740", "last entry", entries.last_entry, 740, gf=entry_gf),
+        S("st1806", "upper middle entry", entries.upper_middle_entry, 1806, gf=entry_gf),
+        S("st1807", "lower middle entry", entries.lower_middle_entry, 1807, gf=entry_gf),
         S("st1557", "inversions of the second entry", lambda p: entries.inversions_of_ith_entry(p, 2), 1557, min_n=2,
-          step=lambda m, s, v, i, n: (s, v - 1 - below(m, v) if i == 2 else 0)),
+          gf=lambda n: inv_entry_gf(n, 2)),
         S("st1556", "inversions of the third entry", lambda p: entries.inversions_of_ith_entry(p, 3), 1556, min_n=3,
-          step=lambda m, s, v, i, n: (s, v - 1 - below(m, v) if i == 3 else 0)),
+          gf=lambda n: inv_entry_gf(n, 3)),
         S("st020", "lexicographic rank", entries.rank, 20, gf=rank_gf),
         # generating-function-only entry
         S("st864", "circled entries of the shifted recording tableau", None, 864, gf=shifted_circled_gf),

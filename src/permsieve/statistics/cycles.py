@@ -9,7 +9,7 @@ distinct points.
 from __future__ import annotations
 
 from ..permutations import Perm, cycle_form, fundamental_transform
-from .basic import placed_above, placed_below, placed_between
+from .basic import placed_above, placed_below
 
 
 def crossings(p: Perm) -> int:
@@ -22,20 +22,6 @@ def crossings(p: Perm) -> int:
             elif p[i - 1] < p[j - 1] < i < j:
                 total += 1
     return total
-
-
-def crossings_step(mask: int, state: int, v: int, i: int, n: int):
-    """Transfer-matrix step; no state.
-
-    With v at an excedance (v > i) it counts the crossings i' < i <= p_i' < v,
-    whose other value is placed; at a deficiency (v < i), the crossings
-    v < p_j < i < j, whose other value is not placed yet.
-    """
-    if v > i:
-        return state, placed_between(mask, i - 1, v)
-    if v < i:
-        return state, i - v - 1 - placed_between(mask, v, i)
-    return state, 0
 
 
 def nestings(p: Perm) -> int:

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from permsieve.bijections import MAPS, MapDescriptor, get_map, map_keys, position_swap_involution
+from permsieve.bijections import MAPS, MapDescriptor, get_map, map_keys
 from permsieve.bijections.basic import (
     complement,
     conjugate_by_long_cycle,
@@ -176,13 +176,13 @@ class TestPsiBlock:
 
 class TestPositionSwaps:
     def test_lookup_aliases(self):
-        assert position_swap_involution("last-two").key == "swap_last_two"
-        assert position_swap_involution("prefix-reverse-3").key == "prefix_reverse_3"
+        assert get_map("last-two").key == "swap_last_two"
+        assert get_map("prefix-reverse-3").key == "prefix_reverse_3"
         with pytest.raises(KeyError):
-            position_swap_involution("nope")
+            get_map("nope")
 
     def test_example(self):
-        mp = position_swap_involution("last-two")
+        mp = get_map("last-two")
         assert mp(parse_permutation("21534687")) == parse_permutation("21534678")
 
     @pytest.mark.parametrize(
@@ -190,7 +190,7 @@ class TestPositionSwaps:
                  "first-two", "second-third"]
     )
     def test_fixed_point_free_involutions_s6(self, spec):
-        mp = position_swap_involution(spec)
+        mp = get_map(spec)
         for p in S(6):
             q = mp(p)
             assert q != p
@@ -198,7 +198,7 @@ class TestPositionSwaps:
 
     def test_parity_ledger_483(self):
         st = get_statistic("st483")
-        mp = position_swap_involution("last-two")
+        mp = get_map("last-two")
         for p in S(6):
             assert (st(p) - st(mp(p))) % 2 == 1
 
@@ -221,7 +221,8 @@ class TestRegistry:
         from permsieve.orbits import decompose
 
         for key, desc in MAPS.items():
-            if desc.sizes is not None and desc.min_n <= 5:
+            assert desc.sizes is not None, f"{key} declares no orbit sizes"
+            if desc.min_n <= 5:
                 assert set(decompose(key, 5)) <= desc.sizes(5), key
 
     def test_instance_families_match_declared_sizes(self):

@@ -91,9 +91,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, target", [
         ("--cache-dir", "file"),
+        ("--cache-dir", "file/sub"),
         ("--output", "nodir/x.json"),
         ("--config", "."),
-    ], ids=["cache-dir-is-a-file", "output-dir-missing", "config-is-a-dir"])
+    ], ids=["cache-dir-is-a-file", "cache-dir-under-a-file", "output-dir-missing", "config-is-a-dir"])
     def test_bad_path_exits_two(self, capsys, tmp_path, flag, target):
         (tmp_path / "file").write_text("")
         code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4", "--stats", "st018",
@@ -118,6 +119,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "swap_first_third" in err or "prefix_reverse_3" in err
         assert "n >= 3" in err
+
+    @pytest.mark.parametrize("key, n, message", [
+        ("st1557", "1", "entry index 2 outside 1..1"),
+        ("st1556", "2", "entry index 3 outside 1..2"),
+    ], ids=["st1557", "st1556"])
+    def test_gf_below_statistic_min_n_exits_two(self, capsys, key, n, message):
+        """Below min_n the evaluator's error is reported, not the closed form's bare ValueError."""
+        assert run(capsys, "stat", "gf", key, "--n", n) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("criteria", ["13", "0", "x", "2,x"])
     def test_verify_rejects_unknown_criteria(self, capsys, criteria):
@@ -195,6 +204,15 @@ class TestScanCommand:
         assert out == clean
         key, n, *_ = record
         assert cache.load_vector(key, n) == RecordCache(tmp_path / "clean").load_vector(key, n)
+
+    def test_orbit_record_outside_the_divisors_of_n_recomputed(self, capsys, tmp_path):
+        """Conjugation by the long cycle has orbit sizes dividing n, so a record of
+        eight 3-orbits on S_4 (3 x 8 = 4!, checksum valid) is recomputed."""
+        RecordCache(tmp_path / "c").store_vector("orbit_conj_long_cycle", 4, 0, (3, 8))
+        code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4", "--stats", "st021",
+                             "--maps", "conj_long_cycle", "--cache-dir", str(tmp_path / "c"))
+        assert (code, err) == (0, "")
+        assert [row["signature"] for row in json.loads(out)["rows"]] == ["1^4 2^2 4^4"]
 
     def test_csv_and_md_views(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
@@ -288,9 +306,11 @@ class TestScanUsageErrors:
         ("workers = 2\n", ["--workers", "0"]),
         ("", ["--min-n", "3", "--max-n", "9"]),
         ("format = xml\n", []),
+        ("", ["--stats", "nope"]),
     ], ids=["config-workers-not-int", "negative-workers", "zero-workers",
-            "range-beyond-max", "config-format-unknown"])
+            "range-beyond-max", "config-format-unknown", "unknown-statistic"])
     def test_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch, config, argv):
+        """And leaves no cache directory behind."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "permsieve.cfg").write_text(config)
         code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4",
@@ -298,6 +318,7 @@ class TestScanUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "cache").exists()
 
     def test_format_message_names_the_choices(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

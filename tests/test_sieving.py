@@ -49,9 +49,10 @@ class TestGeneratingFunction:
 @pytest.mark.parametrize("key", [key for key, desc in REGISTRY.items()
                                  if desc.gf is not None and desc.evaluator is not None])
 def test_closed_form_matches_enumeration(key):
-    """Every registered closed form with an evaluator equals enumeration of S_n."""
+    """Every registered closed form with an evaluator equals enumeration of S_n
+    from the statistic's ``min_n`` on (below it the statistic is undefined)."""
     desc = REGISTRY[key]
-    for n in range(1, 8):
+    for n in range(desc.min_n, 8):
         assert generating_function(key, n) == desc.gf(n) == _enumerated_gf(desc, n), n
 
 
@@ -59,7 +60,7 @@ def test_closed_form_matches_enumeration(key):
 def test_transfer_matrix_matches_enumeration(key):
     """Every statistic with a step: its left-to-right walk equals enumeration of S_n,
     as a generating function and on each permutation (equidistributed statistics,
-    such as major index and inversions, share a generating function)."""
+    such as left-to-right and right-to-left maxima, share a generating function)."""
     desc = REGISTRY[key]
     for n in range(desc.min_n, 8):
         assert _generating_function_cached.__wrapped__(key, n) == _enumerated_gf(desc, n), n

@@ -442,6 +442,13 @@ class TestRegistryInvariants:
         assert get_statistic(registered) is registered
         assert get_statistic(unregistered) is unregistered
 
+    def test_a_closed_form_and_a_step_are_exclusive(self):
+        from permsieve.statistics import StatDescriptor
+
+        with pytest.raises(ValueError, match="both a closed form and a step"):
+            StatDescriptor("both", "two fast definitions", len, gf=mahonian_gf,
+                           step=lambda m, s, v, i, n: (s, 0))
+
     def test_signed_flags(self):
         from permsieve.statistics import REGISTRY
 

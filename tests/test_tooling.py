@@ -58,7 +58,7 @@ from tracer import Recorder, install
 rec = Recorder("guard")
 install(rec)
 from permsieve.sieving import generating_function
-for key in ("st423", "st039"):  # with a transfer-matrix step, and without
+for key in ("st423", "st039"):  # a transfer-matrix step, and a closed form
     for _ in range(2):
         generating_function(key, 5)
 print(json.dumps([detail for name, detail, *_ in rec.spans if name == "gf"]))
