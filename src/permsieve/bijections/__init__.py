@@ -81,13 +81,15 @@ __all__ = [
 class MapDescriptor:
     """A registered bijection with the metadata used by orbit analysis.
 
-    ``sizes(n)``, when given, contains the size of every orbit of the map on
-    S_n, and every registered map gives it: acceptance criterion 8 checks it
-    against the decomposition, and a cached orbit record outside it is
-    recomputed.  Conjugation by the long cycle c declares the divisors of n,
-    since c^n is the identity.  When ``sizes(n)`` has a single element s,
-    every orbit has size s, there are n!/s of them, and
-    :func:`~permsieve.orbits.orbit_sizes` returns that without walking S_n.
+    ``sizes(n)`` contains the size of every orbit of the map on S_n, and
+    every map must give it.  :func:`~permsieve.orbits.admissible` judges a
+    size multiset against it: acceptance criterion 8 so checks it against the
+    decomposition, and a cached orbit record it rejects is recomputed.
+    Conjugation by the long cycle c declares the divisors of n, since c^n is
+    the identity.  When ``sizes(n)`` has a single element s, every orbit has
+    size s, there are n!/s of them, and :func:`~permsieve.orbits.orbit_sizes`
+    returns that without walking S_n; such a map is never walked except by
+    criterion 8, so a map that must be walked declares more than one size.
     The eleven single-size declarations hold for these reasons:
 
     - p -> p o sigma and p -> sigma o p act freely (p o sigma = p forces sigma
@@ -106,9 +108,9 @@ class MapDescriptor:
     key: str
     name: str
     applier: Callable[[Perm], Perm]
+    sizes: Callable[[int], frozenset[int]]
     findstat_id: Optional[int] = None
     min_n: int = 1
-    sizes: Optional[Callable[[int], frozenset[int]]] = None
 
     def __call__(self, p: Perm) -> Perm:
         return self.applier(p)

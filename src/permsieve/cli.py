@@ -16,18 +16,16 @@ Subcommands::
 Exit codes: 0 success, 1 property or verdict failure, 2 usage error.
 
 The scan subcommand keeps a cache of generating-function and orbit-size
-vectors under ``cache/`` (override with ``--cache-dir``, the
-``PERMSIEVE_CACHE_DIR`` environment variable, or a ``permsieve.cfg`` file of
-``key = value`` lines); corrupt records are silently recomputed.  With
-``--workers N`` (or ``workers = N`` in the config file) the worker processes
-compute only the cache misses, so a warm scan starts none.
+vectors under ``cache/`` (override with ``--cache-dir``); corrupt records are
+silently recomputed.  With ``--workers N`` the worker processes compute only
+the cache misses, so a warm scan starts none.  Every scan setting comes from
+its flag and nowhere else: no file or environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -41,35 +39,6 @@ from .polynomials import IntPolynomial
 from .scan import MAX_SCAN_N, ScanReport, scan
 from .sieving import csp_check, equidistribution, generating_function, orbit_parts
 from .statistics import get_statistic, statistic_keys
-
-CONFIG_FILE = "permsieve.cfg"
-ENV_CACHE_DIR = "PERMSIEVE_CACHE_DIR"
-DEFAULT_CACHE_DIR = "cache"
-
-
-def load_config(path: Optional[str] = None) -> dict[str, str]:
-    """Read the optional ``key = value`` config file."""
-    cfg_path = Path(path or CONFIG_FILE)
-    if not cfg_path.exists():
-        return {}
-    out: dict[str, str] = {}
-    for line in cfg_path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def resolve_cache_dir(flag_value: Optional[str], config: dict[str, str]) -> str:
-    if flag_value:
-        return flag_value
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return env
-    return config.get("cache_dir", DEFAULT_CACHE_DIR)
-
 
 _json_scalar = json.JSONEncoder().encode
 
@@ -261,20 +230,15 @@ def _cmd_equidist(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    workers = args.workers if args.workers is not None else config.get("workers", "1")
-    if not str(workers).isdecimal() or int(workers) < 1:
-        raise UsageError(f"workers must be a positive integer, got {workers!r}")
-    fmt = args.format or config.get("format", "json")
-    if fmt not in _SCAN_EMITTERS:
-        raise UsageError(f"format must be one of {', '.join(sorted(_SCAN_EMITTERS))}, got {fmt!r}")
+    if args.workers < 1:
+        raise UsageError(f"workers must be a positive integer, got {args.workers}")
     if args.output and not Path(args.output).parent.is_dir():
         raise UsageError(f"cannot write {args.output}: {Path(args.output).parent} is not a directory")
-    cache = RecordCache(resolve_cache_dir(args.cache_dir, config))
+    cache = RecordCache(args.cache_dir)
     stats = args.stats.split(",") if args.stats else None
     maps = args.maps.split(",") if args.maps else None
-    report = scan(args.min_n, args.max_n, stats, maps, workers=int(workers), cache=cache)
-    _emit(_SCAN_EMITTERS[fmt](report), args.output)
+    report = scan(args.min_n, args.max_n, stats, maps, workers=args.workers, cache=cache)
+    _emit(_SCAN_EMITTERS[args.format](report), args.output)
     return 0
 
 
@@ -357,10 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--stats", help="comma-separated statistic keys")
     p.add_argument("--maps", help="comma-separated map keys")
-    p.add_argument("--format", choices=sorted(_SCAN_EMITTERS))
-    p.add_argument("--workers", type=int)
-    p.add_argument("--cache-dir")
-    p.add_argument("--config")
+    p.add_argument("--format", choices=sorted(_SCAN_EMITTERS), default="json")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--cache-dir", default="cache")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_scan)
 

@@ -63,10 +63,23 @@ def orbit_sizes(map_key: str, n: int) -> dict[int, int]:
     """
     desc = get_map(map_key)
     desc.require_n(n)
-    if desc.sizes is not None and len(declared := desc.sizes(n)) == 1:
+    if len(declared := desc.sizes(n)) == 1:
         (size,) = declared
         return {size: factorial(n) // size}
     return dict(_orbit_sizes(map_key, n))
+
+
+def admissible(map_key: str, n: int, sizes: dict[int, int]) -> bool:
+    """Whether ``sizes`` can be the map's orbit structure on S_n.
+
+    Every size is among the map's declared ``sizes(n)``, every count is
+    positive, and the orbits cover the n! permutations.
+    """
+    return (
+        get_map(map_key).sizes(n).issuperset(sizes)
+        and all(count > 0 for count in sizes.values())
+        and sum(size * count for size, count in sizes.items()) == factorial(n)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -23,13 +23,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import permutations as iter_permutations
 from math import factorial
-from operator import gt, mul
+from operator import gt
 from typing import Optional, Sequence, Union
 
 from .bijections import get_map, map_keys
 from .cache import RecordCache
 from .errors import PermsieveError, UsageError
-from .orbits import orbit_sizes
+from .orbits import admissible, orbit_sizes
 from .polynomials import IntPolynomial
 from .sieving import (
     OrbitParts,
@@ -121,10 +121,11 @@ def _load(cache: RecordCache, job: Job) -> Optional[Part]:
     """The job's cached value, or None when absent, corrupt or not a value on S_n.
 
     Records are ``gf_<stat>`` (offset and trimmed coefficients summing to n!)
-    and ``orbit_<map>`` (flat size, count pairs: sizes positive and strictly
-    ascending and among the map's declared ``sizes(n)``, counts positive,
-    size times count summing to n!).  A record that passes its checksum but
-    breaks this is recomputed, never trusted.
+    and ``orbit_<map>`` (flat size, count pairs, sizes positive and strictly
+    ascending, that :func:`~permsieve.orbits.admissible` accepts: sizes among
+    the map's declared ``sizes(n)``, counts positive, size times count
+    summing to n!).  A record that passes its checksum but breaks this is
+    recomputed, never trusted.
     """
     kind, key, n = job
     rec = cache.load_vector(f"{kind}_{key}", n)
@@ -136,15 +137,10 @@ def _load(cache: RecordCache, job: Job) -> Optional[Part]:
             return IntPolynomial(values, offset)
         return None
     sizes, counts = values[::2], values[1::2]
-    declared = get_map(key).sizes
-    if (
-        len(sizes) == len(counts)
-        and (declared is None or declared(n).issuperset(sizes))
-        and all(count > 0 for count in counts)
-        and all(a < b for a, b in zip((0, *sizes), sizes))
-        and sum(map(mul, sizes, counts)) == factorial(n)
-    ):
-        return dict(zip(sizes, counts))
+    value = dict(zip(sizes, counts))
+    ascending = all(a < b for a, b in zip((0, *sizes), sizes))
+    if len(sizes) == len(counts) and ascending and admissible(key, n, value):
+        return value
     return None
 
 

@@ -112,6 +112,19 @@ def test_criterion_12_starts_one_pool(monkeypatch):
     assert pools == [2]
 
 
+def test_criterion_12_reports_a_failed_scan(monkeypatch):
+    """A scan that exits non-zero writes no report; the criterion fails instead of raising."""
+    from permsieve.errors import UsageError
+
+    def failing_scan(*args, **kwargs):
+        raise UsageError("no scan")
+
+    monkeypatch.setattr(import_module("permsieve.cli"), "scan", failing_scan)
+    result = acceptance.criterion_12()
+    assert not result.passed
+    assert result.details == [f"scan exited 2 on {tag} run" for tag in ("cold", "warm", "workers2")]
+
+
 def test_run_all_selector():
     results = acceptance.run_all([1, 7])
     assert [r.number for r in results] == [1, 7]

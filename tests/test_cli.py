@@ -93,8 +93,7 @@ class TestExitCodes:
         ("--cache-dir", "file"),
         ("--cache-dir", "file/sub"),
         ("--output", "nodir/x.json"),
-        ("--config", "."),
-    ], ids=["cache-dir-is-a-file", "cache-dir-under-a-file", "output-dir-missing", "config-is-a-dir"])
+    ], ids=["cache-dir-is-a-file", "cache-dir-under-a-file", "output-dir-missing"])
     def test_bad_path_exits_two(self, capsys, tmp_path, flag, target):
         (tmp_path / "file").write_text("")
         code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4", "--stats", "st018",
@@ -268,63 +267,48 @@ class TestScanCommand:
         json.loads(out_file.read_text())
 
 
+@pytest.fixture
+def hostile_cwd(tmp_path, monkeypatch):
+    """A working directory with a ``permsieve.cfg`` and ``PERMSIEVE_CACHE_DIR`` set; neither is read."""
+    (tmp_path / "permsieve.cfg").write_text("cache_dir = elsewhere\nworkers = two\nformat = xml\n")
+    monkeypatch.setenv("PERMSIEVE_CACHE_DIR", str(tmp_path / "from_env"))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
 class TestConfiguration:
-    def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv("PERMSIEVE_CACHE_DIR", str(target))
-        monkeypatch.chdir(tmp_path)
-        code, _, _ = run(capsys, "scan", "--min-n", "4", "--max-n", "4",
-                         "--stats", "st021", "--maps", "reverse")
+    def test_settings_come_from_flags_only(self, capsys, hostile_cwd):
+        code, out, _ = run(capsys, "scan", "--min-n", "4", "--max-n", "4",
+                           "--stats", "st021", "--maps", "reverse")
         assert code == 0
-        assert target.exists() and list(target.glob("*.rec"))
+        assert json.loads(out)["summary"]["pairs"] == 1
+        assert list(hostile_cwd.glob("cache/*.rec"))
+        assert sorted(p.name for p in hostile_cwd.iterdir()) == ["cache", "permsieve.cfg"]
 
-    def test_config_file(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        target = tmp_path / "from_cfg"
-        (tmp_path / "permsieve.cfg").write_text(f"cache_dir = {target}\n# comment\n")
-        code, _, _ = run(capsys, "scan", "--min-n", "4", "--max-n", "4",
-                         "--stats", "st021", "--maps", "reverse")
-        assert code == 0
-        assert target.exists()
-
-    def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERMSIEVE_CACHE_DIR", str(tmp_path / "ignored"))
-        explicit = tmp_path / "explicit"
-        code, _, _ = run(capsys, "scan", "--min-n", "4", "--max-n", "4",
-                         "--stats", "st021", "--maps", "reverse",
-                         "--cache-dir", str(explicit))
-        assert code == 0
-        assert explicit.exists() and not (tmp_path / "ignored").exists()
+    def test_scan_determinism_criterion_ignores_the_working_directory(self, capsys, hostile_cwd):
+        code, out, _ = run(capsys, "verify", "--criteria", "12")
+        assert (code, out.splitlines()[0]) == (
+            0, "criterion 12 [PASS] scan determinism (cold/warm cache, worker count)")
 
 
 class TestScanUsageErrors:
-    """Bad scan arguments, from the flags or the config file, exit 2 with one line."""
+    """Bad scan flags exit 2 with one line."""
 
-    @pytest.mark.parametrize("config, argv", [
-        ("workers = two\n", []),
-        ("", ["--workers", "-3"]),
-        ("workers = 2\n", ["--workers", "0"]),
-        ("", ["--min-n", "3", "--max-n", "9"]),
-        ("format = xml\n", []),
-        ("", ["--stats", "nope"]),
-    ], ids=["config-workers-not-int", "negative-workers", "zero-workers",
-            "range-beyond-max", "config-format-unknown", "unknown-statistic"])
-    def test_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch, config, argv):
+    @pytest.mark.parametrize("argv", [
+        ["--workers", "-3"],
+        ["--workers", "0"],
+        ["--min-n", "3", "--max-n", "9"],
+        ["--stats", "nope"],
+    ], ids=["negative-workers", "zero-workers", "range-beyond-max", "unknown-statistic"])
+    def test_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
         """And leaves no cache directory behind."""
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "permsieve.cfg").write_text(config)
         code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4",
                              "--stats", "st021", "--maps", "reverse", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "cache").exists()
-
-    def test_format_message_names_the_choices(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "permsieve.cfg").write_text("format = xml\n")
-        _, _, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4")
-        assert "'xml'" in err and "csv, json, md" in err
 
 
 EDGE_CASES = {

@@ -7,7 +7,7 @@ import pytest
 
 from permsieve.bijections import MapDescriptor, get_map, map_keys
 from permsieve.errors import NotABijection
-from permsieve.orbits import decompose, fixed_counts, orbit_signature, orbit_sizes
+from permsieve.orbits import admissible, decompose, fixed_counts, orbit_signature, orbit_sizes
 from permsieve.permutations import perm_rank, perm_unrank
 
 
@@ -57,17 +57,21 @@ class TestDecompose:
         assert orbit_signature(a) == orbit_signature(b)
 
     def test_not_a_bijection_detected(self):
+        def involution(n):
+            return frozenset((1, 2))
+
         collapse = MapDescriptor(
-            "collapse", "sorts everything", lambda p: tuple(sorted(p))
+            "collapse", "sorts everything", lambda p: tuple(sorted(p)), sizes=involution
         )
         with pytest.raises(NotABijection, match="merged two trajectories"):
             decompose(collapse, 3)
         shift_down = MapDescriptor(
-            "shift_down", "leaves [n]", lambda p: tuple(v - 1 for v in p)
+            "shift_down", "leaves [n]", lambda p: tuple(v - 1 for v in p), sizes=involution
         )
         with pytest.raises(NotABijection, match="not in S_3"):
             decompose(shift_down, 3)
-        append = MapDescriptor("append", "grows the word", lambda p: p + (len(p) + 1,))
+        append = MapDescriptor("append", "grows the word", lambda p: p + (len(p) + 1,),
+                               sizes=involution)
         with pytest.raises(NotABijection, match="not in S_3"):
             decompose(append, 3)
 
@@ -85,6 +89,16 @@ class TestDecompose:
     def test_memo_hands_out_fresh_dicts(self):
         orbit_sizes("reverse", 4)[2] = 0
         assert orbit_sizes("reverse", 4) == {2: 12}
+
+    @pytest.mark.parametrize("sizes, expected", [
+        ({1: 12, 3: 4}, False),
+        ({1: 24, 2: 0}, False),
+        ({1: 10, 2: 6}, False),
+        ({1: 10, 2: 7}, True),
+    ], ids=["undeclared-size", "zero-count", "short-of-n-factorial", "valid"])
+    def test_admissible(self, sizes, expected):
+        """The involution inverse on S_4 declares sizes {1, 2}; its orbits cover 24 permutations."""
+        assert admissible("inverse", 4, sizes) is expected
 
 
 class TestFixedCounts:

@@ -97,7 +97,9 @@ class TestScan:
         lambda p: p + (len(p) + 1,),
     ], ids=["shift_down", "append"])
     def test_malformed_map_pairs_skipped(self, monkeypatch, image):
-        monkeypatch.setitem(MAPS, "malformed", MapDescriptor("malformed", "not into S_n", image))
+        # two declared sizes, so the map is walked and its bad images are caught
+        monkeypatch.setitem(MAPS, "malformed", MapDescriptor("malformed", "not into S_n", image,
+                                                             sizes=lambda n: frozenset((1, 2))))
         args = (4, 5, ["st018", "st021"], ["malformed", "reverse"])
         serial = scan(*args)
         assert scan(*args, workers=2) == serial

@@ -132,3 +132,21 @@ def test_no_unused_module_imports():
                 continue
             unused += [f"{path.relative_to(package)}: {name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_package_reads_no_environment_variable():
+    """Every setting comes from a command-line flag: no module reads os.environ or os.getenv."""
+    package = Path(permsieve.__file__).resolve().parent
+    env_names = {"environ", "getenv"}
+    reads = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.relative_to(package)}:{node.lineno}: {name}"
+                      for name in names if name in env_names]
+    assert reads == []
