@@ -27,6 +27,7 @@ from .orbits import fixed_counts, orbit_signature, orbit_sizes
 from .permutations import Perm
 from .polynomials import IntPolynomial
 from .statistics import StatDescriptor, get_statistic
+from .statistics.basic import walk_gf
 
 
 def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
@@ -36,47 +37,26 @@ def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
-    """The statistic's registered closed form, else its transfer-matrix walk, else enumeration.
+    """The statistic's registered ``gf``, else the walk of its step, else enumeration.
 
     Below ``min_n`` the statistic is undefined, and enumeration comes first so
     that the evaluator raises its own error (a closed form such as
     ``inv_entry_gf(1, 2)`` would raise a bare ``ValueError``).  A registered
     ``gf`` is the generating function; acceptance criterion 9 checks each one
-    that has an evaluator against :func:`_enumerated_gf`.  The walk writes
-    permutations left to right and keeps, per (placed-value mask, step
-    state), the distribution of the statistic so far: 2^n masks times the
-    few states a step keeps, where enumeration visits n! permutations.
+    that has an evaluator against :func:`_enumerated_gf`.  The walk is
+    :func:`~permsieve.statistics.basic.walk_gf`.
     """
     desc = get_statistic(stat_key)
-    if n < desc.min_n:
+    if n < desc.min_n or (desc.gf is None and desc.step is None):
         return _enumerated_gf(desc, n)
-    if desc.gf is not None:
-        return desc.gf(n)
-    if desc.step is None:
-        return _enumerated_gf(desc, n)
-    step = desc.step
-    values = range(1, n + 1)
-    layer: dict[tuple, dict[int, int]] = {(0, desc.start): {0: 1}}
-    for i in values:
-        nxt: dict[tuple, dict[int, int]] = {}
-        for (mask, state), dist in layer.items():
-            for v in values:
-                bit = 1 << (v - 1)
-                if mask & bit:
-                    continue
-                new_state, inc = step(mask, state, v, i, n)
-                target = nxt.setdefault((mask | bit, new_state), {})
-                for e, c in dist.items():
-                    target[e + inc] = target.get(e + inc, 0) + c
-        layer = nxt
-    return IntPolynomial.from_terms(term for dist in layer.values() for term in dist.items())
+    return desc.gf(n) if desc.gf is not None else walk_gf(desc.step, n, desc.start)
 
 
 def _enumerated_gf(desc: StatDescriptor, n: int) -> IntPolynomial:
     """sum over S_n of q**desc(sigma), one evaluation per permutation.
 
-    The generating function of every statistic with neither a closed form nor
-    a step, and the test oracle of every closed form and every step.
+    The generating function of every statistic with neither a ``gf`` nor a
+    step, and the test oracle of every ``gf`` and every step.
     """
     counts: dict[int, int] = {}
     for p in iter_permutations(range(1, n + 1)):

@@ -4,12 +4,15 @@ Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and the smallest meaningful n the
 scanning layer needs.  A generating function has at most one fast
-definition.  Fourteen statistics carry a closed form: the q-factorial for
+definition.  Twenty-four statistics carry a ``gf``: the q-factorial for
 major index, inversions and comajor index (MacMahon), uniform distributions
-for the fixed entries and Lehmer-code entries, and the forms for crossings,
-cycles, absolute length, rank and (registered through it only) the circled
-entries of the shifted recording tableau.  Forty-two carry a transfer-matrix
-step instead, and the other ten enumerate S_n.
+for the fixed entries and Lehmer-code entries, the forms for cycles (which
+the four partial extrema and, shifted, st541 share), absolute length (shared
+by st316), rank and (registered through it only) the circled entries of the
+shifted recording tableau, and the walk of an equidistributed statistic's
+step for crossings, cycle descents, both admissible-inversion counts and
+st1687.  Thirty-six carry a transfer-matrix step instead, and the other six
+enumerate S_n.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .basic import (
     placed_above,
     placed_below,
     walk,
+    walk_gf,
 )
 from .closed_forms import (
     absolute_length_gf,
@@ -95,11 +99,13 @@ class StatDescriptor:
     for the eight pattern statistics: their evaluator is their step
     :func:`basic.walk` along p, and :func:`patterns.pattern_count` defines them.
 
-    ``gf``, when given, is a closed form of the generating function, and it is
-    the generating function from ``min_n`` on: enumeration does not run.
+    ``gf``, when given, is the generating function from ``min_n`` on:
+    enumeration does not run.  It is a closed form, or the walk
+    (:func:`basic.walk_gf`) of another statistic's step when a bijection or
+    theorem, named beside the registration, makes the two equidistributed.
     When the statistic also has an evaluator, enumerating S_n through it is
-    the closed form's oracle (acceptance criterion 9).  ``gf`` and ``step``
-    are exclusive: a step beside a closed form would never run.
+    the ``gf``'s oracle (acceptance criterion 9).  ``gf`` and ``step`` are
+    exclusive: a step beside a ``gf`` would never run.
     """
 
     key: str
@@ -148,9 +154,12 @@ def _descriptors() -> list[StatDescriptor]:
         S("st638", "number of up-down runs", basic.up_down_runs, 638,
           step=basic.up_down_runs_step, start=(0, None)),
         # cycle diagram statistics
-        S("st039", "number of crossings", cycles.crossings, 39, gf=crossings_gf_closed),
+        # Corteel's map swaps crossings and nestings
+        S("st039", "number of crossings", cycles.crossings, 39, gf=lambda n: walk_gf(cycles.nestings_step, n)),
         S("st223", "number of nestings", cycles.nestings, 223, step=cycles.nestings_step),
-        S("st317", "cycle descent number", cycles.cycle_descents, 317),
+        # st1744(p) = st317(phi(p)^-1), phi Foata's fundamental transform
+        S("st317", "cycle descent number", cycles.cycle_descents, 317,
+          gf=lambda n: walk_gf(cycles.arrow_12_patterns_step, n)),
         S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, 1744,
           step=cycles.arrow_12_patterns_step),
         # vincular patterns
@@ -171,26 +180,26 @@ def _descriptors() -> list[StatDescriptor]:
           step=lambda m, s, v, i, n: (s, int(below(m, v) > 0 and above(m, v) < n - v))),
         S("st1683", "distinct positions of 3 in 132 occurrences", extrema.distinct_positions_of_3_in_132, 1683,
           step=extrema.distinct_positions_of_3_in_132_step),
-        S("st1687", "distinct positions of 2 in 213 occurrences", extrema.distinct_positions_of_2_in_213, 1687),
+        # st1687(p) = st1683(rc(p^-1)), rc the reverse-complement
+        S("st1687", "distinct positions of 2 in 213 occurrences", extrema.distinct_positions_of_2_in_213, 1687,
+          gf=lambda n: walk_gf(extrema.distinct_positions_of_3_in_132_step, n)),
         S("st373", "weak excedances that are decreasing midpoints", extrema.weak_excedance_decreasing_midpoints, 373,
           step=lambda m, s, v, i, n: (s, int(v >= i and above(m, v) > 0 and below(m, v) < v - 1))),
         # partial extrema and cycles: v is a left-to-right maximum when no
         # placed value exceeds it, a right-to-left minimum when every smaller
         # value is placed, and so on
-        S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, 7,
-          step=lambda m, s, v, i, n: (s, int(above(m, v) == n - v))),
+        # The fundamental transform takes left-to-right maxima (st314) to cycles
+        # (st031); reverse, complement and both take st314 to st007, st542 and
+        # st991.  On every permutation st541 = st542 - 1 and st316 = n - st314.
+        S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, 7, gf=cycles_gf),
         S("st031", "number of cycles", extrema.cycle_count, 31, gf=cycles_gf),
-        S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, 314,
-          step=lambda m, s, v, i, n: (s, int(above(m, v) == 0))),
+        S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, 314, gf=cycles_gf),
         S("st541", "values >= 2 with all smaller values to the right", extrema.small_values_to_the_right, 541,
-          step=lambda m, s, v, i, n: (s, int(v > 1 and below(m, v) == 0))),
-        S("st542", "number of left-to-right minima", extrema.count_l2r_minima, 542,
-          step=lambda m, s, v, i, n: (s, int(below(m, v) == 0))),
-        S("st991", "number of right-to-left minima", extrema.count_r2l_minima, 991,
-          step=lambda m, s, v, i, n: (s, int(below(m, v) == v - 1))),
+          gf=lambda n: cycles_gf(n).shift(-1)),
+        S("st542", "number of left-to-right minima", extrema.count_l2r_minima, 542, gf=cycles_gf),
+        S("st991", "number of right-to-left minima", extrema.count_r2l_minima, 991, gf=cycles_gf),
         S("st216", "absolute length", extrema.absolute_length, 216, gf=absolute_length_gf),
-        S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, 316,
-          step=lambda m, s, v, i, n: (s, int(above(m, v) > 0))),
+        S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, 316, gf=absolute_length_gf),
         S("st1004", "positions that are l2r maxima or r2l minima", extrema.extrema_union, 1004,
           step=lambda m, s, v, i, n: (s, int(above(m, v) == 0 or below(m, v) == v - 1))),
         S("st1005", "positions that are l2r maxima xor r2l minima", extrema.extrema_xor, 1005,
@@ -220,8 +229,12 @@ def _descriptors() -> list[StatDescriptor]:
           step=longcycle.maj_minus_imaj_step),
         S("st462", "major index minus excedances", longcycle.maj_minus_excedances, 462,
           step=longcycle.maj_minus_excedances_step),
-        S("st463", "admissible inversions (Lin-Zeng)", longcycle.admissible_inversions_lz, 463),
-        S("st866", "admissible inversions (Shareshian-Wachs)", longcycle.admissible_inversions_sw, 866),
+        # st463(p) = st866(rc(p)), rc the reverse-complement
+        S("st463", "admissible inversions (Lin-Zeng)", longcycle.admissible_inversions_lz, 463,
+          gf=lambda n: walk_gf(longcycle.maj_minus_excedances_step, n)),
+        # Shareshian-Wachs: (aid, des) ~ (maj - exc, exc)
+        S("st866", "admissible inversions (Shareshian-Wachs)", longcycle.admissible_inversions_sw, 866,
+          gf=lambda n: walk_gf(longcycle.maj_minus_excedances_step, n)),
         S("st961", "shifted major index", longcycle.shifted_major_index, 961,
           step=longcycle.shifted_major_index_step),
         S("st1911", "weighted descent variant minus inversions", basic.descent_variant_minus_inversions, 1911,

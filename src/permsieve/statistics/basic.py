@@ -6,6 +6,7 @@ from typing import Callable, Hashable
 
 from ..errors import ParityViolation, WidthOutOfRange
 from ..permutations import Perm
+from ..polynomials import IntPolynomial
 
 
 def placed_above(mask: int, v: int) -> int:
@@ -31,6 +32,30 @@ def walk(step: Callable, p: Perm, start: Hashable = 0) -> int:
         mask |= 1 << (v - 1)
         total += inc
     return total
+
+
+def walk_gf(step: Callable, n: int, start: Hashable = 0) -> IntPolynomial:
+    """The sum over S_n of q**walk(step, p, start), one layer of positions at a time.
+
+    Each layer keeps, per (placed-value mask, step state), the distribution of
+    the statistic so far: 2^n masks times the few states a step keeps, where
+    enumeration visits n! permutations.
+    """
+    values = range(1, n + 1)
+    layer: dict[tuple, dict[int, int]] = {(0, start): {0: 1}}
+    for i in values:
+        nxt: dict[tuple, dict[int, int]] = {}
+        for (mask, state), dist in layer.items():
+            for v in values:
+                bit = 1 << (v - 1)
+                if mask & bit:
+                    continue
+                new_state, inc = step(mask, state, v, i, n)
+                target = nxt.setdefault((mask | bit, new_state), {})
+                for e, c in dist.items():
+                    target[e + inc] = target.get(e + inc, 0) + c
+        layer = nxt
+    return IntPolynomial.from_terms(term for dist in layer.values() for term in dist.items())
 
 
 def inversions(p: Perm) -> int:

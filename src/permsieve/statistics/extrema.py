@@ -33,10 +33,6 @@ def r2l_min_positions(p: Perm) -> frozenset[int]:
     return frozenset(out)
 
 
-def r2l_min_values(p: Perm) -> frozenset[int]:
-    return frozenset(p[i - 1] for i in r2l_min_positions(p))
-
-
 def count_l2r_maxima(p: Perm) -> int:
     return len(left_to_right_maxima_positions(p))
 

@@ -22,11 +22,15 @@ from permsieve.bijections.involutions import (
 )
 from permsieve.permutations import identity, parse_permutation
 from permsieve.statistics import get_statistic
-from permsieve.statistics.extrema import r2l_min_values
+from permsieve.statistics.extrema import r2l_min_positions
 
 
 def S(n):
     return permutations(range(1, n + 1))
+
+
+def r2l_min_values(p):
+    return frozenset(p[i - 1] for i in r2l_min_positions(p))
 
 
 class TestSymmetries:

@@ -58,7 +58,7 @@ from tracer import Recorder, install
 rec = Recorder("guard")
 install(rec)
 from permsieve.sieving import generating_function
-for key in ("st423", "st039"):  # a transfer-matrix step, and a closed form
+for key in ("st423", "st018"):  # a transfer-matrix step, and a closed form
     for _ in range(2):
         generating_function(key, 5)
 print(json.dumps([detail for name, detail, *_ in rec.spans if name == "gf"]))
@@ -72,7 +72,7 @@ def test_tracer_sees_one_gf_span_per_computed_function():
     done = subprocess.run([sys.executable, "-B", "-c", GF_SPANS_RUN], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == ["st423", "st039"]
+    assert json.loads(done.stdout) == ["st423", "st018"]
 
 
 TRACED_SCAN = """
