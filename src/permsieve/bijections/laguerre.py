@@ -47,9 +47,6 @@ class ArcDiagram:
             if not left <= frozenset(range(b + 1, a)):
                 raise NoPreimage(f"side data of arc {(a, b)} names outside values")
 
-    def arcs(self) -> tuple[Arc, ...]:
-        return tuple(sorted(self.left_sides))
-
 
 def laguerre_encode(p: Perm) -> ArcDiagram:
     """Arc diagram of a permutation: one arc per descent inside a decreasing run."""

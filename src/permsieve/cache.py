@@ -82,11 +82,8 @@ class RecordCache:
 
     def load_vector(self, key: str, n: int) -> Optional[tuple[int, tuple[int, ...]]]:
         """Return (offset, values) or None when absent or corrupt."""
-        path = self._path(key, n)
-        if not path.exists():
-            return None
         try:
-            return self._parse(path.read_bytes(), key, n)
+            return self._parse(self._path(key, n).read_bytes(), key, n)
         except (CacheCorrupt, OSError):
             return None
 

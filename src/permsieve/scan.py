@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import permutations as iter_permutations
 from math import factorial
-from operator import gt
 from typing import Optional, Sequence, Union
 
 from .bijections import get_map, map_keys
@@ -40,6 +38,7 @@ from .sieving import (
     verdict_from_parts,
 )
 from .statistics import descent_variant_gf, get_statistic, statistic_keys
+from .statistics.basic import width_k_descents_gf
 
 Job = tuple[str, str, int]  # ("gf", stat key, n) or ("orbit", map key, n)
 Part = Union[IntPolynomial, dict[int, int], PermsieveError]
@@ -289,8 +288,9 @@ def conjecture_suite(n_max: int = 8) -> dict:
     Covers the equidistribution of the weak-excedance midpoint count with the
     cycle descent number, the vanishing of the distance-3 inversion count at
     q = -1 for even n, the width-k failure pattern against the n = k (mod 2k)
-    rule, and the mismatch between the quoted closed form for the weighted
-    descent variant and the empirical distribution.
+    rule, from A_l(-1) = 0 exactly for even l, and the mismatch between the
+    quoted closed form for the weighted descent variant and the empirical
+    distribution.
     """
     if n_max > MAX_SCAN_N:
         raise ValueError(f"conjecture suite runs up to n = {MAX_SCAN_N}")
@@ -328,17 +328,15 @@ def conjecture_suite(n_max: int = 8) -> dict:
 
 
 def q_minus_one_widths(n: int) -> dict[int, int]:
-    """f(-1) of the width-k descent count on S_n for every 1 <= k < n, from one walk of S_n.
+    """f(-1) of the width-k descent count on S_n for every 1 <= k < n.
+
+    f is a product of Eulerian polynomials A_l over the k chains of positions
+    mod k, and A_l(-1) = 0 exactly for even l: f(-1) != 0 iff n = k (mod 2k).
 
     >>> q_minus_one_widths(5)
     {1: 16, 2: 0, 3: 0, 4: 0}
     """
-    totals = dict.fromkeys(range(1, n), 0)
-    for p in iter_permutations(range(1, n + 1)):
-        for k in totals:
-            # map stops at the shorter tail, so this counts p_i > p_(i+k)
-            totals[k] += 1 - 2 * (sum(map(gt, p, p[k:])) & 1)
-    return totals
+    return {k: width_k_descents_gf(n, k).evaluate(-1) for k in range(1, n)}
 
 
 INSTANCE_FAMILIES: dict[str, tuple[tuple[str, tuple[str, ...], str], ...]] = {

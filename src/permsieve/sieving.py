@@ -49,7 +49,7 @@ def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
     desc = get_statistic(stat_key)
     if n < desc.min_n or (desc.gf is None and desc.step is None):
         return _enumerated_gf(desc, n)
-    return desc.gf(n) if desc.gf is not None else walk_gf(desc.step, n, desc.start)
+    return desc.gf(n) if desc.gf is not None else walk_gf(desc.step, n)
 
 
 def _enumerated_gf(desc: StatDescriptor, n: int) -> IntPolynomial:

@@ -4,15 +4,15 @@ Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and the smallest meaningful n the
 scanning layer needs.  A generating function has at most one fast
-definition.  Twenty-four statistics carry a ``gf``: the q-factorial for
+definition.  Twenty-nine statistics carry a ``gf``: the q-factorial for
 major index, inversions and comajor index (MacMahon), uniform distributions
 for the fixed entries and Lehmer-code entries, the forms for cycles (which
 the four partial extrema and, shifted, st541 share), absolute length (shared
 by st316), rank and (registered through it only) the circled entries of the
-shifted recording tableau, and the walk of an equidistributed statistic's
-step for crossings, cycle descents, both admissible-inversion counts and
-st1687.  Thirty-six carry a transfer-matrix step instead, and the other six
-enumerate S_n.
+shifted recording tableau, the walk of an equidistributed statistic's step
+for crossings, cycle descents, both admissible-inversion counts and st1687,
+and ``blocks_gf`` for descents or inversions inside disjoint position blocks.
+Thirty-two carry a transfer-matrix step instead, and five enumerate S_n.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .basic import (
 )
 from .closed_forms import (
     absolute_length_gf,
+    blocks_gf,
     crossings_gf_closed,
     cycles_gf,
     descent_variant_gf,
@@ -88,7 +89,7 @@ class StatDescriptor:
     A permutation is written one position at a time; before position i
     (1-based) the values already placed form ``mask`` (bit v - 1 set for each
     placed v), and ``state`` is what the statistic remembers of them, starting
-    from ``start``.  ``step(mask, state, v, i, n)`` places v at position i and
+    from 0.  ``step(mask, state, v, i, n)`` places v at position i and
     returns ``(new_state, increment)``; the statistic of a permutation must be
     the sum of the increments along its n steps.  The increment may read only
     ``mask``, ``state``, v, i and n, so it can count the placed (or still
@@ -115,7 +116,6 @@ class StatDescriptor:
     gf: Optional[Callable[[int], IntPolynomial]] = None
     min_n: int = 1
     step: Optional[Step] = None
-    start: Hashable = 0
 
     def __post_init__(self) -> None:
         if self.gf is not None and self.step is not None:
@@ -131,28 +131,25 @@ def _descriptors() -> list[StatDescriptor]:
     S = StatDescriptor
 
     above, below = placed_above, placed_below
-    # Steps: "m, s" are the mask and a state the step leaves alone; "m, p" are
-    # the mask and the previous value (0 before position 1), so p > v marks a
-    # descent ending at position i.
+    # Step lambdas: "m, s" are the mask and a state the step leaves alone.
     return [
         # Mahonian representatives
         S("st004", "major index", major_index, 4, gf=mahonian_gf),
         S("st018", "number of inversions", inversions, 18, gf=mahonian_gf),
         S("st833", "comajor index", comajor_index, 833, gf=mahonian_gf),
         # descents and run shapes
-        S("st021", "number of descents", descents, 21, step=lambda m, p, v, i, n: (v, int(p > v))),
+        S("st021", "number of descents", descents, 21, step=basic.descents_step),
+        # descents inside blocks of positions: chains mod k, pairs (1, 2), (3, 4), ... or (2, 3), ...
         S("st836", "number of width-2 descents", lambda p: basic.width_k_descents(p, 2), 836, min_n=3,
-          step=basic.width_k_descents_step(2), start=(0, 0)),
+          gf=lambda n: basic.width_k_descents_gf(n, 2)),
         S("st1520", "number of width-3 descents", lambda p: basic.width_k_descents(p, 3), 1520, min_n=4,
-          step=basic.width_k_descents_step(3), start=(0, 0, 0)),
+          gf=lambda n: basic.width_k_descents_gf(n, 3)),
         S("st1114", "number of odd descents", basic.odd_descents, 1114,
-          step=lambda m, p, v, i, n: (v, int(p > v and i % 2 == 0))),
+          gf=lambda n: blocks_gf(n, [2] * (n // 2), basic.eulerian_gf)),
         S("st1115", "number of even descents", basic.even_descents, 1115,
-          step=lambda m, p, v, i, n: (v, int(p > v and i % 2 == 1))),
-        S("st483", "number of monotone switches", basic.monotone_switches, 483,
-          step=basic.monotone_switches_step, start=(0, None)),
-        S("st638", "number of up-down runs", basic.up_down_runs, 638,
-          step=basic.up_down_runs_step, start=(0, None)),
+          gf=lambda n: blocks_gf(n, [2] * ((n - 1) // 2), basic.eulerian_gf)),
+        S("st483", "number of monotone switches", basic.monotone_switches, 483, step=basic.monotone_switches_step),
+        S("st638", "number of up-down runs", basic.up_down_runs, 638, step=basic.up_down_runs_step),
         # cycle diagram statistics
         # Corteel's map swaps crossings and nestings
         S("st039", "number of crossings", cycles.crossings, 39, gf=lambda n: walk_gf(cycles.nestings_step, n)),
@@ -208,10 +205,11 @@ def _descriptors() -> list[StatDescriptor]:
           step=lambda m, s, v, i, n: (s, (above(m, v) == 0) + (below(m, v) == v - 1))),
         # inversion variants
         S("st495", "inversions of distance at most 2", lambda p: basic.inversions_within_distance(p, 2), 495,
-          step=basic.inversions_within_distance_step(2), start=(0, 0)),
+          step=basic.inversions_within_distance_step(2)),
         S("st494", "inversions of distance at most 3", lambda p: basic.inversions_within_distance(p, 3), 494,
-          step=basic.inversions_within_distance_step(3), start=(0, 0, 0)),
-        S("st538", "number of even inversions", basic.even_inversions, 538),
+          step=basic.inversions_within_distance_step(3)),
+        S("st538", "number of even inversions", basic.even_inversions, 538,
+          gf=lambda n: blocks_gf(n, [(n + 1) // 2, n // 2], mahonian_gf)),
         S("st539", "number of odd inversions", basic.odd_inversions, 539),
         S("st1726", "number of visible inversions", basic.visible_inversions, 1726,
           step=basic.visible_inversions_step),

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from functools import partial
+from typing import Callable
 
 from ..errors import ParityViolation, WidthOutOfRange
 from ..permutations import Perm
 from ..polynomials import IntPolynomial
+from .closed_forms import blocks_gf
 
 
 def placed_above(mask: int, v: int) -> int:
@@ -24,9 +26,9 @@ def placed_between(mask: int, lo: int, hi: int) -> int:
     return placed_below(mask, hi) - placed_below(mask, lo + 1)
 
 
-def walk(step: Callable, p: Perm, start: Hashable = 0) -> int:
-    """The sum of a transfer-matrix ``step``'s increments along p, from state ``start``."""
-    n, mask, state, total = len(p), 0, start, 0
+def walk(step: Callable, p: Perm) -> int:
+    """The sum of a transfer-matrix ``step``'s increments along p, from state 0."""
+    n, mask, state, total = len(p), 0, 0, 0
     for i, v in enumerate(p, 1):
         state, inc = step(mask, state, v, i, n)
         mask |= 1 << (v - 1)
@@ -34,15 +36,15 @@ def walk(step: Callable, p: Perm, start: Hashable = 0) -> int:
     return total
 
 
-def walk_gf(step: Callable, n: int, start: Hashable = 0) -> IntPolynomial:
-    """The sum over S_n of q**walk(step, p, start), one layer of positions at a time.
+def walk_gf(step: Callable, n: int) -> IntPolynomial:
+    """The sum over S_n of q**walk(step, p), one layer of positions at a time.
 
     Each layer keeps, per (placed-value mask, step state), the distribution of
     the statistic so far: 2^n masks times the few states a step keeps, where
     enumeration visits n! permutations.
     """
     values = range(1, n + 1)
-    layer: dict[tuple, dict[int, int]] = {(0, start): {0: 1}}
+    layer: dict[tuple, dict[int, int]] = {(0, 0): {0: 1}}
     for i in values:
         nxt: dict[tuple, dict[int, int]] = {}
         for (mask, state), dist in layer.items():
@@ -72,6 +74,14 @@ def descents(p: Perm) -> int:
     return len(descent_set(p))
 
 
+def descents_step(mask: int, prev: int, v: int, i: int, n: int):
+    """Transfer-matrix step for :func:`descents`; the state is the previous value."""
+    return v, int(prev > v)
+
+
+eulerian_gf = partial(walk_gf, descents_step)
+
+
 def major_index(p: Perm) -> int:
     return sum(descent_set(p))
 
@@ -89,17 +99,9 @@ def width_k_descents(p: Perm, k: int) -> int:
     return sum(1 for i in range(n - k) if p[i] > p[i + k])
 
 
-def width_k_descents_step(k: int):
-    """Transfer-matrix step for :func:`width_k_descents`; the state is the last k values.
-
-    Start from k zeros: a zero never exceeds v, so no pair is counted before
-    position k + 1.
-    """
-
-    def step(mask: int, window: tuple[int, ...], v: int, i: int, n: int):
-        return window[1:] + (v,), int(window[0] > v)
-
-    return step
+def width_k_descents_gf(n: int, k: int) -> IntPolynomial:
+    """Generating function of :func:`width_k_descents`: descents inside the k chains of positions mod k."""
+    return blocks_gf(n, [len(range(r, n, k)) for r in range(k)], eulerian_gf)
 
 
 def odd_descents(p: Perm) -> int:
@@ -116,12 +118,10 @@ def monotone_switches(p: Perm) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def monotone_switches_step(mask: int, state: tuple, v: int, i: int, n: int):
-    """Transfer-matrix step; the state is (previous value or 0, whether the last pair rose)."""
-    prev, rose = state
-    if not prev:
-        return (v, None), 0
-    up = prev < v
+def monotone_switches_step(mask: int, state, v: int, i: int, n: int):
+    """Transfer-matrix step; the state (previous value, whether the last pair rose) starts as (0, None)."""
+    prev, rose = state or (0, None)
+    up = prev < v if prev else None
     return (v, up), int(rose is not None and up != rose)
 
 
@@ -134,12 +134,10 @@ def up_down_runs(p: Perm) -> int:
     return runs + (1 if p[0] > p[1] else 0)
 
 
-def up_down_runs_step(mask: int, state: tuple, v: int, i: int, n: int):
+def up_down_runs_step(mask: int, state, v: int, i: int, n: int):
     """One run for the first entry and one for an opening descent, then one per switch."""
-    if i == 1:
-        return (v, None), 1
     new_state, switched = monotone_switches_step(mask, state, v, i, n)
-    return new_state, switched + int(i == 2 and state[0] > v)
+    return new_state, switched + int(i == 1) + int(i == 2 and state[0] > v)
 
 
 def inversions_within_distance(p: Perm, k: int) -> int:
@@ -153,7 +151,8 @@ def inversions_within_distance(p: Perm, k: int) -> int:
 def inversions_within_distance_step(k: int):
     """Transfer-matrix step for :func:`inversions_within_distance`; the state is the last k values."""
 
-    def step(mask: int, window: tuple[int, ...], v: int, i: int, n: int):
+    def step(mask: int, window, v: int, i: int, n: int):
+        window = window or (0,) * k
         return window[1:] + (v,), sum(w > v for w in window)
 
     return step

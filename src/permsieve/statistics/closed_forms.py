@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
+from typing import Callable, Iterable
 
 from ..polynomials import IntPolynomial
 
@@ -21,6 +22,22 @@ def mahonian_gf(n: int) -> IntPolynomial:
     '1 + 2*q + 2*q^2 + q^3'
     """
     return IntPolynomial.q_factorial(n)
+
+
+def blocks_gf(n: int, lengths: Iterable[int], block_gf: Callable[[int], IntPolynomial]) -> IntPolynomial:
+    """n!/prod l! * prod block_gf(l): a statistic summed over disjoint blocks of positions.
+
+    Each block of length l gets a uniform l-set of values in a uniform order
+    (Stanley, EC I, 1.4).  Blocks of length 1 may be left out.
+
+    >>> str(blocks_gf(3, [2], mahonian_gf))
+    '3 + 3*q'
+    """
+    coeff, out = factorial(n), IntPolynomial((1,), 0)
+    for l in lengths:
+        coeff //= factorial(l)
+        out = out * block_gf(l)
+    return out * coeff
 
 
 def cycles_gf(n: int) -> IntPolynomial:

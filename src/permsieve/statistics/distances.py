@@ -87,8 +87,6 @@ def cyclic_shift_factorization_length(p: Perm) -> int:
     2
     """
     n = len(p)
-    if n == 1:
-        return 0
     gens = tuple((a, a + 1) for a in range(n - 1))
     if n > 2:
         gens += ((0, n - 1),)
@@ -102,7 +100,5 @@ def prefix_exchange_distance(p: Perm) -> int:
     2
     """
     n = len(p)
-    if n == 1:
-        return 0
     gens = tuple((0, a) for a in range(1, n))
     return _distance_table(n, gens)[p]

@@ -307,7 +307,7 @@ class TestSortingDistances:
 
     def test_identity_zero(self):
         for key in ("st809", "st1579", "st1076", "st1077"):
-            assert get_statistic(key)(identity(5)) == 0
+            assert get_statistic(key)(identity(1)) == get_statistic(key)(identity(5)) == 0
 
     def test_809_against_reflection_bfs(self):
         """Oracle: shortest reflection factorization with additive Coxeter length."""
