@@ -3,12 +3,17 @@
 Every check is an exact integer comparison (tolerance zero).  The functions
 here are used both by ``permsieve verify`` and by the acceptance test module;
 each returns a :class:`CriterionResult` whose details list failures, plus
-recorded observations where a criterion asks for one.
+recorded observations where a criterion asks for one.  The criteria are
+independent: :func:`run_all`, which ``permsieve verify`` calls, runs them in
+a pool of worker processes, one per CPU at most, and returns their results in
+criterion order; the tests call each criterion in-process.
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations as iter_permutations
 from math import comb
@@ -349,6 +354,20 @@ CRITERIA: tuple[tuple[int, Callable[[], CriterionResult]], ...] = (
 )
 
 
+def _run_criterion(number: int) -> CriterionResult:
+    """Run criterion ``number`` as ``CRITERIA`` holds it when the worker calls it."""
+    return dict(CRITERIA)[number]()
+
+
 def run_all(numbers: Optional[list[int]] = None) -> list[CriterionResult]:
+    """Run the selected criteria (all when ``numbers`` is empty) in worker processes.
+
+    The results come back in criterion order; the first criterion, in that
+    order, that raises makes this raise.
+    """
     selected = set(numbers) if numbers else {k for k, _ in CRITERIA}
-    return [fn() for k, fn in CRITERIA if k in selected]
+    ordered = [k for k, _ in CRITERIA if k in selected]
+    if not ordered:
+        return []
+    with ProcessPoolExecutor(max_workers=min(len(ordered), os.cpu_count() or 1)) as pool:
+        return list(pool.map(_run_criterion, ordered))

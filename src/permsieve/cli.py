@@ -20,6 +20,9 @@ vectors under ``cache/`` (override with ``--cache-dir``); corrupt records are
 silently recomputed.  With ``--workers N`` the worker processes compute only
 the cache misses, so a warm scan starts none.  Every scan setting comes from
 its flag and nowhere else: no file or environment variable is read.
+
+The verify subcommand runs the selected acceptance criteria in worker
+processes, at most one per CPU, and prints their results in criterion order.
 """
 
 from __future__ import annotations

@@ -245,13 +245,21 @@ def parity_pairing_check(
     """
     evaluator = get_statistic(stat).evaluator
     want = expected_fixed_value % 2
+    # second members of the 2-orbits met so far: psi(psi(q)) = psi(p) = q and the
+    # parity of the pair were checked at p, so q is skipped when it comes up
+    partners = set()
     for p in iter_permutations(range(1, n + 1)):
+        if p in partners:
+            partners.remove(p)
+            continue
         q = involution(p)
         if involution(q) != p:
             raise NotAnInvolution(f"map is not an involution at {p}")
         if q == p:
             if evaluator(p) % 2 != want:
                 return False
-        elif (evaluator(p) + evaluator(q)) % 2 != 1:
-            return False
+        else:
+            partners.add(q)
+            if (evaluator(p) + evaluator(q)) % 2 != 1:
+                return False
     return True

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or via
 ``permsieve verify``) and fails loudly with the recorded details otherwise.
 """
 
+import multiprocessing
 from importlib import import_module
 from types import SimpleNamespace
 
@@ -129,6 +130,29 @@ def test_run_all_selector():
     results = acceptance.run_all([1, 7])
     assert [r.number for r in results] == [1, 7]
     assert all(r.passed for r in results)
+
+
+def test_run_all_matches_the_criteria_run_in_process():
+    """The worker processes return each criterion's result as an in-process call does, in criterion order."""
+    numbers = [1, 6, 7, 11]
+    assert acceptance.run_all(numbers[::-1]) == [CRITERIA[number]() for number in numbers]
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_reports_a_criterion_that_raises(monkeypatch, capsys):
+    """A criterion's error crosses the worker process: ``verify`` prints it and exits 2."""
+    from permsieve.cli import main
+    from permsieve.errors import NotAnInvolution
+
+    def raising():
+        raise NotAnInvolution("map is not an involution at (2, 1)")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        (number, raising if number == 7 else fn) for number, fn in acceptance.CRITERIA))
+    assert main(["verify", "--criteria", "1,7"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: map is not an involution at (2, 1)\n")
+    assert multiprocessing.active_children() == []
 
 
 def test_sieving_criteria_check_exactly_the_catalog(monkeypatch):

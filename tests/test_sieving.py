@@ -272,6 +272,13 @@ class TestParityPairing:
         with pytest.raises(NotAnInvolution):
             parity_pairing_check("st018", get_map("rotation"), 0, 4)
 
+    def test_rejects_a_second_preimage_of_a_paired_permutation(self):
+        # 123 and 132 pair up first; 321 comes last and is sent onto 132 as well
+        psi = {(1, 2, 3): (1, 3, 2), (1, 3, 2): (1, 2, 3), (2, 1, 3): (2, 3, 1),
+               (2, 3, 1): (2, 1, 3), (3, 1, 2): (3, 1, 2), (3, 2, 1): (1, 3, 2)}
+        with pytest.raises(NotAnInvolution, match=r"\(3, 2, 1\)"):
+            parity_pairing_check("st018", psi.__getitem__, 0, 3)
+
     def test_detects_bad_pairing(self):
         # the last-two swap changes inv by exactly 1, so pairing works for inv,
         # but fails for a statistic of constant parity
