@@ -119,12 +119,13 @@ def _compute(job: Job) -> Part:
 def _load(cache: RecordCache, job: Job) -> Optional[Part]:
     """The job's cached value, or None when absent, corrupt or not a value on S_n.
 
-    Records are ``gf_<stat>`` (offset and trimmed coefficients summing to n!)
-    and ``orbit_<map>`` (flat size, count pairs, sizes positive and strictly
-    ascending, that :func:`~permsieve.orbits.admissible` accepts: sizes among
-    the map's declared ``sizes(n)``, counts positive, size times count
-    summing to n!).  A record that passes its checksum but breaks this is
-    recomputed, never trusted.
+    Records are ``gf_<stat>`` (offset and trimmed coefficients summing to n!,
+    none negative, since each counts permutations) and ``orbit_<map>`` (flat
+    size, count pairs, sizes positive and strictly ascending, that
+    :func:`~permsieve.orbits.admissible` accepts: sizes among the map's
+    declared ``sizes(n)``, counts positive, size times count summing to n!).
+    A record that passes its checksum but breaks this is recomputed, never
+    trusted.
     """
     kind, key, n = job
     rec = cache.load_vector(f"{kind}_{key}", n)
@@ -132,7 +133,7 @@ def _load(cache: RecordCache, job: Job) -> Optional[Part]:
         return None
     offset, values = rec
     if kind == "gf":
-        if values and values[0] and values[-1] and sum(values) == factorial(n):
+        if values and values[0] and values[-1] and min(values) >= 0 and sum(values) == factorial(n):
             return IntPolynomial(values, offset)
         return None
     sizes, counts = values[::2], values[1::2]
@@ -160,7 +161,8 @@ def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> d
     # largest n first, so that no long job starts last in the pool
     misses = sorted((job for job in jobs if job not in parts), key=lambda job: -job[2])
     if workers > 1 and misses:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork starts every worker at the first submit, so start no idle one
+        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
             computed = list(pool.map(_compute, misses))
     else:
         computed = map(_compute, misses)

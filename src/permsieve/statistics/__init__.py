@@ -4,20 +4,22 @@ Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and the smallest meaningful n the
 scanning layer needs.  A generating function has at most one fast
-definition.  Twenty-nine statistics carry a ``gf``: the q-factorial for
+definition.  Thirty-one statistics carry a ``gf``: the q-factorial for
 major index, inversions and comajor index (MacMahon), uniform distributions
 for the fixed entries and Lehmer-code entries, the forms for cycles (which
 the four partial extrema and, shifted, st541 share), absolute length (shared
 by st316), rank and (registered through it only) the circled entries of the
 shifted recording tableau, the walk of an equidistributed statistic's step
-for crossings, cycle descents, both admissible-inversion counts and st1687,
-and ``blocks_gf`` for descents or inversions inside disjoint position blocks.
-Thirty-two carry a transfer-matrix step instead, and five enumerate S_n.
+for crossings, cycle descents, both admissible-inversion counts, st1687,
+maj plus imaj and maj minus imaj, and ``blocks_gf`` for descents or
+inversions inside disjoint position blocks.  Thirty carry a transfer-matrix
+step instead, and five enumerate S_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Hashable, Optional
 
 from ..errors import UsageError
@@ -97,8 +99,8 @@ class StatDescriptor:
     kept small, at most the last few values, since permutations that reach the
     same (mask, state) are counted together.  The evaluator stays the
     definition, and enumerating S_n through it is the step's test oracle, except
-    for the eight pattern statistics: their evaluator is their step
-    :func:`basic.walk` along p, and :func:`patterns.pattern_count` defines them.
+    for the eight pattern statistics: pattern evaluators walk their registered
+    step (:func:`basic.walk`), and :func:`patterns.pattern_count` defines them.
 
     ``gf``, when given, is the generating function from ``min_n`` on:
     enumeration does not run.  It is a closed form, or the walk
@@ -130,6 +132,11 @@ class StatDescriptor:
 def _descriptors() -> list[StatDescriptor]:
     S = StatDescriptor
 
+    def pattern(key: str, name: str, findstat_id: int) -> StatDescriptor:
+        # the step is the one definition: the evaluator walks it along p
+        step = patterns.STEPS[key]
+        return S(key, name, partial(walk, step), findstat_id, step=step)
+
     above, below = placed_above, placed_below
     # Step lambdas: "m, s" are the mask and a state the step leaves alone.
     return [
@@ -160,15 +167,15 @@ def _descriptors() -> list[StatDescriptor]:
         S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, 1744,
           step=cycles.arrow_12_patterns_step),
         # vincular patterns
-        S("st356", "occurrences of 13-2", patterns.occurrences_13_2, 356, step=patterns.STEPS["st356"]),
-        S("st357", "occurrences of 12-3", patterns.occurrences_12_3, 357, step=patterns.STEPS["st357"]),
-        S("st358", "occurrences of 31-2", patterns.occurrences_31_2, 358, step=patterns.STEPS["st358"]),
-        S("st360", "occurrences of 32-1", patterns.occurrences_32_1, 360, step=patterns.STEPS["st360"]),
+        pattern("st356", "occurrences of 13-2", 356),
+        pattern("st357", "occurrences of 12-3", 357),
+        pattern("st358", "occurrences of 31-2", 358),
+        pattern("st360", "occurrences of 32-1", 360),
         # classical pattern pairs
-        S("st423", "occurrences of 123 or 132", patterns.occurrences_123_or_132, 423, step=patterns.STEPS["st423"]),
-        S("st428", "occurrences of 123 or 213", patterns.occurrences_123_or_213, 428, step=patterns.STEPS["st428"]),
-        S("st436", "occurrences of 231 or 321", patterns.occurrences_231_or_321, 436, step=patterns.STEPS["st436"]),
-        S("st437", "occurrences of 312 or 321", patterns.occurrences_312_or_321, 437, step=patterns.STEPS["st437"]),
+        pattern("st423", "occurrences of 123 or 132", 423),
+        pattern("st428", "occurrences of 123 or 213", 428),
+        pattern("st436", "occurrences of 231 or 321", 436),
+        pattern("st437", "occurrences of 312 or 321", 437),
         # midpoints of length-3 monotone subsequences: a placed value above v
         # and an unplaced one below it, or the other way round
         S("st371", "midpoints of decreasing length-3 subsequences", extrema.count_decreasing_midpoints, 371,
@@ -217,14 +224,18 @@ def _descriptors() -> list[StatDescriptor]:
           step=basic.invisible_inversions_step),
         # signed and alternating combinations
         S("st677", "standardized bi-alternating inversion number", basic.bialternating, 677),
+        # Foata and Schuetzenberger (1978): Foata's second fundamental transformation
+        # Phi takes maj to inv and keeps the inverse descent set, so
+        # st825(p) = st1379(Phi(p)^-1)
         S("st825", "major index plus inverse major index", longcycle.maj_plus_imaj, 825,
-          step=longcycle.maj_plus_imaj_step),
+          gf=lambda n: walk_gf(longcycle.inv_plus_maj_step, n)),
         S("st1379", "inversions plus major index", longcycle.inv_plus_maj, 1379,
           step=longcycle.inv_plus_maj_step),
         S("st1377", "major index minus inversions", longcycle.maj_minus_inv, 1377,
           step=longcycle.maj_minus_inv_step),
+        # maj_minus_imaj(p) = st1377(Phi(p^-1)^-1), Phi as for st825
         S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, None,
-          step=longcycle.maj_minus_imaj_step),
+          gf=lambda n: walk_gf(longcycle.maj_minus_inv_step, n)),
         S("st462", "major index minus excedances", longcycle.maj_minus_excedances, 462,
           step=longcycle.maj_minus_excedances_step),
         # st463(p) = st866(rc(p)), rc the reverse-complement

@@ -12,16 +12,10 @@ from .basic import inversions, major_index, placed_above
 
 # Transfer-matrix steps (see StatDescriptor).  The state is the previous value,
 # 0 before position 1, so a descent ending at position i adds i - 1 to maj.
-# The inverse has a descent at v exactly when v + 1 sits left of v, that is,
-# when v + 1 is already placed as v is placed; it adds v to imaj.
 
 
 def _maj(prev: int, v: int, i: int) -> int:
     return i - 1 if prev > v else 0
-
-
-def _imaj(mask: int, v: int) -> int:
-    return v if mask >> v & 1 else 0
 
 
 def inverse_major_index(p: Perm) -> int:
@@ -30,10 +24,6 @@ def inverse_major_index(p: Perm) -> int:
 
 def maj_plus_imaj(p: Perm) -> int:
     return major_index(p) + inverse_major_index(p)
-
-
-def maj_plus_imaj_step(mask: int, prev: int, v: int, i: int, n: int):
-    return v, _maj(prev, v, i) + _imaj(mask, v)
 
 
 def inv_plus_maj(p: Perm) -> int:
@@ -54,10 +44,6 @@ def maj_minus_inv_step(mask: int, prev: int, v: int, i: int, n: int):
 
 def maj_minus_imaj(p: Perm) -> int:
     return major_index(p) - inverse_major_index(p)
-
-
-def maj_minus_imaj_step(mask: int, prev: int, v: int, i: int, n: int):
-    return v, _maj(prev, v, i) - _imaj(mask, v)
 
 
 def excedances(p: Perm) -> int:

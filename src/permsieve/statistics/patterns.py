@@ -8,9 +8,9 @@ positions (i, i+1, k) with k > i+1 and sigma_i > sigma_{i+1} > sigma_k.
 
 Each of the eight registered pattern statistics is one transfer-matrix step
 (:data:`STEPS`) that counts, when a value is placed, the still unplaced values
-in the right window: those all come later.  Its ``occurrences_*`` evaluator
-walks that step along p.  The generic recursive :func:`pattern_count` is their
-definition and their test oracle.
+in the right window: those all come later.  The registry evaluates it by
+walking that step along p.  The generic recursive :func:`pattern_count` is
+their definition and their test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..permutations import Perm, check_permutation
-from .basic import placed_above, placed_below, placed_between, walk
+from .basic import placed_above, placed_below, placed_between
 
 
 @dataclass(frozen=True)
@@ -168,75 +168,3 @@ STEPS = {
     "st436": choose_two_step(left=True, larger=True),
     "st437": choose_two_step(left=False, larger=False),
 }
-
-
-def occurrences_13_2(p: Perm) -> int:
-    """st356: its step walked along p.
-
-    >>> occurrences_13_2((1, 3, 2, 4))
-    1
-    """
-    return walk(STEPS["st356"], p)
-
-
-def occurrences_12_3(p: Perm) -> int:
-    """st357: its step walked along p.
-
-    >>> occurrences_12_3((1, 2, 3, 4))
-    3
-    """
-    return walk(STEPS["st357"], p)
-
-
-def occurrences_31_2(p: Perm) -> int:
-    """st358: its step walked along p.
-
-    >>> occurrences_31_2((3, 1, 4, 2))
-    1
-    """
-    return walk(STEPS["st358"], p)
-
-
-def occurrences_32_1(p: Perm) -> int:
-    """st360: its step walked along p.
-
-    >>> occurrences_32_1((3, 2, 4, 1))
-    1
-    """
-    return walk(STEPS["st360"], p)
-
-
-def occurrences_123_or_132(p: Perm) -> int:
-    """st423: its step walked along p.
-
-    >>> occurrences_123_or_132((1, 3, 2, 4))
-    3
-    """
-    return walk(STEPS["st423"], p)
-
-
-def occurrences_123_or_213(p: Perm) -> int:
-    """st428: its step walked along p.
-
-    >>> occurrences_123_or_213((2, 1, 4, 3))
-    2
-    """
-    return walk(STEPS["st428"], p)
-
-
-def occurrences_231_or_321(p: Perm) -> int:
-    """st436: its step walked along p.
-
-    >>> occurrences_231_or_321((4, 2, 3, 1))
-    3
-    """
-    return walk(STEPS["st436"], p)
-
-
-def occurrences_312_or_321(p: Perm) -> int:
-    """st437: its step walked along p.
-
-    >>> occurrences_312_or_321((4, 1, 3, 2))
-    3
-    """
-    return walk(STEPS["st437"], p)

@@ -98,19 +98,10 @@ def test_criterion_12_scan_determinism():
     _run(12)
 
 
-def test_criterion_12_starts_one_pool(monkeypatch):
+def test_criterion_12_starts_one_pool(pool_sizes):
     """The two-worker scan has an empty cache of its own, so it starts exactly one pool."""
-    scan_module = import_module("permsieve.scan")  # the package binds ``scan`` to the function
-    pools = []
-
-    class Spy(scan_module.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", Spy)
     assert acceptance.criterion_12().passed
-    assert pools == [2]
+    assert pool_sizes == [2]
 
 
 def test_criterion_12_reports_a_failed_scan(monkeypatch):

@@ -192,6 +192,7 @@ class TestScanCommand:
         ("gf_st021", 4, 0, (0, 1)),  # not trimmed
         ("orbit_reverse", 4, 0, (2, 5)),  # 2 x 5 = 10 permutations, not 4! = 24
         ("orbit_reverse", 4, 0, (1, 24)),  # 24 fixed points; reverse declares only 2-orbits
+        ("gf_st021", 4, 0, (25, -1)),  # sums to 4!, but a coefficient counts permutations
     ])
     def test_record_not_describing_s_n_recomputed(self, capsys, tmp_path, record):
         """A record that passes its checksum but is no value on S_n is recomputed and overwritten."""

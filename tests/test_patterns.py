@@ -113,6 +113,19 @@ class TestWorkedExamples:
         assert pattern_count((2, 3, 1), PatternSpec.from_string("231")) == 1
         assert pattern_count((1, 2, 3), PatternSpec.from_string("321")) == 0
 
+    @pytest.mark.parametrize("key, p, value", [
+        pytest.param("st356", (1, 3, 2, 4), 1, id="st356"),
+        pytest.param("st357", (1, 2, 3, 4), 3, id="st357"),
+        pytest.param("st358", (3, 1, 4, 2), 1, id="st358"),
+        pytest.param("st360", (3, 2, 4, 1), 1, id="st360"),
+        pytest.param("st423", (1, 3, 2, 4), 3, id="st423"),
+        pytest.param("st428", (2, 1, 4, 3), 2, id="st428"),
+        pytest.param("st436", (4, 2, 3, 1), 3, id="st436"),
+        pytest.param("st437", (4, 1, 3, 2), 3, id="st437"),
+    ])
+    def test_registered_pattern_example(self, key, p, value):
+        assert get_statistic(key)(p) == value
+
     def test_st436_on_s3(self):
         values = [get_statistic("st436")(p) for p in permutations((1, 2, 3))]
         assert values == [0, 0, 0, 1, 0, 1]

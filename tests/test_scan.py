@@ -92,6 +92,12 @@ class TestScan:
         parallel = scan(4, 5, stats=SMALL_STATS, maps=SMALL_MAPS, workers=2)
         assert parallel == small_report
 
+    def test_pool_starts_no_more_workers_than_misses(self, pool_sizes):
+        """Fork starts every worker at the first submit, so two missing parts get two."""
+        report = scan(4, 4, stats=["st018"], maps=["reverse"], workers=8)
+        assert report == scan(4, 4, stats=["st018"], maps=["reverse"])
+        assert pool_sizes == [2]
+
     @pytest.mark.parametrize("image", [
         lambda p: tuple(v - 1 for v in p),
         lambda p: p + (len(p) + 1,),

@@ -34,6 +34,25 @@ def reverse_complement(p):
     return reverse(complement(p))
 
 
+def foata(p):
+    """Foata's second fundamental transformation, one letter x at a time: cut the
+    word so far after every letter on the same side of x as its last letter,
+    move each block's last letter to its front, then append x."""
+    gamma = []
+    for x in p:
+        if gamma:
+            above = gamma[-1] > x
+            word, block = [], []
+            for a in gamma:
+                block.append(a)
+                if (a > x) == above:
+                    word += block[-1:] + block[:-1]
+                    block = []
+            gamma = word
+        gamma.append(x)
+    return tuple(gamma)
+
+
 class TestGeneratingFunction:
     def test_descents_s3(self):
         assert generating_function("st021", 3) == poly({0: 1, 1: 4, 2: 1})
@@ -249,6 +268,21 @@ class TestTransport:
         # rc(p^-1) plays the 3 of a 132
         for n in range(1, 8):
             assert transport_check("st1687", "st1683", lambda p: reverse_complement(inverse(p)), n)
+
+    def test_foata_transform_takes_maj_to_inv_and_keeps_imaj(self):
+        maj, inv = get_statistic("st004"), get_statistic("st018")
+        for n in range(1, 8):
+            images = set()
+            for p in permutations(range(1, n + 1)):
+                q = foata(p)
+                images.add(q)
+                assert (inv(q), maj(inverse(q))) == (maj(p), maj(inverse(p))), p
+            assert len(images) == factorial(n)
+
+    def test_maj_plus_and_minus_imaj_by_foata_transform(self):
+        for n in range(1, 8):
+            assert transport_check("st825", "st1379", lambda p: inverse(foata(p)), n)
+            assert transport_check("maj_minus_imaj", "st1377", lambda p: inverse(foata(inverse(p))), n)
 
     def test_shifted_and_complementary_extrema(self):
         st314, st316 = get_statistic("st314"), get_statistic("st316")

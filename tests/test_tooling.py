@@ -150,3 +150,33 @@ def test_package_reads_no_environment_variable():
             reads += [f"{path.relative_to(package)}:{node.lineno}: {name}"
                       for name in names if name in env_names]
     assert reads == []
+
+
+def test_every_module_level_definition_has_a_caller():
+    """Every module-level ``def`` and ``class`` of the package is referenced, by a
+    name, an attribute or an import, somewhere in the package or the benchmark
+    harness outside its own definition; the tests do not count as callers."""
+    package = Path(permsieve.__file__).resolve().parent
+    paths = sorted(package.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    definitions = []
+    referenced_from = {}  # name -> the (file, line) of each top-level statement that references it
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if path.is_relative_to(package) and isinstance(
+                    top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path, top))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                else:
+                    continue
+                referenced_from.setdefault(name, set()).add((path, top.lineno))
+    uncalled = [f"{path.relative_to(package)}: {top.name}" for path, top in definitions
+                if not referenced_from.get(top.name, set()) - {(path, top.lineno)}]
+    assert len(definitions) > 200
+    assert uncalled == []
