@@ -24,7 +24,7 @@ from .permutations import (
     parse_permutation,
 )
 from .polynomials import IntPolynomial
-from .scan import ScanReport, conjecture_suite, scan
+from .scan import ScanReport, scan
 from .sieving import (
     CspVerdict,
     csp_check,
@@ -50,7 +50,6 @@ __all__ = [
     "ScanReport",
     "StatDescriptor",
     "compose",
-    "conjecture_suite",
     "csp_check",
     "cycle_form",
     "decompose",

@@ -16,7 +16,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations as iter_permutations
-from math import comb
+from math import comb, factorial
 from typing import Callable, Optional
 
 from .bijections import MAPS, get_map
@@ -25,21 +25,24 @@ from .bijections.motzkin import fz_decode, fz_encode, motzkin_complement
 from .orbits import admissible, decompose, orbit_sizes
 from .permutations import parse_permutation
 from .polynomials import IntPolynomial
-from .scan import INSTANCE_FAMILIES, conjecture_suite, instance_applies
+from .scan import INSTANCE_FAMILIES, instance_applies
 from .sieving import (
     _enumerated_gf,
     csp_check,
+    equidistribution,
     generating_function,
     parity_pairing_check,
     q_minus_one,
 )
 from .statistics import (
     crossings_gf_closed,
+    descent_variant_gf,
     get_statistic,
     q_eulerian_hat,
     shifted_circled_gf,
     statistic_keys,
 )
+from .statistics.basic import width_k_descents_gf
 from .statistics.closed_forms import shifted_tableaux_count, strict_partitions
 
 
@@ -173,8 +176,7 @@ def criterion_8() -> CriterionResult:
         for n in range(4, 8):
             declared = desc.sizes(n)
             # orbit_sizes returns a single declared size as it is, so only the walk
-            # can check it; for any other map orbit_sizes is the walk, memoized and
-            # shared with criteria 3-4
+            # can check it; for any other map orbit_sizes is the walk, memoized
             sizes = (decompose if len(declared) == 1 else orbit_sizes)(key, n)
             if not admissible(key, n, sizes):
                 failures.append(f"{key} orbit sizes on S_{n}: {sorted(sizes)}, declared {sorted(declared)}")
@@ -267,34 +269,30 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    """Conjecture suite observations."""
+    """Observations behind the conjectured instances."""
     failures = []
-    details = []
-    suite = conjecture_suite(8)
-    for n, same in suite["equidistribution_373_317"].items():
-        if not same:
+    for n in range(4, 9):
+        if not equidistribution("st373", "st317", n):
             failures.append(f"st373 and st317 differ at n={n}")
     for n in (4, 6, 8):
-        value = suite["inv_distance_3_at_minus_one"][n]
+        value = q_minus_one("st494", n)
         if value != 0:
             failures.append(f"st494 f(-1) at n={n} is {value}")
-    inconsistent = [row for row in suite["width_k"] if not row["consistent"]]
-    details.append(
-        f"width-k observation: {len(suite['width_k'])} (n, k) cases, "
-        f"{len(inconsistent)} inconsistent with the n = k (mod 2k) failure rule"
-    )
+    # the width-k gf is a product of Eulerian polynomials A_l over the k chains of
+    # positions mod k, and A_l(-1) = 0 exactly for even l: it fails iff n = k (mod 2k)
+    cases = [(n, k) for n in range(4, 9) for k in range(1, n)]
+    inconsistent = [(n, k) for n, k in cases
+                    if (width_k_descents_gf(n, k).evaluate(-1) == 0) == (n % (2 * k) == k)]
+    details = [f"width-k observation: {len(cases)} (n, k) cases, "
+               f"{len(inconsistent)} inconsistent with the n = k (mod 2k) failure rule"]
     if inconsistent:
         failures.append(f"width-k rule violated at {inconsistent[:3]}")
-    for n, row in suite["descent_variant_closed_form"].items():
-        if row["matches_distribution"]:
+    closed = {n: descent_variant_gf(n) for n in range(3, 8)}
+    for n, gf in closed.items():
+        if gf == generating_function("st1911", n):
             failures.append(f"descent variant closed form unexpectedly matches at n={n}")
-    details.append(
-        "descent variant closed form at q=1 vs n!: "
-        + ", ".join(
-            f"n={n}: {row['closed_form_at_1']} vs {row['factorial']}"
-            for n, row in suite["descent_variant_closed_form"].items()
-        )
-    )
+    details.append("descent variant closed form at q=1 vs n!: "
+                   + ", ".join(f"n={n}: {gf.evaluate(1)} vs {factorial(n)}" for n, gf in closed.items()))
     return CriterionResult(10, "conjecture suite", not failures, failures + details)
 
 

@@ -50,8 +50,6 @@ def toric_promotion(p: Perm) -> Perm:
     n >= 2 every orbit of this map has size n - 1.
     """
     n = len(p)
-    if n == 1:
-        return p
     word = list(p)
     pos = [0] * (n + 1)
     for idx, v in enumerate(word):

@@ -29,16 +29,8 @@ from .cache import RecordCache
 from .errors import PermsieveError, UsageError
 from .orbits import admissible, orbit_sizes
 from .polynomials import IntPolynomial
-from .sieving import (
-    OrbitParts,
-    equidistribution,
-    generating_function,
-    orbit_parts,
-    q_minus_one,
-    verdict_from_parts,
-)
-from .statistics import descent_variant_gf, get_statistic, statistic_keys
-from .statistics.basic import width_k_descents_gf
+from .sieving import OrbitParts, generating_function, orbit_parts, verdict_from_parts
+from .statistics import get_statistic, statistic_keys
 
 Job = tuple[str, str, int]  # ("gf", stat key, n) or ("orbit", map key, n)
 Part = Union[IntPolynomial, dict[int, int], PermsieveError]
@@ -282,63 +274,6 @@ def dedupe(report: ScanReport) -> tuple[DedupClass, ...]:
         out.append(DedupClass(members, status[members[0]] == "apparent", sig_key))
     out.sort(key=lambda c: c.members)
     return tuple(out)
-
-
-def conjecture_suite(n_max: int = 8) -> dict:
-    """Observations backing the conjectured instances; nothing here asserts.
-
-    Covers the equidistribution of the weak-excedance midpoint count with the
-    cycle descent number, the vanishing of the distance-3 inversion count at
-    q = -1 for even n, the width-k failure pattern against the n = k (mod 2k)
-    rule, from A_l(-1) = 0 exactly for even l, and the mismatch between the
-    quoted closed form for the weighted descent variant and the empirical
-    distribution.
-    """
-    if n_max > MAX_SCAN_N:
-        raise ValueError(f"conjecture suite runs up to n = {MAX_SCAN_N}")
-    equi = {n: equidistribution("st373", "st317", n) for n in range(4, min(n_max, 8) + 1)}
-    dist3 = {n: q_minus_one("st494", n) for n in range(3, n_max + 1)}
-    width_rows = []
-    for n in range(4, min(n_max, 8) + 1):
-        at_minus_one = q_minus_one_widths(n)
-        for k in range(1, n):
-            holds = at_minus_one[k] == 0
-            predicted_fail = n % (2 * k) == k % (2 * k)
-            width_rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "holds": holds,
-                    "predicted_fail": predicted_fail,
-                    "consistent": holds != predicted_fail,
-                }
-            )
-    variant = {}
-    for n in range(3, min(n_max, 7) + 1):
-        closed = descent_variant_gf(n)
-        variant[n] = {
-            "closed_form_at_1": closed.evaluate(1),
-            "factorial": factorial(n),
-            "matches_distribution": closed == generating_function("st1911", n),
-        }
-    return {
-        "equidistribution_373_317": equi,
-        "inv_distance_3_at_minus_one": dist3,
-        "width_k": width_rows,
-        "descent_variant_closed_form": variant,
-    }
-
-
-def q_minus_one_widths(n: int) -> dict[int, int]:
-    """f(-1) of the width-k descent count on S_n for every 1 <= k < n.
-
-    f is a product of Eulerian polynomials A_l over the k chains of positions
-    mod k, and A_l(-1) = 0 exactly for even l: f(-1) != 0 iff n = k (mod 2k).
-
-    >>> q_minus_one_widths(5)
-    {1: 16, 2: 0, 3: 0, 4: 0}
-    """
-    return {k: width_k_descents_gf(n, k).evaluate(-1) for k in range(1, n)}
 
 
 INSTANCE_FAMILIES: dict[str, tuple[tuple[str, tuple[str, ...], str], ...]] = {

@@ -31,8 +31,13 @@ from .statistics.basic import walk_gf
 
 
 def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
-    """sum over S_n of q**stat(sigma); exact, with f(1) = n!."""
-    return _generating_function_cached(get_statistic(stat).key, n)
+    """sum over S_n of q**stat(sigma); exact, with f(1) = n!.
+
+    A statistic whose ``gf`` is another statistic's key reads that statistic's
+    generating function, the same object.
+    """
+    desc = get_statistic(stat)
+    return _generating_function_cached(desc.gf if isinstance(desc.gf, str) else desc.key, n)
 
 
 @lru_cache(maxsize=None)

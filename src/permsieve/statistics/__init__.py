@@ -9,9 +9,9 @@ major index, inversions and comajor index (MacMahon), uniform distributions
 for the fixed entries and Lehmer-code entries, the forms for cycles (which
 the four partial extrema and, shifted, st541 share), absolute length (shared
 by st316), rank and (registered through it only) the circled entries of the
-shifted recording tableau, the walk of an equidistributed statistic's step
-for crossings, cycle descents, both admissible-inversion counts, st1687,
-maj plus imaj and maj minus imaj, and ``blocks_gf`` for descents or
+shifted recording tableau, the key of an equidistributed statistic for
+crossings, cycle descents, both admissible-inversion counts, st1687, maj
+plus imaj and maj minus imaj, and ``blocks_gf`` for descents or
 inversions inside disjoint position blocks.  Thirty carry a transfer-matrix
 step instead, and five enumerate S_n.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Optional, Union
 
 from ..errors import UsageError
 from ..permutations import Perm
@@ -34,7 +34,6 @@ from .basic import (
     placed_above,
     placed_below,
     walk,
-    walk_gf,
 )
 from .closed_forms import (
     absolute_length_gf,
@@ -103,9 +102,11 @@ class StatDescriptor:
     step (:func:`basic.walk`), and :func:`patterns.pattern_count` defines them.
 
     ``gf``, when given, is the generating function from ``min_n`` on:
-    enumeration does not run.  It is a closed form, or the walk
-    (:func:`basic.walk_gf`) of another statistic's step when a bijection or
-    theorem, named beside the registration, makes the two equidistributed.
+    enumeration does not run.  It is a closed form, or the key of another
+    statistic, with a ``gf`` or step of its own and the same ``min_n``, when a
+    bijection or theorem, named beside the registration, makes the two
+    equidistributed; :func:`~permsieve.sieving.generating_function` then
+    returns the lender's generating function.
     When the statistic also has an evaluator, enumerating S_n through it is
     the ``gf``'s oracle (acceptance criterion 9).  ``gf`` and ``step`` are
     exclusive: a step beside a ``gf`` would never run.
@@ -115,7 +116,7 @@ class StatDescriptor:
     name: str
     evaluator: Optional[Callable[[Perm], int]]
     findstat_id: Optional[int] = None
-    gf: Optional[Callable[[int], IntPolynomial]] = None
+    gf: Optional[Union[Callable[[int], IntPolynomial], str]] = None
     min_n: int = 1
     step: Optional[Step] = None
 
@@ -159,11 +160,10 @@ def _descriptors() -> list[StatDescriptor]:
         S("st638", "number of up-down runs", basic.up_down_runs, 638, step=basic.up_down_runs_step),
         # cycle diagram statistics
         # Corteel's map swaps crossings and nestings
-        S("st039", "number of crossings", cycles.crossings, 39, gf=lambda n: walk_gf(cycles.nestings_step, n)),
+        S("st039", "number of crossings", cycles.crossings, 39, gf="st223"),
         S("st223", "number of nestings", cycles.nestings, 223, step=cycles.nestings_step),
         # st1744(p) = st317(phi(p)^-1), phi Foata's fundamental transform
-        S("st317", "cycle descent number", cycles.cycle_descents, 317,
-          gf=lambda n: walk_gf(cycles.arrow_12_patterns_step, n)),
+        S("st317", "cycle descent number", cycles.cycle_descents, 317, gf="st1744"),
         S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, 1744,
           step=cycles.arrow_12_patterns_step),
         # vincular patterns
@@ -186,7 +186,7 @@ def _descriptors() -> list[StatDescriptor]:
           step=extrema.distinct_positions_of_3_in_132_step),
         # st1687(p) = st1683(rc(p^-1)), rc the reverse-complement
         S("st1687", "distinct positions of 2 in 213 occurrences", extrema.distinct_positions_of_2_in_213, 1687,
-          gf=lambda n: walk_gf(extrema.distinct_positions_of_3_in_132_step, n)),
+          gf="st1683"),
         S("st373", "weak excedances that are decreasing midpoints", extrema.weak_excedance_decreasing_midpoints, 373,
           step=lambda m, s, v, i, n: (s, int(v >= i and above(m, v) > 0 and below(m, v) < v - 1))),
         # partial extrema and cycles: v is a left-to-right maximum when no
@@ -227,23 +227,19 @@ def _descriptors() -> list[StatDescriptor]:
         # Foata and Schuetzenberger (1978): Foata's second fundamental transformation
         # Phi takes maj to inv and keeps the inverse descent set, so
         # st825(p) = st1379(Phi(p)^-1)
-        S("st825", "major index plus inverse major index", longcycle.maj_plus_imaj, 825,
-          gf=lambda n: walk_gf(longcycle.inv_plus_maj_step, n)),
+        S("st825", "major index plus inverse major index", longcycle.maj_plus_imaj, 825, gf="st1379"),
         S("st1379", "inversions plus major index", longcycle.inv_plus_maj, 1379,
           step=longcycle.inv_plus_maj_step),
         S("st1377", "major index minus inversions", longcycle.maj_minus_inv, 1377,
           step=longcycle.maj_minus_inv_step),
         # maj_minus_imaj(p) = st1377(Phi(p^-1)^-1), Phi as for st825
-        S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, None,
-          gf=lambda n: walk_gf(longcycle.maj_minus_inv_step, n)),
+        S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, None, gf="st1377"),
         S("st462", "major index minus excedances", longcycle.maj_minus_excedances, 462,
           step=longcycle.maj_minus_excedances_step),
         # st463(p) = st866(rc(p)), rc the reverse-complement
-        S("st463", "admissible inversions (Lin-Zeng)", longcycle.admissible_inversions_lz, 463,
-          gf=lambda n: walk_gf(longcycle.maj_minus_excedances_step, n)),
+        S("st463", "admissible inversions (Lin-Zeng)", longcycle.admissible_inversions_lz, 463, gf="st462"),
         # Shareshian-Wachs: (aid, des) ~ (maj - exc, exc)
-        S("st866", "admissible inversions (Shareshian-Wachs)", longcycle.admissible_inversions_sw, 866,
-          gf=lambda n: walk_gf(longcycle.maj_minus_excedances_step, n)),
+        S("st866", "admissible inversions (Shareshian-Wachs)", longcycle.admissible_inversions_sw, 866, gf="st462"),
         S("st961", "shifted major index", longcycle.shifted_major_index, 961,
           step=longcycle.shifted_major_index_step),
         S("st1911", "weighted descent variant minus inversions", basic.descent_variant_minus_inversions, 1911,

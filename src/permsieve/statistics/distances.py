@@ -35,8 +35,6 @@ def cyclic_sort_swaps(p: Perm) -> int:
     4
     """
     n = len(p)
-    if n == 1:
-        return 0
     word = list(p)
     target = list(range(1, n + 1))
     swaps = 0

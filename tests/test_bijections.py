@@ -79,7 +79,8 @@ class TestToricPromotion:
         assert decompose("toric_promotion", 4) == {3: 8}
 
     def test_guard_no_op(self):
-        # on (1, 2) every value pair sits adjacent, so every stage is skipped
+        # on (1,) and (1, 2) every value pair sits adjacent, so every stage is skipped
+        assert toric_promotion((1,)) == (1,)
         assert toric_promotion((1, 2)) == (1, 2)
         assert toric_promotion((2, 1)) == (2, 1)
 

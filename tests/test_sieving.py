@@ -78,7 +78,29 @@ def test_closed_form_matches_enumeration(key):
     (below it the statistic is undefined)."""
     desc = REGISTRY[key]
     for n in range(desc.min_n, 8):
-        assert generating_function(key, n) == desc.gf(n) == _enumerated_gf(desc, n), n
+        assert generating_function(key, n) == _enumerated_gf(desc, n), n
+
+
+BORROWED = {"st039": "st223", "st317": "st1744", "st1687": "st1683", "st825": "st1379",
+            "maj_minus_imaj": "st1377", "st463": "st462", "st866": "st462"}
+
+
+def test_borrowed_gf_is_the_lenders():
+    """A statistic whose ``gf`` names an equidistributed statistic reads the lender's
+    generating function itself, so the lender's walk runs once per n."""
+    assert {key: desc.gf for key, desc in REGISTRY.items() if isinstance(desc.gf, str)} == BORROWED
+    for borrower, lender in BORROWED.items():
+        for n in range(1, 7):
+            assert generating_function(borrower, n) is generating_function(lender, n), (borrower, n)
+
+
+def test_borrowed_gf_names_a_defining_statistic():
+    """Every lender carries its own definition (a step or a callable ``gf``) and the same ``min_n``."""
+    for key, desc in REGISTRY.items():
+        if isinstance(desc.gf, str):
+            lender = REGISTRY[desc.gf]
+            assert lender.step is not None or callable(lender.gf), key
+            assert lender.min_n == desc.min_n, key
 
 
 @pytest.mark.parametrize("key", [key for key, desc in REGISTRY.items() if desc.step is not None])
