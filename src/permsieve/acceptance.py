@@ -22,7 +22,8 @@ from typing import Callable, Optional
 from .bijections import MAPS, get_map
 from .bijections.laguerre import laguerre_decode, laguerre_encode
 from .bijections.motzkin import fz_decode, fz_encode, motzkin_complement
-from .orbits import admissible, decompose, orbit_sizes
+from .errors import PermsieveError
+from .orbits import decompose, orbit_signature
 from .permutations import parse_permutation
 from .polynomials import IntPolynomial
 from .scan import INSTANCE_FAMILIES, instance_applies
@@ -170,16 +171,19 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """Structural properties: declared orbit sizes, round trips, pairings."""
+    """Structural properties: declared orbit structures, round trips, pairings."""
     failures = []
     for key, desc in MAPS.items():
         for n in range(4, 8):
-            declared = desc.sizes(n)
-            # orbit_sizes returns a single declared size as it is, so only the walk
-            # can check it; for any other map orbit_sizes is the walk, memoized
-            sizes = (decompose if len(declared) == 1 else orbit_sizes)(key, n)
-            if not admissible(key, n, sizes):
-                failures.append(f"{key} orbit sizes on S_{n}: {sorted(sizes)}, declared {sorted(declared)}")
+            # orbit_sizes reads the declaration, so only the walk can check it
+            try:
+                walked = decompose(key, n)
+            except PermsieveError as exc:
+                failures.append(f"orbit walk failed: {exc}")
+                continue
+            if walked != (declared := desc.sizes(n)):
+                failures.append(f"{key} orbit structure on S_{n}: {orbit_signature(walked)}, "
+                                f"declared {orbit_signature(declared)}")
     for p in _s_n(7):
         if fz_decode(fz_encode(p)) != p:
             failures.append(f"fz round trip fails at {p}")

@@ -3,15 +3,15 @@
 Every map is a pure function from a permutation tuple to a permutation tuple
 of the same size, wrapped in a :class:`MapDescriptor` with a stable key, the
 FindStat identifier where one exists, and metadata the orbit and scanning
-layers use: the smallest n the map is defined on and the orbit sizes it
-allows on S_n as a function of n (``{1, 2}`` for an involution, a single size
-when every orbit has the same size, as for the fixed-point-free involutions).
+layers use: the smallest n the map is defined on and its orbit structure on
+S_n as a function of n, ``{orbit size: number of orbits}``, fixed by a theorem
+for every registered map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 from typing import Callable, Optional
 
 from ..errors import UsageError
@@ -81,16 +81,13 @@ __all__ = [
 class MapDescriptor:
     """A registered bijection with the metadata used by orbit analysis.
 
-    ``sizes(n)`` contains the size of every orbit of the map on S_n, and
-    every map must give it.  :func:`~permsieve.orbits.admissible` judges a
-    size multiset against it: acceptance criterion 8 so checks it against the
-    decomposition, and a cached orbit record it rejects is recomputed.
-    Conjugation by the long cycle c declares the divisors of n, since c^n is
-    the identity.  When ``sizes(n)`` has a single element s, every orbit has
-    size s, there are n!/s of them, and :func:`~permsieve.orbits.orbit_sizes`
-    returns that without walking S_n; such a map is never walked except by
-    criterion 8, so a map that must be walked declares more than one size.
-    The eleven single-size declarations hold for these reasons:
+    ``sizes(n)`` is the map's orbit structure on S_n, ``{orbit size: number
+    of orbits}`` with no zero count, and every map must give it:
+    :func:`~permsieve.orbits.orbit_sizes` reads it off and never walks S_n.
+    :func:`~permsieve.orbits.decompose` is its oracle, and acceptance
+    criterion 8 compares the two on S_4..S_7.  An involution with F fixed
+    points has the structure ``{1: F, 2: (n! - F)/2}``.  The declarations
+    hold for these reasons:
 
     - p -> p o sigma and p -> sigma o p act freely (p o sigma = p forces sigma
       to be the identity), so every orbit has size ord(sigma).  This covers
@@ -103,12 +100,28 @@ class MapDescriptor:
     - Toric promotion has every orbit of size n - 1 (C. Defant, *Toric
       promotion*, Proc. Amer. Math. Soc. 151 (2023), applied to the path
       graph).
+    - Inverse is an involution whose fixed points are the involutions of S_n,
+      I_n of them, with I_n = I_(n-1) + (n - 1) I_(n-2).
+    - The Corteel map and the invert Laguerre heap map are involutions with
+      2^(n-1) fixed points, and the Alexandersson-Kebede map one with
+      2^(floor(n/2)) (the paper's theorems).
+    - The maximal 3**-midpoint toggle fixes exactly the {321, 312}-avoiding
+      permutations, 2^(n-1) of them (R. Simion and F. W. Schmidt,
+      *Restricted permutations*, European J. Combin. 6 (1985)).  The paper's
+      other two pairing involutions fix 2^(n-1) permutations (the recursive
+      1-2 value swap) and 2^(floor(n/2)) (the out-of-block value pair swap).
+    - Conjugation by the long cycle c: the permutations its d-th power fixes
+      form the centralizer of c^d, which for d dividing n has (n/d)^d d!
+      elements, since c^d is a product of d cycles of length n/d.  As c^n
+      is the identity every orbit size divides n, and Moebius inversion over
+      the divisors of n gives the number of permutations in orbits of each
+      size.
     """
 
     key: str
     name: str
     applier: Callable[[Perm], Perm]
-    sizes: Callable[[int], frozenset[int]]
+    sizes: Callable[[int], dict[int, int]]
     findstat_id: Optional[int] = None
     min_n: int = 1
 
@@ -121,14 +134,42 @@ class MapDescriptor:
             raise UsageError(f"map {self.key} is defined for n >= {self.min_n}, got n={n}")
 
 
-def _involution(n: int) -> frozenset[int]:
-    """Orbit sizes of an involution on S_n: fixed points and 2-cycles."""
-    return frozenset((1, 2))
+def _uniform(size: int, n: int) -> dict[int, int]:
+    """Orbit structure on S_n of a map whose orbits all have ``size`` elements."""
+    return {size: factorial(n) // size}
 
 
-def _fixed_point_free_involution(n: int) -> frozenset[int]:
-    """Orbit sizes of a fixed-point-free involution on S_n: 2-cycles, for n >= 2."""
-    return frozenset((2 if n >= 2 else 1,))
+def _involution(fixed: int, n: int) -> dict[int, int]:
+    """Orbit structure on S_n of an involution with ``fixed`` fixed points."""
+    structure = {1: fixed, 2: (factorial(n) - fixed) // 2}
+    return {size: count for size, count in structure.items() if count}
+
+
+def _fixed_point_free_involution(n: int) -> dict[int, int]:
+    """Orbit structure on S_n of a fixed-point-free involution: 2-cycles, for n >= 2."""
+    return _uniform(2 if n >= 2 else 1, n)
+
+
+def _involution_count(n: int) -> int:
+    """I_n, the number of involutions in S_n: I_n = I_(n-1) + (n - 1) I_(n-2)."""
+    previous, current = 1, 1  # I_0, I_1
+    for k in range(2, n + 1):
+        previous, current = current, current + (k - 1) * previous
+    return current
+
+
+def _long_cycle_conjugation(n: int) -> dict[int, int]:
+    """Orbit structure on S_n of conjugation by the long cycle c.
+
+    In ascending order of the divisors d of n, the permutations in orbits of
+    size exactly d are those the d-th power fixes, (n/d)^d d!, less those in
+    orbits of a size dividing d.
+    """
+    in_orbits_of_size: dict[int, int] = {}
+    for d in [d for d in range(1, n + 1) if n % d == 0]:
+        fixed = (n // d) ** d * factorial(d)
+        in_orbits_of_size[d] = fixed - sum(count for k, count in in_orbits_of_size.items() if d % k == 0)
+    return {d: count // d for d, count in in_orbits_of_size.items() if count}
 
 
 def _descriptors() -> list[MapDescriptor]:
@@ -136,16 +177,16 @@ def _descriptors() -> list[MapDescriptor]:
     return [
         M("reverse", "reverse", reverse, sizes=_fixed_point_free_involution),
         M("complement", "complement", complement, sizes=_fixed_point_free_involution),
-        M("inverse", "inverse", inverse_map, sizes=_involution),
-        M("rotation", "rotation", rotation, findstat_id=179, sizes=lambda n: frozenset((n,))),
+        M("inverse", "inverse", inverse_map, sizes=lambda n: _involution(_involution_count(n), n)),
+        M("rotation", "rotation", rotation, findstat_id=179, sizes=lambda n: _uniform(n, n)),
         M("conj_long_cycle", "conjugation by the long cycle", conjugate_by_long_cycle, findstat_id=265,
-          sizes=lambda n: frozenset(d for d in range(1, n + 1) if n % d == 0)),
+          sizes=_long_cycle_conjugation),
         M(
             "lehmer_code_rotation",
             "Lehmer code rotation",
             lehmer_code_rotation,
             findstat_id=149,
-            sizes=lambda n: frozenset((lcm(*range(1, n + 1)),)),
+            sizes=lambda n: _uniform(lcm(*range(1, n + 1)), n),
         ),
         M(
             "toric_promotion",
@@ -153,14 +194,16 @@ def _descriptors() -> list[MapDescriptor]:
             toric_promotion,
             findstat_id=310,
             min_n=2,
-            sizes=lambda n: frozenset((n - 1 if n >= 2 else 1,)),
+            sizes=lambda n: _uniform(n - 1, n),
         ),
-        M("corteel", "Corteel map", corteel, findstat_id=239, sizes=_involution),
-        M("invert_laguerre_heap", "invert Laguerre heap", invert_laguerre_heap, findstat_id=241, sizes=_involution),
-        M("alexandersson_kebede", "Alexandersson-Kebede map", alexandersson_kebede, sizes=_involution),
-        M("psi_3star", "maximal 3**-midpoint toggle", psi_3star, sizes=_involution),
-        M("psi_32_1", "recursive 1-2 value swap", psi_32_1, sizes=_involution),
-        M("psi_block", "out-of-block value pair swap", psi_block, sizes=_involution),
+        M("corteel", "Corteel map", corteel, findstat_id=239, sizes=lambda n: _involution(2 ** (n - 1), n)),
+        M("invert_laguerre_heap", "invert Laguerre heap", invert_laguerre_heap, findstat_id=241,
+          sizes=lambda n: _involution(2 ** (n - 1), n)),
+        M("alexandersson_kebede", "Alexandersson-Kebede map", alexandersson_kebede,
+          sizes=lambda n: _involution(2 ** (n // 2), n)),
+        M("psi_3star", "maximal 3**-midpoint toggle", psi_3star, sizes=lambda n: _involution(2 ** (n - 1), n)),
+        M("psi_32_1", "recursive 1-2 value swap", psi_32_1, sizes=lambda n: _involution(2 ** (n - 1), n)),
+        M("psi_block", "out-of-block value pair swap", psi_block, sizes=lambda n: _involution(2 ** (n // 2), n)),
         M("swap_last_two", "swap last two positions", swap_last_two, min_n=2,
           sizes=_fixed_point_free_involution),
         M("swap_first_third", "swap positions 1 and 3", swap_first_third, min_n=3,

@@ -1,4 +1,4 @@
-"""On-disk cache of exact integer vectors (generating functions, orbit sizes).
+"""On-disk cache of exact integer vectors (the generating functions of a scan).
 
 One record per (key, n), stored as ``<dir>/<key>_<n>.rec``:
 

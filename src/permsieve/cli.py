@@ -15,11 +15,12 @@ Subcommands::
 
 Exit codes: 0 success, 1 property or verdict failure, 2 usage error.
 
-The scan subcommand keeps a cache of generating-function and orbit-size
-vectors under ``cache/`` (override with ``--cache-dir``); corrupt records are
-silently recomputed.  With ``--workers N`` the worker processes compute only
-the cache misses, so a warm scan starts none.  Every scan setting comes from
-its flag and nowhere else: no file or environment variable is read.
+The scan subcommand keeps a cache of generating-function vectors under
+``cache/`` (override with ``--cache-dir``); corrupt records are silently
+recomputed.  Orbit structures are read off each map's declaration and never
+cached.  With ``--workers N`` the worker processes compute only the cache
+misses, so a warm scan starts none.  Every scan setting comes from its flag
+and nowhere else: no file or environment variable is read.
 
 The verify subcommand runs the selected acceptance criteria in worker
 processes, at most one per CPU, and prints their results in criterion order.

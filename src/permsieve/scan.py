@@ -6,15 +6,15 @@ applicable n are skipped with a reason, and per-pair failures are recorded
 without aborting the scan.  Pairs are then deduplicated by their joint
 (orbit signature, generating function) fingerprint across the range, since
 two maps with the same orbit structure sieve for exactly the same generating
-functions.  Phase 1 loads each distinct generating function and orbit size
-multiset from the cache once and computes only the misses, so a warm scan
-starts no worker process.  Phase 2 folds the S x M verdicts in-process: it
-builds the order, orbit polynomial, fixed-point counts and signature of each
-(map, n) once, folds each generating function once per (statistic, n, order),
-and finds the witness of a failure once per (statistic, n, orbit signature),
-in dicts local to the ``scan`` call.  Reports are deterministic:
-rows are keyed and sorted, and neither the cache nor the worker count can
-change any value.
+functions.  Phase 1 loads each distinct generating function from the cache
+once and computes only the misses, so a warm scan starts no worker process.
+Phase 2 folds the S x M verdicts in-process: it reads the declared orbit
+structure of each (map, n) and builds its order, orbit polynomial,
+fixed-point counts and signature once, folds each generating function once
+per (statistic, n, order), and finds the witness of a failure once per
+(statistic, n, orbit signature), in dicts local to the ``scan`` call.
+Reports are deterministic: rows are keyed and sorted, and neither the cache
+nor the worker count can change any value.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from typing import Optional, Sequence, Union
 from .bijections import get_map, map_keys
 from .cache import RecordCache
 from .errors import PermsieveError, UsageError
-from .orbits import admissible, orbit_sizes
+from .orbits import orbit_sizes
 from .polynomials import IntPolynomial
 from .sieving import OrbitParts, generating_function, orbit_parts, verdict_from_parts
 from .statistics import get_statistic, statistic_keys
 
-Job = tuple[str, str, int]  # ("gf", stat key, n) or ("orbit", map key, n)
-Part = Union[IntPolynomial, dict[int, int], PermsieveError]
+Job = tuple[str, int]  # (stat key, n)
+Part = Union[IntPolynomial, PermsieveError]
 
 MIN_SCAN_N = 1
 MAX_SCAN_N = 8
@@ -101,58 +101,44 @@ def _applicable_ns(stat_key: str, map_key: str, n_min: int, n_max: int) -> list[
 
 def _compute(job: Job) -> Part:
     """One phase-1 job; a :class:`PermsieveError` comes back as the value."""
-    kind, key, n = job
     try:
-        return generating_function(key, n) if kind == "gf" else orbit_sizes(key, n)
+        return generating_function(*job)
     except PermsieveError as exc:
         return exc
 
 
 def _load(cache: RecordCache, job: Job) -> Optional[Part]:
-    """The job's cached value, or None when absent, corrupt or not a value on S_n.
+    """The job's cached generating function, or None when absent, corrupt or not a value on S_n.
 
-    Records are ``gf_<stat>`` (offset and trimmed coefficients summing to n!,
-    none negative, since each counts permutations) and ``orbit_<map>`` (flat
-    size, count pairs, sizes positive and strictly ascending, that
-    :func:`~permsieve.orbits.admissible` accepts: sizes among the map's
-    declared ``sizes(n)``, counts positive, size times count summing to n!).
-    A record that passes its checksum but breaks this is recomputed, never
-    trusted.
+    A ``gf_<stat>`` record holds the offset and the trimmed coefficients,
+    which sum to n! and are none of them negative, since each counts
+    permutations.  A record that passes its checksum but breaks this is
+    recomputed, never trusted.
     """
-    kind, key, n = job
-    rec = cache.load_vector(f"{kind}_{key}", n)
+    key, n = job
+    rec = cache.load_vector(f"gf_{key}", n)
     if rec is None:
         return None
     offset, values = rec
-    if kind == "gf":
-        if values and values[0] and values[-1] and min(values) >= 0 and sum(values) == factorial(n):
-            return IntPolynomial(values, offset)
-        return None
-    sizes, counts = values[::2], values[1::2]
-    value = dict(zip(sizes, counts))
-    ascending = all(a < b for a, b in zip((0, *sizes), sizes))
-    if len(sizes) == len(counts) and ascending and admissible(key, n, value):
-        return value
+    if values and values[0] and values[-1] and min(values) >= 0 and sum(values) == factorial(n):
+        return IntPolynomial(values, offset)
     return None
 
 
-def _store(cache: RecordCache, job: Job, value: Part) -> None:
-    kind, key, n = job
-    if kind == "gf":
-        cache.store_vector(f"gf_{key}", n, value.offset, value.coeffs)
-    else:
-        flat = tuple(x for size in sorted(value) for x in (size, value[size]))
-        cache.store_vector(f"orbit_{key}", n, 0, flat)
+def _store(cache: RecordCache, job: Job, value: IntPolynomial) -> None:
+    key, n = job
+    cache.store_vector(f"gf_{key}", n, value.offset, value.coeffs)
 
 
 def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> dict[Job, Part]:
-    """Phase 1: each job loaded from the cache once, the misses computed and stored."""
+    """Phase 1: each generating function loaded from the cache once, the misses computed and stored."""
     parts: dict[Job, Part] = {}
     if cache is not None:
         parts = {job: value for job in jobs if (value := _load(cache, job)) is not None}
     # largest n first, so that no long job starts last in the pool
-    misses = sorted((job for job in jobs if job not in parts), key=lambda job: -job[2])
-    if workers > 1 and misses:
+    misses = sorted((job for job in jobs if job not in parts), key=lambda job: -job[1])
+    # one missing part is computed in-process: a pool of one would only add a fork
+    if workers > 1 and len(misses) > 1:
         # fork starts every worker at the first submit, so start no idle one
         with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
             computed = list(pool.map(_compute, misses))
@@ -176,10 +162,11 @@ def _pair_outcome(
 ) -> tuple[list[ScanRow], PairVerdict]:
     """Phase 2 for one pair: its rows up to any failed evaluation, and its verdict.
 
-    ``orbits`` holds the parts of each (map, n); ``residues`` collects each
-    generating function folded once per (statistic, n, order), and
-    ``witnesses`` the separating roots once per (statistic, n, orbit
-    signature), since both residues of a verdict depend on nothing else.
+    ``parts`` holds each generating function and ``orbits`` the parts of each
+    (map, n); ``residues`` collects each generating function folded once per
+    (statistic, n, order), and ``witnesses`` the separating roots once per
+    (statistic, n, orbit signature), since both residues of a verdict depend
+    on nothing else.
     """
     pair = f"{stat_key}|{map_key}"
     if not ns:
@@ -189,12 +176,10 @@ def _pair_outcome(
     failing_n = None
     witness = None
     for n in ns:
-        f = parts["gf", stat_key, n]
-        sizes = parts["orbit", map_key, n]
-        error = next((x for x in (f, sizes) if isinstance(x, PermsieveError)), None)
-        if error is not None:
+        f = parts[stat_key, n]
+        if isinstance(f, PermsieveError):
             return rows, PairVerdict(pair, stat_key, map_key, "skipped", tuple(ns),
-                                     reason=f"evaluation failed at n={n}: {error}")
+                                     reason=f"evaluation failed at n={n}: {f}")
         orbit = orbits[map_key, n]
         residue_f = residues.get((stat_key, n, orbit.order))
         if residue_f is None:
@@ -224,22 +209,19 @@ def scan(
 
     The default range 4..6 keeps false negatives rare (several statistics are
     degenerate on tiny permutations) while staying fast; wider ranges are
-    opt-in up to n = 8.  Only the parts missing from ``cache`` are computed,
-    by ``workers`` processes when there are more than one, so a warm scan
-    starts no worker.  The report is byte-for-byte independent of the cache
-    and of the worker count.
+    opt-in up to n = 8.  Only the generating functions missing from ``cache``
+    are computed, by ``workers`` processes when more than one is missing, so
+    a warm scan starts no worker.  The report is byte-for-byte independent of
+    the cache and of the worker count.
     """
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
         raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
     stat_list = tuple(sorted({get_statistic(s).key for s in (stats or statistic_keys())}))
     map_list = tuple(sorted({get_map(m).key for m in (maps or map_keys())}))
     pairs = [(s, m, _applicable_ns(s, m, n_min, n_max)) for s in stat_list for m in map_list]
-    jobs = dict.fromkeys(
-        job for s, m, ns in pairs for n in ns for job in (("gf", s, n), ("orbit", m, n))
-    )
-    parts = _parts(list(jobs), workers, cache)
-    orbits = {(key, n): orbit_parts(value) for (kind, key, n), value in parts.items()
-              if kind == "orbit" and not isinstance(value, PermsieveError)}
+    parts = _parts(list(dict.fromkeys((s, n) for s, _, ns in pairs for n in ns)), workers, cache)
+    orbits = {(m, n): orbit_parts(orbit_sizes(m, n))
+              for m, n in dict.fromkeys((m, n) for _, m, ns in pairs for n in ns)}
     residues: dict[tuple[str, int, int], IntPolynomial] = {}
     witnesses: dict[tuple[str, int, str], tuple[int, ...]] = {}
     rows: list[ScanRow] = []

@@ -6,6 +6,7 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or via
 
 import multiprocessing
 from importlib import import_module
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -62,22 +63,41 @@ def test_criterion_08_structural_properties():
 
 
 def test_criterion_08_rejects_a_wrong_orbit_size_declaration(monkeypatch):
-    """Rotation declared an involution, or declared the single size n - 1, fails on its orbit sizes.
+    """Rotation declared with n fixed points, or with orbits of size n - 1, fails on its orbit structure.
 
-    A single declared size is what ``orbit_sizes`` returns, so the second case
-    fails only when criterion 8 walks S_n."""
+    Each declaration covers the n! permutations, and the first names rotation's
+    own orbit size n, so only the exact structure of the walk rejects it."""
     from permsieve.bijections import MAPS, MapDescriptor, rotation
 
-    key = "rotation_declared_involution"
-    monkeypatch.setitem(MAPS, key, MapDescriptor(key, key, rotation, sizes=lambda n: frozenset((1, 2))))
+    key = "rotation_declared_n_fixed_points"
+    monkeypatch.setitem(MAPS, key, MapDescriptor(key, key, rotation,
+                                                 sizes=lambda n: {1: n, n: factorial(n - 1) - 1}))
     single = "rotation_declared_n_minus_1"
-    monkeypatch.setitem(MAPS, single, MapDescriptor(single, single, rotation, sizes=lambda n: frozenset((n - 1,))))
+    monkeypatch.setitem(MAPS, single, MapDescriptor(single, single, rotation,
+                                                    sizes=lambda n: {n - 1: factorial(n) // (n - 1)}))
     result = acceptance.criterion_8()
     assert not result.passed
     assert result.details == [
-        f"{key} orbit sizes on S_{n}: [{n}], declared [1, 2]" for n in range(4, 8)
+        f"{key} orbit structure on S_{n}: {n}^{factorial(n - 1)}, declared 1^{n} {n}^{factorial(n - 1) - 1}"
+        for n in range(4, 8)
     ] + [
-        f"{single} orbit sizes on S_{n}: [{n}], declared [{n - 1}]" for n in range(4, 8)
+        f"{single} orbit structure on S_{n}: {n}^{factorial(n - 1)}, declared {n - 1}^{factorial(n) // (n - 1)}"
+        for n in range(4, 8)
+    ]
+
+
+def test_criterion_08_reports_a_faulty_walk(monkeypatch):
+    """A map with a declared structure whose images leave S_n fails the criterion instead of raising."""
+    from permsieve.bijections import MAPS, MapDescriptor
+
+    key = "shift_down"
+    monkeypatch.setitem(MAPS, key, MapDescriptor(key, "leaves [n]", lambda p: tuple(v - 1 for v in p),
+                                                 sizes=lambda n: {2: factorial(n) // 2}))
+    result = acceptance.criterion_8()
+    assert not result.passed
+    assert result.details == [
+        f"orbit walk failed: shift_down maps into {tuple(range(n))!r}, which is not in S_{n}"
+        for n in range(4, 8)
     ]
 
 

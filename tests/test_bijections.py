@@ -1,6 +1,7 @@
 """Registered maps: worked examples, bijectivity, involutions, orbit orders."""
 
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -218,7 +219,7 @@ class TestRegistry:
 
     def test_declared_involutions_square_to_identity_s5(self):
         for key, desc in MAPS.items():
-            if desc.sizes is not None and desc.sizes(5) <= {1, 2}:
+            if desc.sizes(5).keys() <= {1, 2}:
                 for p in S(5):
                     assert desc(desc(p)) == p, key
 
@@ -227,7 +228,7 @@ class TestRegistry:
 
         for key, desc in MAPS.items():
             if desc.min_n <= 5:
-                assert set(decompose(key, 5)) <= desc.sizes(5), key
+                assert decompose(key, 5) == desc.sizes(5), key
 
     def test_instance_families_match_declared_sizes(self):
         """Each catalog family's maps declare the orbit structure the family is named for."""
@@ -237,10 +238,11 @@ class TestRegistry:
             return {mp: MAPS[mp].sizes(n) for _, maps, _ in INSTANCE_FAMILIES[family] for mp in maps}
 
         for n in range(4, MAX_SCAN_N + 1):
-            for family in ("involutions with 2^(n-1) fixed points",
-                           "involutions with 2^(floor(n/2)) fixed points"):
-                assert all(sizes <= {1, 2} for sizes in declared(family, n).values()), (family, n)
-            assert all(sizes == {2} for sizes in
+            for family, fixed in (("involutions with 2^(n-1) fixed points", 2 ** (n - 1)),
+                                  ("involutions with 2^(floor(n/2)) fixed points", 2 ** (n // 2))):
+                assert all(sizes.keys() == {1, 2} and sizes[1] == fixed
+                           for sizes in declared(family, n).values()), (family, n)
+            assert all(sizes.keys() == {2} for sizes in
                        declared("involutions without fixed points", n).values()), n
             assert all(len(sizes) == 1 for sizes in
                        declared("maps with constant orbit size", n).values()), n
@@ -248,7 +250,7 @@ class TestRegistry:
     def test_get_map_returns_a_descriptor_as_it_is(self):
         registered = get_map("reverse")
         unregistered = MapDescriptor("unregistered", "not in the registry", lambda p: p,
-                                     sizes=lambda n: frozenset((1,)))
+                                     sizes=lambda n: {1: factorial(n)})
         assert get_map(registered) is registered
         assert get_map(unregistered) is unregistered
 

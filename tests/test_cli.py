@@ -176,7 +176,9 @@ class TestScanCommand:
     def test_cold_warm_identical(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
         _, cold, _ = run(capsys, *self.ARGS, "--cache-dir", cache)
-        assert (tmp_path / "c").exists()
+        # only generating functions are cached: orbit structures are declared
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
+            f"gf_{stat}_4.rec" for stat in ("st018", "st021", "st039")]
         _, warm, _ = run(capsys, *self.ARGS, "--cache-dir", cache)
         assert cold == warm
 
@@ -190,8 +192,6 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("record", [
         ("gf_st021", 4, 0, (0, 1)),  # not trimmed
-        ("orbit_reverse", 4, 0, (2, 5)),  # 2 x 5 = 10 permutations, not 4! = 24
-        ("orbit_reverse", 4, 0, (1, 24)),  # 24 fixed points; reverse declares only 2-orbits
         ("gf_st021", 4, 0, (25, -1)),  # sums to 4!, but a coefficient counts permutations
     ])
     def test_record_not_describing_s_n_recomputed(self, capsys, tmp_path, record):
@@ -205,14 +205,17 @@ class TestScanCommand:
         key, n, *_ = record
         assert cache.load_vector(key, n) == RecordCache(tmp_path / "clean").load_vector(key, n)
 
-    def test_orbit_record_outside_the_divisors_of_n_recomputed(self, capsys, tmp_path):
-        """Conjugation by the long cycle has orbit sizes dividing n, so a record of
-        eight 3-orbits on S_4 (3 x 8 = 4!, checksum valid) is recomputed."""
-        RecordCache(tmp_path / "c").store_vector("orbit_conj_long_cycle", 4, 0, (3, 8))
-        code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4", "--stats", "st021",
-                             "--maps", "conj_long_cycle", "--cache-dir", str(tmp_path / "c"))
-        assert (code, err) == (0, "")
-        assert [row["signature"] for row in json.loads(out)["rows"]] == ["1^4 2^2 4^4"]
+    def test_stale_orbit_record_is_never_read(self, capsys, tmp_path, monkeypatch):
+        """An orbit record left by an older scan is ignored, even one that is wrong
+        but looks like a structure of corteel: 10 fixed points and 7 2-orbits cover 4!."""
+        _, clean, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "clean"))
+        RecordCache(tmp_path / "c").store_vector("orbit_corteel", 4, 0, (1, 10, 2, 7))
+        keys = []
+        load_vector = RecordCache.load_vector
+        monkeypatch.setattr(RecordCache, "load_vector",
+                            lambda cache, key, n: keys.append(key) or load_vector(cache, key, n))
+        assert run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "c")) == (0, clean, "")
+        assert keys and not [key for key in keys if key.startswith("orbit_")]
 
     def test_csv_and_md_views(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
@@ -240,10 +243,7 @@ class TestScanCommand:
         _, cold, _ = run(capsys, *args)
         cold_loads, loads[:] = list(loads), []
         _, warm, _ = run(capsys, *args)
-        records = {(f"{kind}_{key}", n) for n in (4, 5)
-                   for kind, keys in (("gf", ("st018", "st021", "st039")),
-                                      ("orbit", ("reverse", "corteel")))
-                   for key in keys}
+        records = {(f"gf_{stat}", n) for n in (4, 5) for stat in ("st018", "st021", "st039")}
         assert sorted(cold_loads) == sorted(records)
         assert sorted(loads) == sorted(records)
         assert cold == warm

@@ -7,7 +7,7 @@ import pytest
 
 from permsieve.bijections import MapDescriptor, get_map, map_keys
 from permsieve.errors import NotABijection
-from permsieve.orbits import admissible, decompose, fixed_counts, orbit_signature, orbit_sizes
+from permsieve.orbits import decompose, fixed_counts, orbit_signature, orbit_sizes
 from permsieve.permutations import perm_rank, perm_unrank
 
 
@@ -58,7 +58,7 @@ class TestDecompose:
 
     def test_not_a_bijection_detected(self):
         def involution(n):
-            return frozenset((1, 2))
+            return {1: 2 ** (n - 1), 2: (factorial(n) - 2 ** (n - 1)) // 2}
 
         collapse = MapDescriptor(
             "collapse", "sorts everything", lambda p: tuple(sorted(p)), sizes=involution
@@ -90,15 +90,11 @@ class TestDecompose:
         orbit_sizes("reverse", 4)[2] = 0
         assert orbit_sizes("reverse", 4) == {2: 12}
 
-    @pytest.mark.parametrize("sizes, expected", [
-        ({1: 12, 3: 4}, False),
-        ({1: 24, 2: 0}, False),
-        ({1: 10, 2: 6}, False),
-        ({1: 10, 2: 7}, True),
-    ], ids=["undeclared-size", "zero-count", "short-of-n-factorial", "valid"])
-    def test_admissible(self, sizes, expected):
-        """The involution inverse on S_4 declares sizes {1, 2}; its orbits cover 24 permutations."""
-        assert admissible("inverse", 4, sizes) is expected
+    @pytest.mark.parametrize("key", ["inverse", "conj_long_cycle", "corteel", "invert_laguerre_heap",
+                                     "alexandersson_kebede", "psi_3star", "psi_32_1", "psi_block"])
+    def test_declared_structure_matches_the_walk_at_n8(self, key):
+        """The structures declared with more than one orbit size, one n past criterion 8's range."""
+        assert orbit_sizes(key, 8) == decompose(key, 8)
 
 
 class TestFixedCounts:

@@ -21,9 +21,9 @@ rec = Recorder("guard")
 install(rec)
 from permsieve import orbits
 from permsieve.scan import KNOWN_INSTANCES as known
-for _ in range(2):
-    orbits.orbit_sizes("inverse", 4)
-orbits.orbit_sizes("reverse", 4)  # a single declared size: read off, never walked
+orbits.decompose("inverse", 4)
+for key in ("inverse", "reverse"):  # declared structures: read off, never walked
+    orbits.orbit_sizes(key, 4)
 print(json.dumps({
     "orbit_spans": [detail for name, detail, *_ in rec.spans if name == "orbits"],
     "apply_calls": rec.counts["bijections.apply_calls"],
