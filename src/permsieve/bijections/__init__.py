@@ -196,14 +196,18 @@ def _descriptors() -> list[MapDescriptor]:
             min_n=2,
             sizes=lambda n: _uniform(n - 1, n),
         ),
-        M("corteel", "Corteel map", corteel, findstat_id=239, sizes=lambda n: _involution(2 ** (n - 1), n)),
+        M("corteel", "Corteel map", corteel, findstat_id=239,
+          sizes=lambda n: _involution(2 ** (n - 1), n)),
         M("invert_laguerre_heap", "invert Laguerre heap", invert_laguerre_heap, findstat_id=241,
           sizes=lambda n: _involution(2 ** (n - 1), n)),
         M("alexandersson_kebede", "Alexandersson-Kebede map", alexandersson_kebede,
           sizes=lambda n: _involution(2 ** (n // 2), n)),
-        M("psi_3star", "maximal 3**-midpoint toggle", psi_3star, sizes=lambda n: _involution(2 ** (n - 1), n)),
-        M("psi_32_1", "recursive 1-2 value swap", psi_32_1, sizes=lambda n: _involution(2 ** (n - 1), n)),
-        M("psi_block", "out-of-block value pair swap", psi_block, sizes=lambda n: _involution(2 ** (n // 2), n)),
+        M("psi_3star", "maximal 3**-midpoint toggle", psi_3star,
+          sizes=lambda n: _involution(2 ** (n - 1), n)),
+        M("psi_32_1", "recursive 1-2 value swap", psi_32_1,
+          sizes=lambda n: _involution(2 ** (n - 1), n)),
+        M("psi_block", "out-of-block value pair swap", psi_block,
+          sizes=lambda n: _involution(2 ** (n // 2), n)),
         M("swap_last_two", "swap last two positions", swap_last_two, min_n=2,
           sizes=_fixed_point_free_involution),
         M("swap_first_third", "swap positions 1 and 3", swap_first_third, min_n=3,

@@ -81,7 +81,8 @@ def test_criterion_08_rejects_a_wrong_orbit_size_declaration(monkeypatch):
         f"{key} orbit structure on S_{n}: {n}^{factorial(n - 1)}, declared 1^{n} {n}^{factorial(n - 1) - 1}"
         for n in range(4, 8)
     ] + [
-        f"{single} orbit structure on S_{n}: {n}^{factorial(n - 1)}, declared {n - 1}^{factorial(n) // (n - 1)}"
+        f"{single} orbit structure on S_{n}: {n}^{factorial(n - 1)}, "
+        f"declared {n - 1}^{factorial(n) // (n - 1)}"
         for n in range(4, 8)
     ]
 
