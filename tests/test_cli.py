@@ -192,6 +192,8 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("record", [
         ("gf_st021", 4, 0, (0, 1)),  # not trimmed
+        ("gf_st021", 4, 0, (2, 5)),  # 2 + 5 = 7 permutations, not 4! = 24
+        ("gf_st021", 4, 0, (24, 0)),  # sums to 4!, but not trimmed at the top
         ("gf_st021", 4, 0, (25, -1)),  # sums to 4!, but a coefficient counts permutations
     ])
     def test_record_not_describing_s_n_recomputed(self, capsys, tmp_path, record):
