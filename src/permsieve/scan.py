@@ -2,38 +2,39 @@
 
 A pair is an *apparent* instance when the exact sieving check holds for every
 n in the scanned range on which both members are defined; pairs with no
-applicable n are skipped with a reason, and per-pair failures are recorded
-without aborting the scan.  Pairs are then deduplicated by their joint
+applicable n are skipped with a reason.  A definition that raises aborts the
+scan with its own error.  Pairs are then deduplicated by their joint
 (orbit signature, generating function) fingerprint across the range, since
 two maps with the same orbit structure sieve for exactly the same generating
 functions.  Phase 1 loads each distinct generating function from the cache
 once and computes only the misses, so a warm scan starts no worker process.
-Phase 2 folds the S x M verdicts in-process: it reads the declared orbit
-structure of each (map, n) and builds its order, orbit polynomial,
-fixed-point counts and signature once, folds each generating function once
-per (statistic, n, order), and finds the witness of a failure once per
-(statistic, n, orbit signature), in dicts local to the ``scan`` call.
-Reports are deterministic: rows are keyed and sorted, and neither the cache
-nor the worker count can change any value.
+Phase 2 is one loop over the pairs: it reads the declared orbit structure of
+each (map, n) and builds its order, orbit polynomial, fixed-point counts and
+signature once, folds each generating function once per (statistic, n,
+order), and decides each verdict, witness included, once per (statistic, n,
+orbit signature), in dicts local to the ``scan`` call.  Reports are
+deterministic: the loop emits rows and verdicts in sorted key order, and
+neither the cache nor the worker count can change any value.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby, starmap
 from math import factorial
-from typing import Optional, Sequence, Union
+from operator import attrgetter
+from typing import Optional, Sequence
 
 from .bijections import get_map, map_keys
 from .cache import RecordCache
-from .errors import PermsieveError, UsageError
+from .errors import UsageError
 from .orbits import orbit_sizes
 from .polynomials import IntPolynomial
-from .sieving import OrbitParts, generating_function, orbit_parts, verdict_from_parts
+from .sieving import CspVerdict, generating_function, orbit_parts, verdict_from_parts
 from .statistics import get_statistic, statistic_keys
 
 Job = tuple[str, int]  # (stat key, n)
-Part = Union[IntPolynomial, PermsieveError]
 
 MIN_SCAN_N = 1
 MAX_SCAN_N = 8
@@ -99,15 +100,7 @@ def _applicable_ns(stat_key: str, map_key: str, n_min: int, n_max: int) -> list[
     return list(range(lo, n_max + 1))
 
 
-def _compute(job: Job) -> Part:
-    """One phase-1 job; a :class:`PermsieveError` comes back as the value."""
-    try:
-        return generating_function(*job)
-    except PermsieveError as exc:
-        return exc
-
-
-def _load(cache: RecordCache, job: Job) -> Optional[Part]:
+def _load(cache: RecordCache, job: Job) -> Optional[IntPolynomial]:
     """The job's cached generating function, or None when absent, corrupt or not a value on S_n.
 
     A ``gf_<stat>`` record holds the offset and the trimmed coefficients,
@@ -125,14 +118,9 @@ def _load(cache: RecordCache, job: Job) -> Optional[Part]:
     return None
 
 
-def _store(cache: RecordCache, job: Job, value: IntPolynomial) -> None:
-    key, n = job
-    cache.store_vector(f"gf_{key}", n, value.offset, value.coeffs)
-
-
-def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> dict[Job, Part]:
+def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> dict[Job, IntPolynomial]:
     """Phase 1: each generating function loaded from the cache once, the misses computed and stored."""
-    parts: dict[Job, Part] = {}
+    parts: dict[Job, IntPolynomial] = {}
     if cache is not None:
         parts = {job: value for job in jobs if (value := _load(cache, job)) is not None}
     # largest n first, so that no long job starts last in the pool
@@ -141,60 +129,14 @@ def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> d
     if workers > 1 and len(misses) > 1:
         # fork starts every worker at the first submit, so start no idle one
         with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
-            computed = list(pool.map(_compute, misses))
+            computed = list(pool.map(generating_function, *zip(*misses)))
     else:
-        computed = map(_compute, misses)
-    for job, value in zip(misses, computed):
-        parts[job] = value
-        if cache is not None and not isinstance(value, PermsieveError):
-            _store(cache, job, value)
+        computed = starmap(generating_function, misses)
+    for (key, n), value in zip(misses, computed):
+        parts[key, n] = value
+        if cache is not None:
+            cache.store_vector(f"gf_{key}", n, value.offset, value.coeffs)
     return parts
-
-
-def _pair_outcome(
-    stat_key: str,
-    map_key: str,
-    ns: list[int],
-    parts: dict[Job, Part],
-    orbits: dict[tuple[str, int], OrbitParts],
-    residues: dict[tuple[str, int, int], IntPolynomial],
-    witnesses: dict[tuple[str, int, str], tuple[int, ...]],
-) -> tuple[list[ScanRow], PairVerdict]:
-    """Phase 2 for one pair: its rows up to any failed evaluation, and its verdict.
-
-    ``parts`` holds each generating function and ``orbits`` the parts of each
-    (map, n); ``residues`` collects each generating function folded once per
-    (statistic, n, order), and ``witnesses`` the separating roots once per
-    (statistic, n, orbit signature), since both residues of a verdict depend
-    on nothing else.
-    """
-    pair = f"{stat_key}|{map_key}"
-    if not ns:
-        return [], PairVerdict(pair, stat_key, map_key, "skipped", (),
-                               reason="undefined on the whole range")
-    rows = []
-    failing_n = None
-    witness = None
-    for n in ns:
-        f = parts[stat_key, n]
-        if isinstance(f, PermsieveError):
-            return rows, PairVerdict(pair, stat_key, map_key, "skipped", tuple(ns),
-                                     reason=f"evaluation failed at n={n}: {f}")
-        orbit = orbits[map_key, n]
-        residue_f = residues.get((stat_key, n, orbit.order))
-        if residue_f is None:
-            residue_f = residues[stat_key, n, orbit.order] = f.fold(orbit.order)
-        v = verdict_from_parts(stat_key, map_key, n, residue_f, f.min_exponent, orbit)
-        rows.append(ScanRow(pair, stat_key, map_key, n, v.holds, v.fixed,
-                            orbit.signature, f.offset, f.coeffs))
-        if not v.holds and failing_n is None:
-            failing_n = n
-            found = witnesses.get((stat_key, n, orbit.signature))
-            if found is None:
-                found = witnesses[stat_key, n, orbit.signature] = v.witnesses
-            witness = found[0] if found else None
-    status = "apparent" if failing_n is None else "fail"
-    return rows, PairVerdict(pair, stat_key, map_key, status, tuple(ns), failing_n, witness)
 
 
 def scan(
@@ -211,8 +153,11 @@ def scan(
     degenerate on tiny permutations) while staying fast; wider ranges are
     opt-in up to n = 8.  Only the generating functions missing from ``cache``
     are computed, by ``workers`` processes when more than one is missing, so
-    a warm scan starts no worker.  The report is byte-for-byte independent of
-    the cache and of the worker count.
+    a warm scan starts no worker; a definition that raises aborts the scan.
+    A verdict depends on the map only through its orbit structure, so each
+    is decided once per (statistic, n, orbit signature).  The report is
+    byte-for-byte independent of the cache, the worker count and the order
+    of ``stats`` and ``maps``.
     """
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
         raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
@@ -222,38 +167,46 @@ def scan(
     parts = _parts(list(dict.fromkeys((s, n) for s, _, ns in pairs for n in ns)), workers, cache)
     orbits = {(m, n): orbit_parts(orbit_sizes(m, n))
               for m, n in dict.fromkeys((m, n) for _, m, ns in pairs for n in ns)}
-    residues: dict[tuple[str, int, int], IntPolynomial] = {}
-    witnesses: dict[tuple[str, int, str], tuple[int, ...]] = {}
+    residues: dict[tuple[str, int, int], IntPolynomial] = {}  # (stat, n, order)
+    decided: dict[tuple[str, int, str], CspVerdict] = {}  # (stat, n, signature): shared by its maps
     rows: list[ScanRow] = []
     verdicts: list[PairVerdict] = []
     for s, m, ns in pairs:
-        pair_rows, verdict = _pair_outcome(s, m, ns, parts, orbits, residues, witnesses)
-        rows += pair_rows
-        verdicts.append(verdict)
-    rows.sort(key=lambda r: (r.stat_key, r.map_key, r.n))
-    verdicts.sort(key=lambda v: (v.stat_key, v.map_key))
+        pair = f"{s}|{m}"
+        if not ns:
+            verdicts.append(PairVerdict(pair, s, m, "skipped", (), reason="undefined on the whole range"))
+            continue
+        failing_n = witness = None
+        for n in ns:
+            f, orbit = parts[s, n], orbits[m, n]
+            v = decided.get((s, n, orbit.signature))
+            if v is None:
+                residue_f = residues.get((s, n, orbit.order))
+                if residue_f is None:
+                    residue_f = residues[s, n, orbit.order] = f.fold(orbit.order)
+                v = decided[s, n, orbit.signature] = verdict_from_parts(
+                    s, m, n, residue_f, f.min_exponent, orbit)
+            rows.append(ScanRow(pair, s, m, n, v.holds, v.fixed, orbit.signature, f.offset, f.coeffs))
+            if not v.holds and failing_n is None:
+                # unequal residues of degree below the order differ at some root
+                failing_n, witness = n, v.witnesses[0]
+        status = "apparent" if failing_n is None else "fail"
+        verdicts.append(PairVerdict(pair, s, m, status, tuple(ns), failing_n, witness))
     report = ScanReport(n_min, n_max, stat_list, map_list, tuple(rows), tuple(verdicts))
     return replace(report, classes=dedupe(report))
 
 
 def dedupe(report: ScanReport) -> tuple[DedupClass, ...]:
-    """Group non-skipped pairs by joint (orbit signature, gf vector) fingerprint."""
-    by_pair_rows: dict[str, list[ScanRow]] = {}
-    for row in report.rows:
-        by_pair_rows.setdefault(row.pair, []).append(row)
+    """Group the pairs with rows, adjacent in (statistic, map, n) order, by (signature, gf) fingerprint."""
     status = {v.pair: v.status for v in report.verdicts}
     classes: dict[tuple, list[str]] = {}
-    for pair, rows in by_pair_rows.items():
-        if status.get(pair) == "skipped":
-            continue
-        rows = sorted(rows, key=lambda r: r.n)
-        sig_key = tuple(r.signature for r in rows)
-        gf_key = tuple((r.gf_offset, r.gf_coeffs) for r in rows)
-        classes.setdefault((tuple(r.n for r in rows), sig_key, gf_key), []).append(pair)
+    for pair, rows in groupby(report.rows, key=attrgetter("pair")):
+        key = tuple((r.n, r.signature, r.gf_offset, r.gf_coeffs) for r in rows)
+        classes.setdefault(key, []).append(pair)
     out = []
-    for (_, sig_key, _), members in classes.items():
+    for key, members in classes.items():
         members = tuple(sorted(members))
-        out.append(DedupClass(members, status[members[0]] == "apparent", sig_key))
+        out.append(DedupClass(members, status[members[0]] == "apparent", tuple(sig for _, sig, _, _ in key)))
     out.sort(key=lambda c: c.members)
     return tuple(out)
 

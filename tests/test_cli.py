@@ -262,6 +262,21 @@ class TestScanCommand:
         code, warm, _ = run(capsys, *args)
         assert code == 0 and warm == cold
 
+    def test_argument_order_does_not_change_report(self, capsys, tmp_path):
+        args = ["scan", "--min-n", "4", "--max-n", "5", "--cache-dir", str(tmp_path / "c")]
+        code, given, _ = run(capsys, *args, "--stats", "st539,st018", "--maps", "rotation,reverse")
+        assert code == 0
+        assert given == run(capsys, *args, "--stats", "st018,st539", "--maps", "reverse,rotation")[1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_raising_definition_fails_loudly(self, capsys, tmp_path, faulty_st018, workers):
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "5", "--stats", "st018",
+                             "--maps", "reverse", "--workers", workers,
+                             "--cache-dir", str(tmp_path / "c"), "--output", str(out_file))
+        assert (code, out, err) == (2, "", f"error: {faulty_st018}\n")
+        assert not out_file.exists()
+
     def test_output_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, out, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "c"),

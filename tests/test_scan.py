@@ -1,10 +1,12 @@
 """The pair scanner: classification, dedup, determinism; two conjecture observations."""
 
+from functools import cached_property
 from importlib import import_module
 from itertools import permutations
 
 import pytest
 
+from permsieve.errors import ParityViolation
 from permsieve.scan import (
     KNOWN_INSTANCES,
     dedupe,
@@ -73,17 +75,47 @@ class TestScan:
         scan(4, 5, stats=["st018", "st021", "st039"], maps=["reverse", "corteel"])
         assert len(built) == 4  # 2 maps x 2 n, shared by the 3 statistics
 
+    def test_each_verdict_decided_once_per_statistic_n_and_signature(self, monkeypatch):
+        """reverse, complement and swap_first_two have signature 2^12 on S_4, rotation 4^6."""
+        module = import_module("permsieve.scan")
+        decided = []
+        verdict_from_parts = module.verdict_from_parts
+        monkeypatch.setattr(module, "verdict_from_parts",
+                            lambda *args: decided.append(args[:3]) or verdict_from_parts(*args))
+        report = scan(4, 4, stats=["st018", "st539"],
+                      maps=["reverse", "complement", "swap_first_two", "rotation"])
+        assert len(report.rows) == 8
+        assert {(r.stat_key, r.signature) for r in report.rows} == {
+            (s, sig) for s in ("st018", "st539") for sig in ("2^12", "4^6")}
+        assert len(decided) == 4
+
     def test_witnesses_found_once_per_statistic_n_and_signature(self, monkeypatch):
         """reverse, complement and swap_first_two all have signature 2^12 on S_4."""
         from permsieve.sieving import CspVerdict
 
         found = []
         witnesses = CspVerdict.__dict__["witnesses"]
-        monkeypatch.setattr(CspVerdict, "witnesses",
-                            property(lambda v: found.append(v.map_key) or witnesses.func(v)))
+        # a cached property like the original, so that a verdict read twice computes once
+        spy = cached_property(lambda v: found.append(v.map_key) or witnesses.func(v))
+        spy.__set_name__(CspVerdict, "witnesses")
+        monkeypatch.setattr(CspVerdict, "witnesses", spy)
         report = scan(4, 4, stats=["st539"], maps=["reverse", "complement", "swap_first_two"])
         assert [(v.status, v.failing_n, v.witness_d) for v in report.verdicts] == [("fail", 4, 1)] * 3
         assert len(found) == 1
+
+    def test_argument_order_does_not_change_report(self):
+        report = scan(4, 5, stats=[*reversed(SMALL_STATS), "st018"],
+                      maps=[*reversed(SMALL_MAPS), "rotation"])
+        assert report == scan(4, 5, stats=sorted(SMALL_STATS), maps=sorted(SMALL_MAPS))
+        assert list(report.rows) == sorted(report.rows, key=lambda r: (r.stat_key, r.map_key, r.n))
+        assert list(report.verdicts) == sorted(report.verdicts, key=lambda v: (v.stat_key, v.map_key))
+        assert dedupe(report) == report.classes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_definition_fails_the_scan(self, faulty_st018, pool_sizes, workers):
+        with pytest.raises(ParityViolation, match=faulty_st018):
+            scan(4, 5, stats=["st018"], maps=["reverse"], workers=workers)
+        assert pool_sizes == ([2] if workers == 2 else [])
 
     def test_worker_count_does_not_change_report(self, small_report):
         parallel = scan(4, 5, stats=SMALL_STATS, maps=SMALL_MAPS, workers=2)
