@@ -19,7 +19,6 @@ neither the cache nor the worker count can change any value.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import groupby, starmap
 from math import factorial
@@ -127,6 +126,9 @@ def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> d
     misses = sorted((job for job in jobs if job not in parts), key=lambda job: -job[1])
     # one missing part is computed in-process: a pool of one would only add a fork
     if workers > 1 and len(misses) > 1:
+        # imported here, so that a one-worker scan never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # fork starts every worker at the first submit, so start no idle one
         with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
             computed = list(pool.map(generating_function, *zip(*misses)))

@@ -4,16 +4,18 @@ Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and the smallest meaningful n the
 scanning layer needs.  A generating function has at most one fast
-definition.  Thirty-one statistics carry a ``gf``: the q-factorial for
+definition.  Thirty-three statistics carry a ``gf``: the q-factorial for
 major index, inversions and comajor index (MacMahon), uniform distributions
 for the fixed entries and Lehmer-code entries, the forms for cycles (which
 the four partial extrema and, shifted, st541 share), absolute length (shared
 by st316), rank and (registered through it only) the circled entries of the
 shifted recording tableau, the key of an equidistributed statistic for
 crossings, cycle descents, both admissible-inversion counts, st1687, maj
-plus imaj and maj minus imaj, and ``blocks_gf`` for descents or
-inversions inside disjoint position blocks.  Thirty carry a transfer-matrix
-step instead, and five enumerate S_n.
+plus imaj and maj minus imaj, ``blocks_gf`` for descents or inversions
+inside disjoint position blocks, the layer sizes of st1076's breadth-first
+search, and the star-graph formula summed over cycle types for st1077.
+Thirty-two carry a transfer-matrix step instead, and one, st1579, enumerates
+S_n.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class StatDescriptor:
     the sum of the increments along its n steps.  The increment may read only
     ``mask``, ``state``, v, i and n, so it can count the placed (or still
     unplaced) values above or below v but not their positions; the state is
-    kept small, at most the last few values, since permutations that reach the
-    same (mask, state) are counted together.  The evaluator stays the
+    kept small, at most the last few values or a subset of the mask (the values
+    placed at odd positions, for st539 and st677), since permutations that
+    reach the same (mask, state) are counted together.  The evaluator stays the
     definition, and enumerating S_n through it is the step's test oracle, except
     for the eight pattern statistics: pattern evaluators walk their registered
     step (:func:`basic.walk`), and :func:`patterns.pattern_count` defines them.
@@ -217,13 +220,14 @@ def _descriptors() -> list[StatDescriptor]:
           step=basic.inversions_within_distance_step(3)),
         S("st538", "number of even inversions", basic.even_inversions, 538,
           gf=lambda n: blocks_gf(n, [(n + 1) // 2, n // 2], mahonian_gf)),
-        S("st539", "number of odd inversions", basic.odd_inversions, 539),
+        S("st539", "number of odd inversions", basic.odd_inversions, 539, step=basic.odd_inversions_step),
         S("st1726", "number of visible inversions", basic.visible_inversions, 1726,
           step=basic.visible_inversions_step),
         S("st1727", "number of invisible inversions", basic.invisible_inversions, 1727,
           step=basic.invisible_inversions_step),
         # signed and alternating combinations
-        S("st677", "standardized bi-alternating inversion number", basic.bialternating, 677),
+        S("st677", "standardized bi-alternating inversion number", basic.bialternating, 677,
+          step=basic.bialternating_step),
         # Foata and Schuetzenberger (1978): Foata's second fundamental transformation
         # Phi takes maj to inv and keeps the inverse descent set, so
         # st825(p) = st1379(Phi(p)^-1)
@@ -248,8 +252,10 @@ def _descriptors() -> list[StatDescriptor]:
         S("st809", "reduced reflection length", distances.reduced_reflection_length, 809,
           step=lambda m, s, v, i, n: (s, 2 * max(v - i, 0) - above(m, v))),
         S("st1579", "cyclic comparator swaps to sort", distances.cyclic_sort_swaps, 1579),
-        S("st1076", "factorization length over cyclic shifts of (12)", distances.cyclic_shift_factorization_length, 1076),
-        S("st1077", "prefix exchange distance", distances.prefix_exchange_distance, 1077),
+        S("st1076", "factorization length over cyclic shifts of (12)", distances.cyclic_shift_factorization_length, 1076,
+          gf=distances.cyclic_shift_gf),
+        S("st1077", "prefix exchange distance", distances.prefix_exchange_distance, 1077,
+          gf=distances.prefix_exchange_gf),
         # entries and rank
         S("st054", "first entry", entries.first_entry, 54, gf=entry_gf),
         S("st740", "last entry", entries.last_entry, 740, gf=entry_gf),

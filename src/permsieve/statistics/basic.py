@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
+from math import comb
 from typing import Callable
 
 from ..errors import ParityViolation, WidthOutOfRange
@@ -180,6 +181,22 @@ def odd_inversions(p: Perm) -> int:
     )
 
 
+def _above_by_parity(mask: int, odd: int, v: int, i: int) -> tuple[int, int, int]:
+    """For v placed at position i, ``odd`` the placed values at odd positions: the new
+    ``odd``, and the placed values above v at positions of the other and of the same parity."""
+    even = mask & ~odd
+    if i % 2:
+        return odd | 1 << (v - 1), placed_above(even, v), placed_above(odd, v)
+    return odd, placed_above(odd, v), placed_above(even, v)
+
+
+def odd_inversions_step(mask: int, odd: int, v: int, i: int, n: int):
+    """Transfer-matrix step; the state is the set of values placed at odd positions, a
+    subset of the mask, and v pairs with the placed values above it at the other parity."""
+    odd, other, _ = _above_by_parity(mask, odd, v, i)
+    return odd, other
+
+
 def visible_inversions(p: Perm) -> int:
     """Pairs i < j with p_j <= min(i, p_i)."""
     n = len(p)
@@ -235,6 +252,18 @@ def bialternating(p: Perm) -> int:
     if value % 2:
         raise ParityViolation(f"bi-alternating sum {value} is odd for {p}")
     return value // 2
+
+
+def bialternating_step(mask: int, odd: int, v: int, i: int, n: int):
+    """Transfer-matrix step for C(floor(n/2), 2) + odd inversions - even inversions.
+
+    That is the standardized number: a same-parity pair adds +1 to the raw sum
+    unless it is an inversion, an opposite-parity pair -1 unless it is one, and
+    there are floor(n/2) more opposite-parity pairs than same-parity ones.  The
+    state is as in :func:`odd_inversions_step`; the constant is paid at position n.
+    """
+    odd, other, same = _above_by_parity(mask, odd, v, i)
+    return odd, other - same + (comb(n // 2, 2) if i == n else 0)
 
 
 def descent_variant_weighted(p: Perm) -> int:

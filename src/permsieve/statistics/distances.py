@@ -1,17 +1,27 @@
 """Sorting and factorization distances.
 
-The two Cayley-graph statistics are computed by one breadth-first search per
-(generator set, n), from the identity over the whole of S_n, and the distance
-tables are memoized; individual evaluations are then table lookups.
+The factorization length over the cyclic shifts of (12) (st1076) is computed
+by one breadth-first search per n, from the identity over the whole of S_n,
+and the distance table is memoized; evaluations are then table lookups, and
+the generating function is the table's layer sizes.  The search is limited to
+n <= 9.  The prefix exchange distance (st1077) is the star-graph distance of
+Akers, Harel and Krishnamurthy (1987), a formula in the cycle type; the same
+search over the star generators is its test oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
+from math import perm
 
+from ..errors import UsageError
 from ..permutations import Perm, identity
+from ..polynomials import IntPolynomial
 from .basic import inversions
+from .extrema import cycle_count
+
+SEARCH_MAX_N = 9  # S_9 takes about 2 s and 90 MB on a 2-CPU Xeon; S_10 would take ten times both
 
 
 def depth(p: Perm) -> int:
@@ -78,25 +88,62 @@ def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> dict[Per
     return dist
 
 
+def _cyclic_shift_table(n: int) -> dict[Perm, int]:
+    """The memoized distance table over the transpositions (a, a+1 mod n)."""
+    if n > SEARCH_MAX_N:
+        raise UsageError(f"the cyclic-shift factorization length searches all of S_n, "
+                         f"which is limited to n <= {SEARCH_MAX_N}; got n = {n}")
+    gens = tuple((a, a + 1) for a in range(n - 1))
+    if n > 2:
+        gens += ((0, n - 1),)
+    return _distance_table(n, gens)
+
+
 def cyclic_shift_factorization_length(p: Perm) -> int:
-    """Shortest factorization into the transpositions (a, a+1 mod n).
+    """Shortest factorization into the transpositions (a, a+1 mod n), n <= 9.
 
     >>> cyclic_shift_factorization_length((2, 4, 3, 1))
     2
     """
-    n = len(p)
-    gens = tuple((a, a + 1) for a in range(n - 1))
-    if n > 2:
-        gens += ((0, n - 1),)
-    return _distance_table(n, gens)[p]
+    return _cyclic_shift_table(len(p))[p]
+
+
+def cyclic_shift_gf(n: int) -> IntPolynomial:
+    """The generating function of st1076: the sizes of the search's layers."""
+    return IntPolynomial.from_terms(Counter(_cyclic_shift_table(n).values()))
 
 
 def prefix_exchange_distance(p: Perm) -> int:
     """Shortest factorization into the transpositions (1, a), 2 <= a <= n.
 
+    The star-graph distance (Akers, Harel and Krishnamurthy 1987): k + m - 2
+    when p(1) != 1, else k + m, for k the misplaced values and m the cycles of
+    length at least 2, that is m = cycles - (n - k).
+
     >>> prefix_exchange_distance((2, 4, 3, 1))
     2
     """
-    n = len(p)
-    gens = tuple((0, a) for a in range(1, n))
-    return _distance_table(n, gens)[p]
+    misplaced = sum(v != i for i, v in enumerate(p, 1))
+    return 2 * misplaced + cycle_count(p) - len(p) - (2 if p and p[0] != 1 else 0)
+
+
+def prefix_exchange_gf(n: int) -> IntPolynomial:
+    """The generating function of st1077, by the exponential formula over cycle types.
+
+    A cycle of length L >= 2 weighs q^(L+1), or q^(L-1) when it holds 1.  With
+    R_j the sum over S_j of those weights, no cycle holding 1, and the cycle of
+    the least value chosen first in (j-1)!/(j-L)! ways,
+    R_j = R_(j-1) + sum_(L=2..j) (j-1)!/(j-L)! q^(L+1) R_(j-L); the sum for
+    S_n is the same with q^(L-1) and R_0, ..., R_(n-1).
+    """
+
+    def grow(r: list[IntPolynomial], j: int, bonus: int) -> IntPolynomial:
+        out = r[j - 1]
+        for length in range(2, j + 1):
+            out = out + r[j - length].shift(length + bonus) * perm(j - 1, length - 1)
+        return out
+
+    r = [IntPolynomial((1,), 0)]
+    for j in range(1, n):
+        r.append(grow(r, j, 1))
+    return grow(r, n, -1) if n else r[0]

@@ -8,16 +8,20 @@ import pytest
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The ``max_workers`` of every process pool the scan starts, in order."""
-    scan_module = import_module("permsieve.scan")  # the package binds ``scan`` to the function
+    """The ``max_workers`` of every process pool the scan starts, in order.
+
+    The scan imports ``ProcessPoolExecutor`` from ``concurrent.futures`` when it
+    starts a pool, so the spy replaces it there.
+    """
+    futures = import_module("concurrent.futures")
     sizes = []
 
-    class Spy(scan_module.ProcessPoolExecutor):
+    class Spy(futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             sizes.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Spy)
     return sizes
 
 

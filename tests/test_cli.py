@@ -1,7 +1,11 @@
 """Command-line surface: worked examples, exit codes, formats, cache behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "st864" in err
+
+    def test_cyclic_shift_length_beyond_the_search_limit_exits_two(self, capsys):
+        """st1076 refuses a permutation of length 11 before it builds any distance table."""
+        from permsieve.statistics.distances import _distance_table
+
+        built = _distance_table.cache_info().misses
+        code, out, err = run(capsys, "stat", "eval", "st1076", "2,1,3,4,5,6,7,8,9,10,11")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "n <= 9" in err
+        assert _distance_table.cache_info().misses == built
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -257,10 +271,24 @@ class TestScanCommand:
         def no_pool(*_args, **_kwargs):
             raise AssertionError("a warm scan started a worker pool")
 
-        # import_module: the package binds the name ``scan`` to the function
-        monkeypatch.setattr(import_module("permsieve.scan"), "ProcessPoolExecutor", no_pool)
+        # the scan imports the pool from concurrent.futures when it starts one
+        monkeypatch.setattr(import_module("concurrent.futures"), "ProcessPoolExecutor", no_pool)
         code, warm, _ = run(capsys, *args)
         assert code == 0 and warm == cold
+
+    def test_one_worker_scan_loads_no_pool(self, tmp_path):
+        """A fresh interpreter that runs a one-worker scan never imports concurrent.futures."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = ("import sys\n"
+                  "from permsieve.cli import main\n"
+                  f"code = main(['scan', '--min-n', '4', '--max-n', '4', '--cache-dir', {str(tmp_path)!r},"
+                  f" '--output', {str(tmp_path / 'report.json')!r}])\n"
+                  "print(code, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False", "False"]
 
     def test_argument_order_does_not_change_report(self, capsys, tmp_path):
         args = ["scan", "--min-n", "4", "--max-n", "5", "--cache-dir", str(tmp_path / "c")]

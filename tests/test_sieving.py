@@ -116,11 +116,11 @@ def test_transfer_matrix_matches_enumeration(key):
 
 
 def test_enumeration_on_the_hot_path():
-    """Only these five statistics enumerate S_n for their generating function, and
-    st373 keeps its own step: criterion 10 observes st373 ~ st317 without a proof,
-    and a borrowed ``gf`` would compare one definition with itself."""
+    """Only st1579 enumerates S_n for its generating function, and st373 keeps its
+    own step: criterion 10 observes st373 ~ st317 without a proof, and a borrowed
+    ``gf`` would compare one definition with itself."""
     enumerated = {key for key, desc in REGISTRY.items() if desc.gf is None and desc.step is None}
-    assert enumerated == {"st539", "st677", "st1076", "st1077", "st1579"}
+    assert enumerated == {"st1579"}
     assert REGISTRY["st373"].step is not None and REGISTRY["st373"].gf is None
 
 

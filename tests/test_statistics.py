@@ -9,14 +9,19 @@ import pytest
 from permsieve.errors import IndexOutOfRange, ParityViolation, WidthOutOfRange
 from permsieve.permutations import identity, inverse, perm_rank
 from permsieve.polynomials import IntPolynomial
-from permsieve.sieving import equidistribution, generating_function, q_minus_one
+from permsieve.sieving import _enumerated_gf, equidistribution, generating_function, q_minus_one
 from permsieve.statistics import get_statistic, mahonian_gf
 from permsieve.statistics.basic import (
     bialternating,
     bialternating_inversion_raw,
     width_k_descents,
 )
-from permsieve.statistics.distances import _distance_table, depth, reduced_reflection_length
+from permsieve.statistics.distances import (
+    _distance_table,
+    depth,
+    prefix_exchange_distance,
+    reduced_reflection_length,
+)
 from permsieve.statistics.entries import inversions_of_ith_entry, ith_entry
 
 
@@ -360,6 +365,24 @@ class TestSortingDistances:
             for gens in (cyclic, prefix):
                 ranked = reference(n, gens)
                 assert _distance_table(n, gens) == {p: ranked[perm_rank(p)] for p in S(n)}
+
+    def test_1077_formula_against_star_search(self):
+        """Oracle: the breadth-first search over the star generators (1, a)."""
+        for n in range(1, 8):
+            table = _distance_table(n, tuple((0, a) for a in range(1, n)))
+            for p in S(n):
+                assert prefix_exchange_distance(p) == table[p], p
+
+    def test_1077_beyond_the_search_limit(self):
+        assert get_statistic("st1077")((2, 1, *range(3, 13))) == 1
+        assert get_statistic("st1077")((*range(2, 13), 1)) == 12 + 1 - 2  # one 12-cycle through 1
+
+    @pytest.mark.parametrize("key", ["st1076", "st1077"])
+    def test_distance_gfs_against_enumeration(self, key):
+        """The layer sizes of st1076's search and st1077's exponential formula."""
+        desc = get_statistic(key)
+        for n in range(1, 9):
+            assert desc.gf(n) == _enumerated_gf(desc, n), n
 
     def test_depth(self):
         assert depth((2, 4, 3, 1)) == 1 + 2 + 0 + 0
