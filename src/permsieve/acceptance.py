@@ -323,7 +323,9 @@ def criterion_11() -> CriterionResult:
 def criterion_12() -> CriterionResult:
     """Scan determinism: cold vs warm cache, any worker count.
 
-    The two-worker run has a cache of its own, so it really starts a pool.
+    The ``--workers 2`` run has a cache of its own, so it computes every
+    generating function again; the flag changes nothing, and neither may the
+    report.
     """
     from .cli import main as cli_main
 

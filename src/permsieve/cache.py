@@ -8,7 +8,7 @@ One record per (key, n), stored as ``<dir>/<key>_<n>.rec``:
     n       u32 LE
     offset  i64 LE         (lowest exponent for generating functions)
     count   u32 LE
-    digest  32-byte sha256 of the payload
+    digest  32-byte sha256 of every field above it and the payload
     payload count * i64 LE
 
 Loads verify every field and the checksum; anything off raises
@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import CacheCorrupt
 
 MAGIC = b"PSRC"
-VERSION = 1
+VERSION = 2
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
@@ -65,7 +65,6 @@ class RecordCache:
             + struct.pack("<I", n)
             + struct.pack("<q", offset)
             + struct.pack("<I", len(values))
-            + hashlib.sha256(payload).digest()
         )
         path = self._path(key, n)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -74,7 +73,7 @@ class RecordCache:
         fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=self.directory)
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(header + payload)
+                fh.write(header + hashlib.sha256(header + payload).digest() + payload)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -105,7 +104,7 @@ class RecordCache:
             payload = blob[pos + 48 :]
             if stored_key != key or stored_n != n:
                 raise CacheCorrupt("record key mismatch")
-            if len(payload) != 8 * count or hashlib.sha256(payload).digest() != digest:
+            if len(payload) != 8 * count or hashlib.sha256(blob[: pos + 16] + payload).digest() != digest:
                 raise CacheCorrupt("checksum failure")
             values = struct.unpack(f"<{count}q", payload) if count else ()
             return offset, tuple(values)

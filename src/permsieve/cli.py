@@ -18,9 +18,9 @@ Exit codes: 0 success, 1 property or verdict failure, 2 usage error.
 The scan subcommand keeps a cache of generating-function vectors under
 ``cache/`` (override with ``--cache-dir``); corrupt records are silently
 recomputed.  Orbit structures are read off each map's declaration and never
-cached.  With ``--workers N`` the worker processes compute only the cache
-misses, so a warm scan starts none.  Every scan setting comes from its flag
-and nowhere else: no file or environment variable is read.
+cached.  A scan runs in one process: ``--workers N`` is still accepted, and
+rejected below 1, but changes nothing.  Every scan setting comes from its
+flag and nowhere else: no file or environment variable is read.
 
 The verify subcommand runs the selected acceptance criteria in worker
 processes, at most one per CPU, and prints their results in criterion order.
@@ -241,7 +241,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     cache = RecordCache(args.cache_dir)
     stats = args.stats.split(",") if args.stats else None
     maps = args.maps.split(",") if args.maps else None
-    report = scan(args.min_n, args.max_n, stats, maps, workers=args.workers, cache=cache)
+    report = scan(args.min_n, args.max_n, stats, maps, cache=cache)
     _emit(_SCAN_EMITTERS[args.format](report), args.output)
     return 0
 
@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", help="comma-separated statistic keys")
     p.add_argument("--maps", help="comma-separated map keys")
     p.add_argument("--format", choices=sorted(_SCAN_EMITTERS), default="json")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="at least 1; changes nothing, since a scan runs in one process")
     p.add_argument("--cache-dir", default="cache")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_scan)

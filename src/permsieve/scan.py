@@ -7,20 +7,20 @@ scan with its own error.  Pairs are then deduplicated by their joint
 (orbit signature, generating function) fingerprint across the range, since
 two maps with the same orbit structure sieve for exactly the same generating
 functions.  Phase 1 loads each distinct generating function from the cache
-once and computes only the misses, so a warm scan starts no worker process.
+once and computes only the misses, in this process and in job order.
 Phase 2 is one loop over the pairs: it reads the declared orbit structure of
 each (map, n) and builds its order, orbit polynomial, fixed-point counts and
 signature once, folds each generating function once per (statistic, n,
 order), and decides each verdict, witness included, once per (statistic, n,
 orbit signature), in dicts local to the ``scan`` call.  Reports are
 deterministic: the loop emits rows and verdicts in sorted key order, and
-neither the cache nor the worker count can change any value.
+the cache cannot change any value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby, starmap
+from itertools import groupby
 from math import factorial
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -117,27 +117,16 @@ def _load(cache: RecordCache, job: Job) -> Optional[IntPolynomial]:
     return None
 
 
-def _parts(jobs: Sequence[Job], workers: int, cache: Optional[RecordCache]) -> dict[Job, IntPolynomial]:
+def _parts(jobs: Sequence[Job], cache: Optional[RecordCache]) -> dict[Job, IntPolynomial]:
     """Phase 1: each generating function loaded from the cache once, the misses computed and stored."""
     parts: dict[Job, IntPolynomial] = {}
-    if cache is not None:
-        parts = {job: value for job in jobs if (value := _load(cache, job)) is not None}
-    # largest n first, so that no long job starts last in the pool
-    misses = sorted((job for job in jobs if job not in parts), key=lambda job: -job[1])
-    # one missing part is computed in-process: a pool of one would only add a fork
-    if workers > 1 and len(misses) > 1:
-        # imported here, so that a one-worker scan never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork starts every worker at the first submit, so start no idle one
-        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
-            computed = list(pool.map(generating_function, *zip(*misses)))
-    else:
-        computed = starmap(generating_function, misses)
-    for (key, n), value in zip(misses, computed):
+    for key, n in jobs:
+        value = None if cache is None else _load(cache, (key, n))
+        if value is None:
+            value = generating_function(key, n)
+            if cache is not None:
+                cache.store_vector(f"gf_{key}", n, value.offset, value.coeffs)
         parts[key, n] = value
-        if cache is not None:
-            cache.store_vector(f"gf_{key}", n, value.offset, value.coeffs)
     return parts
 
 
@@ -146,7 +135,6 @@ def scan(
     n_max: int = 6,
     stats: Optional[Sequence[str]] = None,
     maps: Optional[Sequence[str]] = None,
-    workers: int = 1,
     cache: Optional[RecordCache] = None,
 ) -> ScanReport:
     """Check every selected (statistic, map) pair on n_min..n_max, once each.
@@ -154,19 +142,17 @@ def scan(
     The default range 4..6 keeps false negatives rare (several statistics are
     degenerate on tiny permutations) while staying fast; wider ranges are
     opt-in up to n = 8.  Only the generating functions missing from ``cache``
-    are computed, by ``workers`` processes when more than one is missing, so
-    a warm scan starts no worker; a definition that raises aborts the scan.
-    A verdict depends on the map only through its orbit structure, so each
-    is decided once per (statistic, n, orbit signature).  The report is
-    byte-for-byte independent of the cache, the worker count and the order
-    of ``stats`` and ``maps``.
+    are computed; a definition that raises aborts the scan.  A verdict
+    depends on the map only through its orbit structure, so each is decided
+    once per (statistic, n, orbit signature).  The report is byte-for-byte
+    independent of the cache and of the order of ``stats`` and ``maps``.
     """
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
         raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
     stat_list = tuple(sorted({get_statistic(s).key for s in (stats or statistic_keys())}))
     map_list = tuple(sorted({get_map(m).key for m in (maps or map_keys())}))
     pairs = [(s, m, _applicable_ns(s, m, n_min, n_max)) for s in stat_list for m in map_list]
-    parts = _parts(list(dict.fromkeys((s, n) for s, _, ns in pairs for n in ns)), workers, cache)
+    parts = _parts(list(dict.fromkeys((s, n) for s, _, ns in pairs for n in ns)), cache)
     orbits = {(m, n): orbit_parts(orbit_sizes(m, n))
               for m, n in dict.fromkeys((m, n) for _, m, ns in pairs for n in ns)}
     residues: dict[tuple[str, int, int], IntPolynomial] = {}  # (stat, n, order)

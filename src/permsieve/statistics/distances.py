@@ -1,12 +1,13 @@
 """Sorting and factorization distances.
 
 The factorization length over the cyclic shifts of (12) (st1076) is computed
-by one breadth-first search per n, from the identity over the whole of S_n,
-and the distance table is memoized; evaluations are then table lookups, and
-the generating function is the table's layer sizes.  The search is limited to
-n <= 9.  The prefix exchange distance (st1077) is the star-graph distance of
-Akers, Harel and Krishnamurthy (1987), a formula in the cycle type; the same
-search over the star generators is its test oracle.
+by a breadth-first search from the identity over the whole of S_n.
+Evaluations look permutations up in a table memoized per n; the generating
+function counts the layers of a search local to its call, so it leaves no
+table of S_n behind.  The search is limited to n <= 9.  The prefix exchange
+distance (st1077) is the star-graph distance of Akers, Harel and
+Krishnamurthy (1987), a formula in the cycle type; the same search over the
+star generators is its test oracle.
 """
 
 from __future__ import annotations
@@ -65,14 +66,12 @@ def _swap_positions(p: Perm, a: int, b: int) -> Perm:
     return tuple(q)
 
 
-@lru_cache(maxsize=None)
 def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> dict[Perm, int]:
     """BFS word lengths from the identity, keyed by permutation.
 
     Generators are position pairs (0-based); multiplying on the right by the
     transposition (a+1, b+1) swaps the entries at positions a and b, so BFS
-    layers enumerate products of k generators.  Memoized and shared, so
-    callers must not mutate the dict.
+    layers enumerate products of k generators.
     """
     start = identity(n)
     dist = {start: 0}
@@ -88,15 +87,19 @@ def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> dict[Per
     return dist
 
 
-def _cyclic_shift_table(n: int) -> dict[Perm, int]:
-    """The memoized distance table over the transpositions (a, a+1 mod n)."""
+def _cyclic_shift_generators(n: int) -> tuple[tuple[int, int], ...]:
+    """The transpositions (a, a+1 mod n); n > SEARCH_MAX_N is refused here, before any search."""
     if n > SEARCH_MAX_N:
         raise UsageError(f"the cyclic-shift factorization length searches all of S_n, "
                          f"which is limited to n <= {SEARCH_MAX_N}; got n = {n}")
     gens = tuple((a, a + 1) for a in range(n - 1))
     if n > 2:
         gens += ((0, n - 1),)
-    return _distance_table(n, gens)
+    return gens
+
+
+_cyclic_shift_table = lru_cache(maxsize=None)(_distance_table)
+"""The evaluator's distance tables, memoized and shared, so callers must not mutate them."""
 
 
 def cyclic_shift_factorization_length(p: Perm) -> int:
@@ -105,12 +108,12 @@ def cyclic_shift_factorization_length(p: Perm) -> int:
     >>> cyclic_shift_factorization_length((2, 4, 3, 1))
     2
     """
-    return _cyclic_shift_table(len(p))[p]
+    return _cyclic_shift_table(len(p), _cyclic_shift_generators(len(p)))[p]
 
 
 def cyclic_shift_gf(n: int) -> IntPolynomial:
-    """The generating function of st1076: the sizes of the search's layers."""
-    return IntPolynomial.from_terms(Counter(_cyclic_shift_table(n).values()))
+    """The generating function of st1076: the layer sizes of a search that no memo keeps."""
+    return IntPolynomial.from_terms(Counter(_distance_table(n, _cyclic_shift_generators(n)).values()))
 
 
 def prefix_exchange_distance(p: Perm) -> int:

@@ -59,6 +59,16 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         assert cache.load_vector("k", 4) is None
 
+    def test_flipped_offset_byte(self, tmp_path):
+        """The checksum covers the header too, so an altered offset is caught."""
+        cache = RecordCache(tmp_path)
+        cache.store_vector("k", 4, 0, (1, 2, 3))
+        path = self._record_path(cache, "k", 4)
+        blob = bytearray(path.read_bytes())
+        blob[8 + len("k") + 4] ^= 0x01  # the low byte of the offset, after magic, version, key and n
+        path.write_bytes(bytes(blob))
+        assert cache.load_vector("k", 4) is None
+
     def test_bad_magic(self, tmp_path):
         cache = RecordCache(tmp_path)
         cache.store_vector("k", 4, 0, (1,))

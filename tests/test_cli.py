@@ -2,9 +2,9 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
-from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -71,13 +71,13 @@ class TestExitCodes:
 
     def test_cyclic_shift_length_beyond_the_search_limit_exits_two(self, capsys):
         """st1076 refuses a permutation of length 11 before it builds any distance table."""
-        from permsieve.statistics.distances import _distance_table
+        from permsieve.statistics.distances import _cyclic_shift_table
 
-        built = _distance_table.cache_info().misses
+        built = _cyclic_shift_table.cache_info().misses
         code, out, err = run(capsys, "stat", "eval", "st1076", "2,1,3,4,5,6,7,8,9,10,11")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "n <= 9" in err
-        assert _distance_table.cache_info().misses == built
+        assert _cyclic_shift_table.cache_info().misses == built
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -204,6 +204,19 @@ class TestScanCommand:
         _, recomputed, _ = run(capsys, *self.ARGS, "--cache-dir", str(cache_dir))
         assert recomputed == cold
 
+    def test_altered_offset_recomputed(self, capsys, tmp_path):
+        """A record whose stored offset is altered fails its checksum, so the rescan gives the cold report."""
+        args = ["scan", "--min-n", "4", "--max-n", "4", "--stats", "st018", "--maps", "reverse",
+                "--cache-dir", str(tmp_path / "c")]
+        _, cold, _ = run(capsys, *args)
+        path = RecordCache(tmp_path / "c")._path("gf_st018", 4)
+        blob = bytearray(path.read_bytes())
+        offset_at = 8 + len("gf_st018") + 4  # magic, version, key length, key, n
+        assert struct.unpack_from("<q", blob, offset_at) == (0,)
+        struct.pack_into("<q", blob, offset_at, 1)
+        path.write_bytes(bytes(blob))
+        assert run(capsys, *args) == (0, cold, "")
+
     @pytest.mark.parametrize("record", [
         ("gf_st021", 4, 0, (0, 1)),  # not trimmed
         ("gf_st021", 4, 0, (2, 5)),  # 2 + 5 = 7 permutations, not 4! = 24
@@ -264,25 +277,14 @@ class TestScanCommand:
         assert sorted(loads) == sorted(records)
         assert cold == warm
 
-    def test_warm_parallel_scan_starts_no_pool(self, capsys, tmp_path, monkeypatch):
-        args = [*self.ARGS, "--cache-dir", str(tmp_path / "c"), "--workers", "2"]
-        _, cold, _ = run(capsys, *args)
-
-        def no_pool(*_args, **_kwargs):
-            raise AssertionError("a warm scan started a worker pool")
-
-        # the scan imports the pool from concurrent.futures when it starts one
-        monkeypatch.setattr(import_module("concurrent.futures"), "ProcessPoolExecutor", no_pool)
-        code, warm, _ = run(capsys, *args)
-        assert code == 0 and warm == cold
-
-    def test_one_worker_scan_loads_no_pool(self, tmp_path):
-        """A fresh interpreter that runs a one-worker scan never imports concurrent.futures."""
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_scan_loads_no_pool(self, tmp_path, workers):
+        """A fresh interpreter that runs a scan, whatever its worker count, never imports concurrent.futures."""
         src = str(Path(cli.__file__).resolve().parents[1])
         script = ("import sys\n"
                   "from permsieve.cli import main\n"
                   f"code = main(['scan', '--min-n', '4', '--max-n', '4', '--cache-dir', {str(tmp_path)!r},"
-                  f" '--output', {str(tmp_path / 'report.json')!r}])\n"
+                  f" '--output', {str(tmp_path / 'report.json')!r}, '--workers', {workers!r}])\n"
                   "print(code, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,

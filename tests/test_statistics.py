@@ -17,7 +17,9 @@ from permsieve.statistics.basic import (
     width_k_descents,
 )
 from permsieve.statistics.distances import (
+    _cyclic_shift_table,
     _distance_table,
+    cyclic_shift_gf,
     depth,
     prefix_exchange_distance,
     reduced_reflection_length,
@@ -383,6 +385,12 @@ class TestSortingDistances:
         desc = get_statistic(key)
         for n in range(1, 9):
             assert desc.gf(n) == _enumerated_gf(desc, n), n
+
+    def test_cyclic_shift_gf_keeps_no_table(self):
+        """Only the evaluator memoizes a table; the generating function's search dies with its call."""
+        _cyclic_shift_table.cache_clear()
+        cyclic_shift_gf(7)
+        assert _cyclic_shift_table.cache_info().currsize == 0
 
     def test_depth(self):
         assert depth((2, 4, 3, 1)) == 1 + 2 + 0 + 0
