@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from permsieve.cache import RecordCache
 from permsieve.errors import ParityViolation
 from permsieve.scan import (
     KNOWN_INSTANCES,
@@ -111,9 +112,15 @@ class TestScan:
         assert list(report.verdicts) == sorted(report.verdicts, key=lambda v: (v.stat_key, v.map_key))
         assert dedupe(report) == report.classes
 
-    def test_raising_definition_fails_the_scan(self, faulty_st018):
-        with pytest.raises(ParityViolation, match=faulty_st018):
-            scan(4, 5, stats=["st018"], maps=["reverse"])
+    @pytest.mark.parametrize("attempts", [1, 2])
+    def test_raising_definition_fails_the_scan(self, faulty_st018, tmp_path, attempts):
+        """Every attempt fails: a repeat reads the part stored before the fault and meets it again."""
+        cache = RecordCache(tmp_path)
+        for _ in range(attempts):
+            with pytest.raises(ParityViolation, match=faulty_st018):
+                scan(4, 5, stats=["st018"], maps=["reverse"], cache=cache)
+        assert cache.load_vector("gf_st018", 4) is not None
+        assert cache.load_vector("gf_st018", 5) is None
 
     @pytest.mark.parametrize("stats, maps, once_stats, once_maps", [
         (["st018", "18"], ["reverse"], ["st018"], ["reverse"]),
