@@ -39,8 +39,7 @@ from .cache import RecordCache
 from .errors import PermsieveError, UsageError
 from .orbits import orbit_sizes
 from .permutations import format_permutation, parse_permutation
-from .polynomials import IntPolynomial
-from .scan import MAX_SCAN_N, ScanReport, scan
+from .scan import MAX_SCAN_N, ScanReport, ScanRow, scan
 from .sieving import csp_check, equidistribution, generating_function, orbit_parts
 from .statistics import get_statistic, statistic_keys
 
@@ -48,11 +47,13 @@ _json_scalar = json.JSONEncoder().encode
 
 
 def _json_text(obj, newline: str) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, nested at the line break ``newline``.
+    """``json.dumps(obj, sort_keys=True, indent=2, default=vars)``, nested at the line break ``newline``.
 
-    Each container is one f-string, so its text is allocated once; a chain of
-    ``+`` would copy the whole body once per operand, and on a scan report of
-    several MB those transient copies raise the peak RSS.
+    A record, a dataclass instance, is written as its fields, ``vars(obj)``,
+    so a report's record types are its schema.  Each container is one
+    f-string, so its text is allocated once; a chain of ``+`` would copy the
+    whole body once per operand, and on a scan report of several MB those
+    transient copies raise the peak RSS.
     """
     inner = newline + "  "
     if isinstance(obj, dict) and obj:
@@ -64,36 +65,20 @@ def _json_text(obj, newline: str) -> str:
         else:
             items = (_json_text(x, inner) for x in obj)
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if hasattr(obj, "__dataclass_fields__"):  # a record: is_dataclass's test, without its call per scalar
+        return _json_text(vars(obj), newline)
     return _json_scalar(obj)  # a scalar, or an empty list or dict
 
 
 def to_json(doc) -> str:
-    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline; string keys only.
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2, default=vars)`` plus a newline.
 
-    Every JSON output is written here.  ``json.dumps`` with ``indent`` always
+    Keys are strings only, and a record is written as its fields.  Every JSON
+    output is written here.  ``json.dumps`` with ``indent`` always
     takes the pure-Python encoder, which joins one string per token; this
     writes each list of ints with one ``join``.
     """
     return _json_text(doc, "\n") + "\n"
-
-
-def _gf_to_dict(f: IntPolynomial) -> dict:
-    return {"offset": f.offset, "coeffs": f.coeffs}
-
-
-def scan_report_rows(report: ScanReport) -> list[dict]:
-    """Schema-stable rows: every row carries pair, n, holds, table, signature, gf."""
-    return [
-        {
-            "pair": r.pair,
-            "n": r.n,
-            "holds": r.holds,
-            "table": r.table,
-            "signature": r.signature,
-            "gf": {"offset": r.gf_offset, "coeffs": r.gf_coeffs},
-        }
-        for r in report.rows
-    ]
 
 
 def scan_report_to_json(report: ScanReport) -> str:
@@ -101,32 +86,28 @@ def scan_report_to_json(report: ScanReport) -> str:
         "n_min": report.n_min,
         "n_max": report.n_max,
         "summary": report.summary(),
-        "rows": scan_report_rows(report),
-        # each verdict's own field dict, read as it is; asdict would deep-copy it
-        "verdicts": [vars(v) for v in report.verdicts],
-        "classes": [
-            {"members": c.members, "apparent": c.apparent, "signatures": c.signature_key}
-            for c in report.classes
-        ],
+        "rows": report.rows,
+        "verdicts": report.verdicts,
+        "classes": report.classes,
     }
     return to_json(doc)
 
 
-def _row_cells(row: dict) -> list[str]:
+def _row_cells(row: ScanRow) -> list[str]:
     return [
-        row["pair"],
-        str(row["n"]),
-        str(row["holds"]).lower(),
-        " ".join(str(v) for v in row["table"]),
-        row["signature"],
-        str(row["gf"]["offset"]),
-        " ".join(str(v) for v in row["gf"]["coeffs"]),
+        row.pair,
+        str(row.n),
+        str(row.holds).lower(),
+        " ".join(str(v) for v in row.table),
+        row.signature,
+        str(row.gf.offset),
+        " ".join(str(v) for v in row.gf.coeffs),
     ]
 
 
 def scan_report_to_csv(report: ScanReport) -> str:
     lines = ["pair,n,holds,table,signature,gf_offset,gf_coeffs"]
-    for row in scan_report_rows(report):
+    for row in report.rows:
         lines.append(",".join(cell.replace(",", ";") for cell in _row_cells(row)))
     return "\n".join(lines) + "\n"
 
@@ -135,7 +116,7 @@ def scan_report_to_md(report: ScanReport) -> str:
     header = "| pair | n | holds | table | signature | gf offset | gf coeffs |"
     rule = "|---|---|---|---|---|---|---|"
     lines = [header, rule]
-    for row in scan_report_rows(report):
+    for row in report.rows:
         cells = [cell.replace("|", "\\|") for cell in _row_cells(row)]
         lines.append("| " + " | ".join(cells) + " |")
     summary = report.summary()
@@ -174,7 +155,7 @@ def _cmd_stat(args: argparse.Namespace) -> int:
         return 0
     # gf
     f = generating_function(desc, args.n)
-    _emit(to_json({"stat": desc.key, "n": args.n, "gf": _gf_to_dict(f), "display": str(f)}),
+    _emit(to_json({"stat": desc.key, "n": args.n, "gf": f, "display": str(f)}),
           args.output)
     return 0
 
@@ -208,11 +189,12 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_csp(args: argparse.Namespace) -> int:
-    v = csp_check(get_statistic(args.stat).key, get_map(args.map).key, args.n)
+    stat_key, map_key = get_statistic(args.stat).key, get_map(args.map).key
+    v = csp_check(stat_key, map_key, args.n)
     doc = {
-        "stat": v.stat_key,
-        "map": v.map_key,
-        "n": v.n,
+        "stat": stat_key,
+        "map": map_key,
+        "n": args.n,
         "holds": v.holds,
         "order": v.order,
         "table": v.fixed,
@@ -220,8 +202,8 @@ def _cmd_csp(args: argparse.Namespace) -> int:
         "witnesses": v.witnesses,
         "shift_used": v.shift_used,
         "shift_preserves_residue": v.shift_preserves_residue,
-        "residue_f": _gf_to_dict(v.residue_f),
-        "residue_t": _gf_to_dict(v.residue_t),
+        "residue_f": v.residue_f,
+        "residue_t": v.residue_t,
     }
     _emit(to_json(doc), args.output)
     return 0 if v.holds else 1

@@ -41,17 +41,18 @@ MAX_SCAN_N = 8
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One (pair, n) observation; the unit every report format serializes."""
+    """One (pair, n) observation, written field for field by every report format.
+
+    ``pair`` is ``"<stat>|<map>"``, ``table`` the fixed-point counts of the
+    map's powers, and ``gf`` the statistic's generating function on S_n.
+    """
 
     pair: str
-    stat_key: str
-    map_key: str
     n: int
     holds: bool
     table: tuple[int, ...]
     signature: str
-    gf_offset: int
-    gf_coeffs: tuple[int, ...]
+    gf: IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class PairVerdict:
 class DedupClass:
     members: tuple[str, ...]
     apparent: bool
-    signature_key: tuple[str, ...]
+    signatures: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -172,9 +173,8 @@ def scan(
                 residue_f = residues.get((s, n, orbit.order))
                 if residue_f is None:
                     residue_f = residues[s, n, orbit.order] = f.fold(orbit.order)
-                v = decided[s, n, orbit.signature] = verdict_from_parts(
-                    s, m, n, residue_f, f.min_exponent, orbit)
-            rows.append(ScanRow(pair, s, m, n, v.holds, v.fixed, orbit.signature, f.offset, f.coeffs))
+                v = decided[s, n, orbit.signature] = verdict_from_parts(residue_f, f.min_exponent, orbit)
+            rows.append(ScanRow(pair, n, v.holds, v.fixed, orbit.signature, f))
             if not v.holds and failing_n is None:
                 # unequal residues of degree below the order differ at some root
                 failing_n, witness = n, v.witnesses[0]
@@ -189,12 +189,12 @@ def dedupe(report: ScanReport) -> tuple[DedupClass, ...]:
     status = {v.pair: v.status for v in report.verdicts}
     classes: dict[tuple, list[str]] = {}
     for pair, rows in groupby(report.rows, key=attrgetter("pair")):
-        key = tuple((r.n, r.signature, r.gf_offset, r.gf_coeffs) for r in rows)
+        key = tuple((r.n, r.signature, r.gf) for r in rows)
         classes.setdefault(key, []).append(pair)
     out = []
     for key, members in classes.items():
         members = tuple(sorted(members))
-        out.append(DedupClass(members, status[members[0]] == "apparent", tuple(sig for _, sig, _, _ in key)))
+        out.append(DedupClass(members, status[members[0]] == "apparent", tuple(sig for _, sig, _ in key)))
     out.sort(key=lambda c: c.members)
     return tuple(out)
 

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import Callable
 
 from .bijections import get_map
-from .errors import NotAnInvolution
+from .errors import NotAnInvolution, UsageError
 from .orbits import fixed_counts, orbit_signature, orbit_sizes
 from .permutations import Perm
 from .polynomials import IntPolynomial
@@ -33,10 +33,13 @@ from .statistics.basic import walk_gf
 def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
     """sum over S_n of q**stat(sigma); exact, with f(1) = n!.
 
-    A statistic whose ``gf`` is another statistic's key reads that statistic's
+    Raises :class:`UsageError` when n is below the statistic's ``min_n``.  A
+    statistic whose ``gf`` is another statistic's key reads that statistic's
     generating function, the same object.
     """
     desc = get_statistic(stat)
+    if n < desc.min_n:
+        raise UsageError(f"statistic {desc.key} is defined for n >= {desc.min_n}, got n={n}")
     return _generating_function_cached(desc.gf if isinstance(desc.gf, str) else desc.key, n)
 
 
@@ -44,15 +47,12 @@ def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
 def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
     """The statistic's registered ``gf``, else the walk of its step, else enumeration.
 
-    Below ``min_n`` the statistic is undefined, and enumeration comes first so
-    that the evaluator raises its own error (a closed form such as
-    ``inv_entry_gf(1, 2)`` would raise a bare ``ValueError``).  A registered
-    ``gf`` is the generating function; acceptance criterion 9 checks each one
-    that has an evaluator against :func:`_enumerated_gf`.  The walk is
-    :func:`~permsieve.statistics.basic.walk_gf`.
+    A registered ``gf`` is the generating function; acceptance criterion 9
+    checks each one that has an evaluator against :func:`_enumerated_gf`.  The
+    walk is :func:`~permsieve.statistics.basic.walk_gf`.
     """
     desc = get_statistic(stat_key)
-    if n < desc.min_n or (desc.gf is None and desc.step is None):
+    if desc.gf is None and desc.step is None:
         return _enumerated_gf(desc, n)
     return desc.gf(n) if desc.gf is not None else walk_gf(desc.step, n)
 
@@ -88,11 +88,12 @@ def orbit_polynomial(sizes: dict[int, int]) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class CspVerdict:
-    """Outcome of one sieving check, decided by exact residue equality."""
+    """Outcome of one sieving check, decided by exact residue equality.
 
-    stat_key: str
-    map_key: str
-    n: int
+    It holds only what decides it, so the scan shares one verdict among the
+    maps of an orbit structure; the caller knows the statistic, map and n.
+    """
+
     holds: bool
     order: int
     fixed: tuple[int, ...]
@@ -188,9 +189,7 @@ def orbit_parts(sizes: dict[int, int]) -> OrbitParts:
     return OrbitParts(lcm(*sizes), orbit_polynomial(sizes), fixed_counts(sizes), orbit_signature(sizes))
 
 
-def verdict_from_parts(
-    stat_key: str, map_key: str, n: int, residue_f: IntPolynomial, shift: int, orbit: OrbitParts
-) -> CspVerdict:
+def verdict_from_parts(residue_f: IntPolynomial, shift: int, orbit: OrbitParts) -> CspVerdict:
     """Assemble the exact verdict from the folded generating function and the map's parts.
 
     ``residue_f`` is the generating function folded modulo q^order - 1 and
@@ -198,9 +197,6 @@ def verdict_from_parts(
     folding reduces the true signed exponents modulo the order.
     """
     return CspVerdict(
-        stat_key=stat_key,
-        map_key=map_key,
-        n=n,
         holds=residue_f == orbit.residue_t,
         order=orbit.order,
         fixed=orbit.fixed,
@@ -212,10 +208,9 @@ def verdict_from_parts(
 
 def csp_check(stat: StatDescriptor | str, map_desc, n: int) -> CspVerdict:
     """Exact sieving verdict for (statistic, map) on S_n."""
-    stat_key, map_key = get_statistic(stat).key, get_map(map_desc).key
-    orbit = orbit_parts(orbit_sizes(map_key, n))
-    f = generating_function(stat_key, n)
-    return verdict_from_parts(stat_key, map_key, n, f.fold(orbit.order), f.min_exponent, orbit)
+    orbit = orbit_parts(orbit_sizes(get_map(map_desc).key, n))
+    f = generating_function(stat, n)
+    return verdict_from_parts(f.fold(orbit.order), f.min_exponent, orbit)
 
 
 def q_minus_one(stat: StatDescriptor | str, n: int) -> int:

@@ -26,10 +26,10 @@ class PatternSpec:
     """A pattern of [k] plus the set of glued neighbour pairs.
 
     ``adjacent`` holds 1-based letter indices t such that pattern positions
-    t and t+1 must be adjacent in the host; empty for classical patterns.
+    t and t+1 must be adjacent in the host.  The pattern is classical exactly
+    when it is empty, and vincular otherwise.
     """
 
-    kind: str
     pattern: tuple[int, ...]
     adjacent: frozenset[int] = field(default_factory=frozenset)
 
@@ -37,10 +37,6 @@ class PatternSpec:
         check_permutation(self.pattern)
         if len(self.pattern) > 4:
             raise ValueError("patterns longer than 4 are not supported")
-        if self.kind not in ("classical", "vincular"):
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.kind == "classical" and self.adjacent:
-            raise ValueError("classical patterns carry no adjacency constraints")
         if any(not 1 <= t < len(self.pattern) for t in self.adjacent):
             raise ValueError("adjacency indices must name neighbouring letter pairs")
 
@@ -49,19 +45,19 @@ class PatternSpec:
         """Parse dash notation: ``"132"`` is classical, ``"32-1"`` glues 3 and 2.
 
         >>> PatternSpec.from_string("32-1")
-        PatternSpec(kind='vincular', pattern=(3, 2, 1), adjacent=frozenset({1}))
+        PatternSpec(pattern=(3, 2, 1), adjacent=frozenset({1}))
         """
         blocks = text.split("-")
         letters = [int(ch) for ch in "".join(blocks)]
         if len(blocks) == 1:
-            return PatternSpec("classical", tuple(letters))
+            return PatternSpec(tuple(letters))
         adjacent = set()
         pos = 0
         for block in blocks:
             for t in range(pos + 1, pos + len(block)):
                 adjacent.add(t)
             pos += len(block)
-        return PatternSpec("vincular", tuple(letters), frozenset(adjacent))
+        return PatternSpec(tuple(letters), frozenset(adjacent))
 
     def blocks(self) -> tuple[int, ...]:
         """Lengths of the maximal glued letter runs, left to right."""

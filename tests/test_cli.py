@@ -1,5 +1,6 @@
 """Command-line surface: worked examples, exit codes, formats, cache behavior."""
 
+import hashlib
 import json
 import os
 import struct
@@ -134,11 +135,11 @@ class TestExitCodes:
         assert "n >= 3" in err
 
     @pytest.mark.parametrize("key, n, message", [
-        ("st1557", "1", "entry index 2 outside 1..1"),
-        ("st1556", "2", "entry index 3 outside 1..2"),
+        ("st1557", "1", "statistic st1557 is defined for n >= 2, got n=1"),
+        ("st1556", "2", "statistic st1556 is defined for n >= 3, got n=2"),
     ], ids=["st1557", "st1556"])
     def test_gf_below_statistic_min_n_exits_two(self, capsys, key, n, message):
-        """Below min_n the evaluator's error is reported, not the closed form's bare ValueError."""
+        """Below min_n the statistic is refused by name, as a map is, before any definition runs."""
         assert run(capsys, "stat", "gf", key, "--n", n) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("criteria", ["13", "0", "x", "2,x"])
@@ -256,6 +257,21 @@ class TestScanCommand:
         for row in doc["rows"]:
             assert row["pair"] in csv_out
             assert row["pair"].replace("|", "\\|") in md_out
+
+    def test_report_bytes_pinned(self, capsys, tmp_path):
+        """Every byte of every format is pinned by its sha256, the first run cold and the others warm."""
+        args = ["scan", "--min-n", "4", "--max-n", "5", "--stats", "st018,st021,st539",
+                "--maps", "reverse,rotation,corteel", "--cache-dir", str(tmp_path / "c")]
+        digests = {}
+        for fmt in ("json", "csv", "md"):
+            code, out, err = run(capsys, *args, "--format", fmt)
+            assert (code, err) == (0, "")
+            digests[fmt] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digests == {
+            "json": "501d4dffd4184346db0bc9061fe90d09ec2f5bda71032f809f700bd7efbff304",
+            "csv": "2cfc087553dd4c45b474f1dcd8f2e129396c4fba5ca7499c0679be5b4a2020fc",
+            "md": "099c40d808b6937d3b15af3037041e580398d1b45379d01405bbb5a3b68c66b3",
+        }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_each_record_loaded_once(self, capsys, tmp_path, monkeypatch, workers):
@@ -389,7 +405,7 @@ class TestJsonWriter:
         docs = []
         monkeypatch.setattr(cli, "to_json", lambda doc: docs.append(doc) or to_json(doc))
         text = cli.scan_report_to_json(scan(4, 6))
-        assert text == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+        assert text == json.dumps(docs[0], sort_keys=True, indent=2, default=vars) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["stat", "gf", "st018", "--n", "5"],

@@ -28,11 +28,10 @@ def brute_count(p, pattern, adjacent=frozenset()):
 class TestSpecParsing:
     def test_classical(self):
         spec = PatternSpec.from_string("132")
-        assert spec.kind == "classical" and spec.adjacent == frozenset()
+        assert spec.adjacent == frozenset()
 
     def test_vincular(self):
         spec = PatternSpec.from_string("32-1")
-        assert spec.kind == "vincular"
         assert spec.pattern == (3, 2, 1)
         assert spec.adjacent == frozenset({1})
 
@@ -46,7 +45,7 @@ class TestSpecParsing:
 
     def test_too_long_rejected(self):
         with pytest.raises(ValueError):
-            PatternSpec("classical", (1, 2, 3, 4, 5))
+            PatternSpec((1, 2, 3, 4, 5))
 
 
 class TestAgainstOracle:
@@ -68,7 +67,7 @@ class TestAgainstOracle:
             assert pattern_count(p, spec) == brute_count(p, spec.pattern)
 
     def test_fully_glued(self):
-        spec = PatternSpec("vincular", (2, 1, 3), frozenset({1, 2}))
+        spec = PatternSpec((2, 1, 3), frozenset({1, 2}))
         for p in permutations(range(1, 6)):
             assert pattern_count(p, spec) == brute_count(p, spec.pattern, spec.adjacent)
 

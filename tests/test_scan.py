@@ -1,5 +1,6 @@
 """The pair scanner: classification, dedup, determinism; two conjecture observations."""
 
+from dataclasses import fields
 from functools import cached_property
 from importlib import import_module
 from itertools import permutations
@@ -33,8 +34,10 @@ class TestScan:
 
     def test_rows_schema(self, small_report):
         row = small_report.rows[0]
-        assert row.pair == f"{row.stat_key}|{row.map_key}"
-        assert row.table[0] == (24 if row.n == 4 else 120)
+        assert [f.name for f in fields(row)] == ["pair", "n", "holds", "table", "signature", "gf"]
+        stat, mp = row.pair.split("|")
+        assert stat in SMALL_STATS and mp in SMALL_MAPS
+        assert row.table[0] == (24 if row.n == 4 else 120) == row.gf.evaluate(1)
 
     def test_known_positive(self, small_report):
         verdicts = {v.pair: v for v in small_report.verdicts}
@@ -82,11 +85,11 @@ class TestScan:
         decided = []
         verdict_from_parts = module.verdict_from_parts
         monkeypatch.setattr(module, "verdict_from_parts",
-                            lambda *args: decided.append(args[:3]) or verdict_from_parts(*args))
+                            lambda *args: decided.append(args) or verdict_from_parts(*args))
         report = scan(4, 4, stats=["st018", "st539"],
                       maps=["reverse", "complement", "swap_first_two", "rotation"])
         assert len(report.rows) == 8
-        assert {(r.stat_key, r.signature) for r in report.rows} == {
+        assert {(r.pair.split("|")[0], r.signature) for r in report.rows} == {
             (s, sig) for s in ("st018", "st539") for sig in ("2^12", "4^6")}
         assert len(decided) == 4
 
@@ -97,7 +100,7 @@ class TestScan:
         found = []
         witnesses = CspVerdict.__dict__["witnesses"]
         # a cached property like the original, so that a verdict read twice computes once
-        spy = cached_property(lambda v: found.append(v.map_key) or witnesses.func(v))
+        spy = cached_property(lambda v: found.append(v) or witnesses.func(v))
         spy.__set_name__(CspVerdict, "witnesses")
         monkeypatch.setattr(CspVerdict, "witnesses", spy)
         report = scan(4, 4, stats=["st539"], maps=["reverse", "complement", "swap_first_two"])
@@ -108,7 +111,7 @@ class TestScan:
         report = scan(4, 5, stats=[*reversed(SMALL_STATS), "st018"],
                       maps=[*reversed(SMALL_MAPS), "rotation"])
         assert report == scan(4, 5, stats=sorted(SMALL_STATS), maps=sorted(SMALL_MAPS))
-        assert list(report.rows) == sorted(report.rows, key=lambda r: (r.stat_key, r.map_key, r.n))
+        assert list(report.rows) == sorted(report.rows, key=lambda r: (*r.pair.split("|"), r.n))
         assert list(report.verdicts) == sorted(report.verdicts, key=lambda v: (v.stat_key, v.map_key))
         assert dedupe(report) == report.classes
 
