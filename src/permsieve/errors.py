@@ -49,9 +49,5 @@ class NotABijection(PermsieveError):
     """Raised when orbit chasing detects a non-injective map."""
 
 
-class CacheCorrupt(PermsieveError):
-    """Raised internally when a cache record fails its checksum or layout check."""
-
-
 class UsageError(PermsieveError, ValueError):
     """Raised when a command or scan argument is out of its documented range."""

@@ -78,8 +78,6 @@ class DedupClass:
 class ScanReport:
     n_min: int
     n_max: int
-    stat_keys: tuple[str, ...]
-    map_keys: tuple[str, ...]
     rows: tuple[ScanRow, ...]
     verdicts: tuple[PairVerdict, ...]
     classes: tuple[DedupClass, ...] = field(default=())
@@ -180,7 +178,7 @@ def scan(
                 failing_n, witness = n, v.witnesses[0]
         status = "apparent" if failing_n is None else "fail"
         verdicts.append(PairVerdict(pair, s, m, status, tuple(ns), failing_n, witness))
-    report = ScanReport(n_min, n_max, stat_list, map_list, tuple(rows), tuple(verdicts))
+    report = ScanReport(n_min, n_max, tuple(rows), tuple(verdicts))
     return replace(report, classes=dedupe(report))
 
 

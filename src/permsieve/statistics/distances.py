@@ -1,19 +1,19 @@
 """Sorting and factorization distances.
 
-The factorization length over the cyclic shifts of (12) (st1076) is computed
-by a breadth-first search from the identity over the whole of S_n.
-Evaluations look permutations up in a table memoized per n; the generating
-function counts the layers of a search local to its call, so it leaves no
-table of S_n behind.  The search is limited to n <= 9.  The prefix exchange
-distance (st1077) is the star-graph distance of Akers, Harel and
-Krishnamurthy (1987), a formula in the cycle type; the same search over the
-star generators is its test oracle.
+The factorization length over the cyclic shifts of (12) (st1076) is the
+affine length of the best lift of the permutation to the affine symmetric
+group, a formula at any n.  Its generating function counts the layers of a
+breadth-first search from the identity over the whole of S_n, local to its
+call, so it leaves no table of S_n behind; that search is limited to n <= 9,
+and it is the formula's test oracle.  The prefix exchange distance (st1077)
+is the star-graph distance of Akers, Harel and Krishnamurthy (1987), a
+formula in the cycle type; the same search over the star generators is its
+test oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from functools import lru_cache
 from math import perm
 
 from ..errors import UsageError
@@ -22,7 +22,7 @@ from ..polynomials import IntPolynomial
 from .basic import inversions
 from .extrema import cycle_count
 
-SEARCH_MAX_N = 9  # S_9 takes about 2 s and 90 MB on a 2-CPU Xeon; S_10 would take ten times both
+SEARCH_MAX_N = 9  # binds st1076's gf only: S_9 takes about 2 s and 90 MB on a 2-CPU Xeon, S_10 ten times both
 
 
 def depth(p: Perm) -> int:
@@ -90,7 +90,7 @@ def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> dict[Per
 def _cyclic_shift_generators(n: int) -> tuple[tuple[int, int], ...]:
     """The transpositions (a, a+1 mod n); n > SEARCH_MAX_N is refused here, before any search."""
     if n > SEARCH_MAX_N:
-        raise UsageError(f"the cyclic-shift factorization length searches all of S_n, "
+        raise UsageError(f"the generating function of st1076 searches all of S_n, "
                          f"which is limited to n <= {SEARCH_MAX_N}; got n = {n}")
     gens = tuple((a, a + 1) for a in range(n - 1))
     if n > 2:
@@ -98,17 +98,30 @@ def _cyclic_shift_generators(n: int) -> tuple[tuple[int, int], ...]:
     return gens
 
 
-_cyclic_shift_table = lru_cache(maxsize=None)(_distance_table)
-"""The evaluator's distance tables, memoized and shared, so callers must not mutate them."""
-
-
 def cyclic_shift_factorization_length(p: Perm) -> int:
-    """Shortest factorization into the transpositions (a, a+1 mod n), n <= 9.
+    """Shortest factorization into the transpositions (a, a+1 mod n).
+
+    The cyclic shifts are the images of the affine simple reflections, so this
+    is the least affine length of a lift w(i) = p(i) + n k_i with sum k = 0,
+    that is the minimum of sum_(i<j) |k_j - k_i - [p(i) > p(j)]| (Shi 1986;
+    Bjoerner and Brenti, Combinatorics of Coxeter Groups, section 8.3).  The
+    minimum is taken here over the lifts that move each entry by less than n,
+    built pair by pair: the entries with p(i) > i, farthest first, are lowered
+    by n as the entries with p(i) < i, farthest first, are raised by n.  This
+    agrees with the breadth-first search on all of S_1 .. S_9.
 
     >>> cyclic_shift_factorization_length((2, 4, 3, 1))
     2
     """
-    return _cyclic_shift_table(len(p), _cyclic_shift_generators(len(p)))[p]
+    n = len(p)
+    right = sorted((i for i in range(n) if p[i] > i + 1), key=lambda i: i + 1 - p[i])
+    left = sorted((i for i in range(n) if p[i] < i + 1), key=lambda i: p[i] - i - 1)
+    k = [0] * n
+    best = inversions(p)
+    for a, b in zip(right, left):
+        k[a], k[b] = -1, 1
+        best = min(best, sum(abs(k[j] - k[i] - (p[i] > p[j])) for i in range(n) for j in range(i + 1, n)))
+    return best
 
 
 def cyclic_shift_gf(n: int) -> IntPolynomial:

@@ -1,9 +1,14 @@
-"""Binary record cache: round trips, corruption handling, invalidation."""
+"""Record cache: round trips, corruption handling, invalidation."""
 
+import hashlib
+import json
 import multiprocessing
 import struct
 
-from permsieve.cache import MAGIC, RecordCache
+import pytest
+
+from permsieve.cache import VERSION, RecordCache
+from permsieve.cli import main
 
 RACE_STORES = 300
 
@@ -60,31 +65,29 @@ class TestCorruption:
         assert cache.load_vector("k", 4) is None
 
     def test_flipped_offset_byte(self, tmp_path):
-        """The checksum covers the header too, so an altered offset is caught."""
+        """The checksum covers key, n and offset too, so an altered offset is caught."""
         cache = RecordCache(tmp_path)
         cache.store_vector("k", 4, 0, (1, 2, 3))
         path = self._record_path(cache, "k", 4)
-        blob = bytearray(path.read_bytes())
-        blob[8 + len("k") + 4] ^= 0x01  # the low byte of the offset, after magic, version, key and n
-        path.write_bytes(bytes(blob))
+        blob = path.read_bytes()
+        assert blob.count(b", 0, [") == 1
+        path.write_bytes(blob.replace(b", 0, [", b", 1, ["))
         assert cache.load_vector("k", 4) is None
 
     def test_bad_magic(self, tmp_path):
+        """A record whose digest line is overwritten is rejected."""
         cache = RecordCache(tmp_path)
         cache.store_vector("k", 4, 0, (1,))
         path = self._record_path(cache, "k", 4)
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"JUNK"
-        path.write_bytes(bytes(blob))
+        _, _, body = path.read_bytes().partition(b"\n")
+        path.write_bytes(b"0" * 64 + b"\n" + body)
         assert cache.load_vector("k", 4) is None
 
     def test_version_bump_invalidates(self, tmp_path):
+        """A record of another version is rejected even under a valid digest."""
         cache = RecordCache(tmp_path)
         cache.store_vector("k", 4, 0, (1,))
-        path = self._record_path(cache, "k", 4)
-        blob = bytearray(path.read_bytes())
-        blob[4:6] = struct.pack("<H", 99)
-        path.write_bytes(bytes(blob))
+        _write_signed(self._record_path(cache, "k", 4), [VERSION + 1, "k", 4, 0, [1]])
         assert cache.load_vector("k", 4) is None
 
     def test_key_mismatch_rejected(self, tmp_path):
@@ -100,8 +103,43 @@ class TestCorruption:
         self._record_path(cache, "k", 4).write_bytes(b"\x00" * 3)
         assert cache.load_vector("k", 4) is None
 
-    def test_magic_constant(self):
-        assert MAGIC == b"PSRC"
+    def test_binary_record_of_version_2_recomputed(self, capsys, tmp_path):
+        """A record in the version-2 binary layout loads as None, and a scan over it gives the cold report."""
+        args = ["scan", "--min-n", "4", "--max-n", "4", "--stats", "st018", "--maps", "reverse"]
+        assert main([*args, "--cache-dir", str(tmp_path / "cold")]) == 0
+        cold = capsys.readouterr().out
+        cache = RecordCache(tmp_path / "old")
+        cache.directory.mkdir()
+        key, n, offset, values = "gf_st018", 4, 0, (1, 3, 5, 6, 5, 3, 1)
+        header = (b"PSRC" + struct.pack("<HH", 2, len(key)) + key.encode()
+                  + struct.pack("<IqI", n, offset, len(values)))
+        payload = struct.pack(f"<{len(values)}q", *values)
+        cache._path(key, n).write_bytes(header + hashlib.sha256(header + payload).digest() + payload)
+        assert cache.load_vector(key, n) is None
+        assert main([*args, "--cache-dir", str(cache.directory)]) == 0
+        assert capsys.readouterr().out == cold
+        assert cache.load_vector(key, n) == (offset, values)
+
+    @pytest.mark.parametrize("body", [
+        [VERSION, "k", 4, 0, [1, True]],
+        [VERSION, "k", 4, 0, [1, 1.5]],
+        [VERSION, "k", 4, 0, [1, "1"]],
+        [VERSION, "k", 4, 0, [1, [1]]],
+        [VERSION, "k", 4, 0],
+        [VERSION, "other", 4, 0, [1]],
+        [VERSION, "k", 4, 0.5, [1]],
+        [VERSION, "k", 4, 0, 1],
+    ], ids=["bool", "float", "string", "nested", "four-elements", "other-key", "float-offset", "scalar-values"])
+    def test_forged_body_under_a_valid_digest(self, tmp_path, body):
+        cache = RecordCache(tmp_path)
+        _write_signed(self._record_path(cache, "k", 4), body)
+        assert cache.load_vector("k", 4) is None
+
+
+def _write_signed(path, body):
+    """Write ``body`` as a record with a valid digest, so only the body's own checks can reject it."""
+    text = json.dumps(body).encode()
+    path.write_bytes(hashlib.sha256(text).hexdigest().encode() + b"\n" + text)
 
 
 def _store_repeatedly(directory, value, barrier):

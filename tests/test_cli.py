@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -70,15 +69,9 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "st864" in err
 
-    def test_cyclic_shift_length_beyond_the_search_limit_exits_two(self, capsys):
-        """st1076 refuses a permutation of length 11 before it builds any distance table."""
-        from permsieve.statistics.distances import _cyclic_shift_table
-
-        built = _cyclic_shift_table.cache_info().misses
-        code, out, err = run(capsys, "stat", "eval", "st1076", "2,1,3,4,5,6,7,8,9,10,11")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and "n <= 9" in err
-        assert _cyclic_shift_table.cache_info().misses == built
+    def test_cyclic_shift_length_beyond_the_search_limit(self, capsys):
+        """st1076's evaluator is a formula, so a permutation of length 11 needs no search of S_11."""
+        assert run(capsys, "stat", "eval", "st1076", "2,1,3,4,5,6,7,8,9,10,11") == (0, "1\n", "")
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -211,11 +204,9 @@ class TestScanCommand:
                 "--cache-dir", str(tmp_path / "c")]
         _, cold, _ = run(capsys, *args)
         path = RecordCache(tmp_path / "c")._path("gf_st018", 4)
-        blob = bytearray(path.read_bytes())
-        offset_at = 8 + len("gf_st018") + 4  # magic, version, key length, key, n
-        assert struct.unpack_from("<q", blob, offset_at) == (0,)
-        struct.pack_into("<q", blob, offset_at, 1)
-        path.write_bytes(bytes(blob))
+        blob = path.read_bytes()
+        assert blob.count(b'"gf_st018", 4, 0, [') == 1  # the body: [version, key, n, offset, values]
+        path.write_bytes(blob.replace(b'"gf_st018", 4, 0, [', b'"gf_st018", 4, 1, ['))
         assert run(capsys, *args) == (0, cold, "")
 
     @pytest.mark.parametrize("record", [

@@ -1,12 +1,12 @@
 """Statistic evaluators against independent oracles and the stated identities."""
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
-from permsieve.errors import IndexOutOfRange, ParityViolation, WidthOutOfRange
+from permsieve.errors import IndexOutOfRange, ParityViolation, UsageError, WidthOutOfRange
 from permsieve.permutations import identity, inverse, perm_rank
 from permsieve.polynomials import IntPolynomial
 from permsieve.sieving import _enumerated_gf, equidistribution, generating_function, q_minus_one
@@ -17,7 +17,6 @@ from permsieve.statistics.basic import (
     width_k_descents,
 )
 from permsieve.statistics.distances import (
-    _cyclic_shift_table,
     _distance_table,
     cyclic_shift_gf,
     depth,
@@ -381,16 +380,28 @@ class TestSortingDistances:
 
     @pytest.mark.parametrize("key", ["st1076", "st1077"])
     def test_distance_gfs_against_enumeration(self, key):
-        """The layer sizes of st1076's search and st1077's exponential formula."""
+        """st1076's search layers against its formula, st1077's exponential formula against its formula."""
         desc = get_statistic(key)
         for n in range(1, 9):
             assert desc.gf(n) == _enumerated_gf(desc, n), n
 
-    def test_cyclic_shift_gf_keeps_no_table(self):
-        """Only the evaluator memoizes a table; the generating function's search dies with its call."""
-        _cyclic_shift_table.cache_clear()
-        cyclic_shift_gf(7)
-        assert _cyclic_shift_table.cache_info().currsize == 0
+    def test_1076_beyond_the_search_limit(self):
+        assert get_statistic("st1076")((2, 1, *range(3, 12))) == 1
+        assert get_statistic("st1076")((12, *range(2, 12), 1)) == 1  # the shift (1, n) itself
+
+    def test_1076_evaluator_builds_no_table(self, monkeypatch):
+        """The evaluator needs no search at any n; only the generating function searches, up to n = 9."""
+        from permsieve.statistics import distances
+
+        def refuse(*args):
+            raise AssertionError("a search of S_n ran")
+
+        searched = cyclic_shift_gf(7)
+        monkeypatch.setattr(distances, "_distance_table", refuse)
+        st1076 = get_statistic("st1076")
+        assert IntPolynomial.from_terms(Counter(st1076(p) for p in S(7))) == searched
+        with pytest.raises(UsageError, match="n <= 9"):
+            cyclic_shift_gf(10)  # refused before any search
 
     def test_depth(self):
         assert depth((2, 4, 3, 1)) == 1 + 2 + 0 + 0
