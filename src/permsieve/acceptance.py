@@ -5,8 +5,9 @@ here are used both by ``permsieve verify`` and by the acceptance test module;
 each returns a :class:`CriterionResult` whose details list failures, plus
 recorded observations where a criterion asks for one.  The criteria are
 independent: :func:`run_all`, which ``permsieve verify`` calls, runs them in
-a pool of worker processes, one per CPU at most, and returns their results in
-criterion order; the tests call each criterion in-process.
+a pool of worker processes, at most one per CPU this process may run on, and
+returns their results in criterion order; the tests call each criterion
+in-process.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations as iter_permutations
 from math import comb, factorial
 from typing import Callable, Optional
 
@@ -24,7 +24,7 @@ from .bijections.laguerre import laguerre_decode, laguerre_encode
 from .bijections.motzkin import fz_decode, fz_encode, motzkin_complement
 from .errors import PermsieveError
 from .orbits import decompose, orbit_signature
-from .permutations import parse_permutation
+from .permutations import parse_permutation, symmetric_group
 from .polynomials import IntPolynomial
 from .scan import INSTANCE_FAMILIES, instance_applies
 from .sieving import (
@@ -53,10 +53,6 @@ class CriterionResult:
     title: str
     passed: bool
     details: list[str] = field(default_factory=list)
-
-
-def _s_n(n: int):
-    return iter_permutations(range(1, n + 1))
 
 
 def _check_family(family: str, ns, failures: list[str]) -> None:
@@ -105,7 +101,7 @@ def criterion_2() -> CriterionResult:
     for key, expected in cases:
         mp = get_map(key)
         for n in range(4, 9):
-            count = sum(1 for p in _s_n(n) if mp(p) == p)
+            count = sum(1 for p in symmetric_group(n) if mp(p) == p)
             if count != expected(n):
                 failures.append(f"{key} has {count} fixed points on S_{n}, wanted {expected(n)}")
     return CriterionResult(2, "fixed-point counts 2^(n-1) and 2^(n//2), n=4..8", not failures, failures)
@@ -184,11 +180,11 @@ def criterion_8() -> CriterionResult:
             if walked != (declared := desc.sizes(n)):
                 failures.append(f"{key} orbit structure on S_{n}: {orbit_signature(walked)}, "
                                 f"declared {orbit_signature(declared)}")
-    for p in _s_n(7):
+    for p in symmetric_group(7):
         if fz_decode(fz_encode(p)) != p:
             failures.append(f"fz round trip fails at {p}")
             break
-    for p in _s_n(6):
+    for p in symmetric_group(6):
         if laguerre_decode(laguerre_encode(p)) != p:
             failures.append(f"laguerre round trip fails at {p}")
             break
@@ -374,5 +370,7 @@ def run_all(numbers: Optional[list[int]] = None) -> list[CriterionResult]:
     ordered = [k for k, _ in CRITERIA if k in selected]
     if not ordered:
         return []
-    with ProcessPoolExecutor(max_workers=min(len(ordered), os.cpu_count() or 1)) as pool:
+    # the CPUs this process may run on, which a restricted affinity makes fewer than the host's
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(len(ordered), cpus)) as pool:
         return list(pool.map(_run_criterion, ordered))

@@ -1,15 +1,17 @@
-"""On-disk cache of exact integer vectors (the generating functions of a scan).
+"""On-disk cache of the generating functions of a scan.
 
 One record per (key, n), stored as ``<dir>/<key>_<n>.rec`` in two lines:
 
     <hex sha256 of the body>
-    <body>    json.dumps([VERSION, key, n, offset, values])
+    <body>    json.dumps([VERSION, key, n, offset, coeffs])
 
-``offset`` is the lowest exponent of a generating function and ``values`` its
-coefficients.  A load compares the digest before it parses the body, then
+``offset`` is the lowest exponent of the generating function and ``coeffs``
+its coefficients.  A load compares the digest before it parses the body, then
 accepts only a five-element list that starts ``[VERSION, key, n]`` and whose
-offset and values are integers; anything else loads as None, and callers
-recompute, never trust.  Bumping VERSION invalidates every record.
+offset and coefficients are integers.  The coefficients must also be a value
+on S_n: trimmed at both ends, none negative, summing to n!, since each counts
+permutations.  Anything else loads as None, and callers recompute, never
+trust.  Bumping VERSION invalidates every record.
 """
 
 from __future__ import annotations
@@ -18,18 +20,23 @@ import hashlib
 import json
 import os
 import tempfile
+from math import factorial
 from pathlib import Path
 from typing import Optional
+
+from .polynomials import IntPolynomial
 
 VERSION = 3
 
 
 class RecordCache:
-    """Read-through store of integer vectors keyed by (name, n).
+    """Read-through store of generating functions on S_n, keyed by (name, n).
 
-    The directory is made at the first store, so a run that stops before
-    storing anything leaves none behind; a path that could never be one (it,
-    or the nearest part of it that exists, is a file) is rejected at once.
+    Every record is checked here, digest, header and value on S_n, so a load
+    hands out a generating function or None.  The directory is made at the
+    first store, so a run that stops before storing anything leaves none
+    behind; a path that could never be one (it, or the nearest part of it
+    that exists, is a file) is rejected at once.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -43,8 +50,8 @@ class RecordCache:
         safe = "".join(ch if ch.isalnum() or ch in "_-" else "-" for ch in key)
         return self.directory / f"{safe}_{n}.rec"
 
-    def store_vector(self, key: str, n: int, offset: int, values: tuple[int, ...]) -> None:
-        body = json.dumps([VERSION, key, n, offset, values]).encode()
+    def store_vector(self, key: str, n: int, gf: IntPolynomial) -> None:
+        body = json.dumps([VERSION, key, n, gf.offset, gf.coeffs]).encode()
         path = self._path(key, n)
         self.directory.mkdir(parents=True, exist_ok=True)
         # A temp file of its own per writer: concurrent stores of one record
@@ -58,8 +65,8 @@ class RecordCache:
             os.unlink(tmp)
             raise
 
-    def load_vector(self, key: str, n: int) -> Optional[tuple[int, tuple[int, ...]]]:
-        """Return (offset, values) or None when absent or corrupt."""
+    def load_vector(self, key: str, n: int) -> Optional[IntPolynomial]:
+        """The generating function stored for (key, n), or None when absent, corrupt or no value on S_n."""
         try:
             digest, _, body = self._path(key, n).read_bytes().partition(b"\n")
             if digest != hashlib.sha256(body).hexdigest().encode():
@@ -68,8 +75,9 @@ class RecordCache:
         except (OSError, ValueError):
             return None
         if type(record) is list and len(record) == 5 and record[:3] == [VERSION, key, n]:
-            offset, values = record[3:]
+            offset, coeffs = record[3:]
             # not bool, which JSON true parses to, nor a float or string: each counts permutations
-            if type(offset) is int and type(values) is list and set(map(type, values)) <= {int}:
-                return offset, tuple(values)
+            if (type(offset) is int and type(coeffs) is list and set(map(type, coeffs)) <= {int}
+                    and sum(coeffs) == factorial(n) and min(coeffs) >= 0 and coeffs[0] and coeffs[-1]):
+                return IntPolynomial(tuple(coeffs), offset)
         return None

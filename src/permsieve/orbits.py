@@ -7,18 +7,18 @@ map declares its structure on S_n, fixed by a theorem (see
 :class:`~permsieve.bijections.MapDescriptor`), and :func:`orbit_sizes` reads
 it off.  :func:`decompose` walks S_n and is the oracle of every declaration.
 Its seeds are taken in lexicographic order from
-:func:`itertools.permutations`, and one set of the not yet visited
-permutations, local to each call, both marks what has been visited and
-checks that every image lies in S_n.
+:func:`~permsieve.permutations.symmetric_group`, and one set of the not yet
+visited permutations, local to each call, both marks what has been visited
+and checks that every image lies in S_n.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import lcm
 
 from .bijections import MapDescriptor, get_map
 from .errors import NotABijection
+from .permutations import symmetric_group
 
 
 def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
@@ -30,10 +30,9 @@ def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
     """
     desc = get_map(map_desc)
     desc.require_n(n)
-    values = range(1, n + 1)
-    unvisited = set(permutations(values))
+    unvisited = set(symmetric_group(n))
     sizes: dict[int, int] = {}
-    for seed in permutations(values):
+    for seed in symmetric_group(n):
         if seed not in unvisited:
             continue
         unvisited.remove(seed)
@@ -43,7 +42,7 @@ def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
             try:
                 unvisited.remove(current)
             except KeyError:
-                if sorted(current) != list(values):
+                if sorted(current) != list(range(1, n + 1)):
                     raise NotABijection(f"{desc.key} maps into {current!r}, which is not in S_{n}") from None
                 raise NotABijection(f"{desc.key} merged two trajectories at {current!r} in S_{n}") from None
             length += 1

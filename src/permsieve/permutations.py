@@ -12,8 +12,9 @@ permutation round-trips unambiguously.
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CodeOutOfRange, EmptyInput, NotAPermutation, SizeMismatch
 
@@ -87,6 +88,15 @@ def format_permutation(p: Sequence[int]) -> str:
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
+
+
+def symmetric_group(n: int) -> Iterator[Perm]:
+    """Every permutation of S_n, once each, in lexicographic order.
+
+    >>> [format_permutation(p) for p in symmetric_group(3)]
+    ['123', '132', '213', '231', '312', '321']
+    """
+    return permutations(range(1, n + 1))
 
 
 def inverse(p: Perm) -> Perm:

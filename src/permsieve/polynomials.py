@@ -71,10 +71,6 @@ class IntPolynomial:
     def min_exponent(self) -> int:
         return self.offset if self.coeffs else 0
 
-    @property
-    def degree(self) -> int:
-        return self.offset + len(self.coeffs) - 1 if self.coeffs else 0
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         acc = self.terms()
         for e, c in other.terms().items():

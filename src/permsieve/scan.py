@@ -6,22 +6,21 @@ applicable n are skipped with a reason.  A definition that raises aborts the
 scan with its own error.  Pairs are then deduplicated by their joint
 (orbit signature, generating function) fingerprint across the range, since
 two maps with the same orbit structure sieve for exactly the same generating
-functions.  Phase 1 loads each distinct generating function from the cache
-once and computes only the misses, in this process and in job order.
-Phase 2 is one loop over the pairs: it reads the declared orbit structure of
-each (map, n) and builds its order, orbit polynomial, fixed-point counts and
-signature once, folds each generating function once per (statistic, n,
-order), and decides each verdict, witness included, once per (statistic, n,
-orbit signature), in dicts local to the ``scan`` call.  Reports are
-deterministic: the loop emits rows and verdicts in sorted key order, and
-the cache cannot change any value.
+functions.  The scan is one loop over the pairs, statistic by statistic.  It
+loads each generating function from the cache, or computes and stores it,
+the first time a pair needs it; it builds the order, orbit polynomial,
+fixed-point counts and signature of each (map, n) from the declared orbit
+structure the first time a pair needs them; it folds each generating
+function once per (statistic, n, order), and decides each verdict, witness
+included, once per (statistic, n, orbit signature), all in dicts local to
+the ``scan`` call.  Reports are deterministic: the loop emits rows and
+verdicts in sorted key order, and the cache cannot change any value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby
-from math import factorial
+from itertools import groupby, product
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -30,10 +29,8 @@ from .cache import RecordCache
 from .errors import UsageError
 from .orbits import orbit_sizes
 from .polynomials import IntPolynomial
-from .sieving import CspVerdict, generating_function, orbit_parts, verdict_from_parts
+from .sieving import CspVerdict, OrbitParts, generating_function, orbit_parts, verdict_from_parts
 from .statistics import get_statistic, statistic_keys
-
-Job = tuple[str, int]  # (stat key, n)
 
 MIN_SCAN_N = 1
 MAX_SCAN_N = 8
@@ -98,37 +95,6 @@ def _applicable_ns(stat_key: str, map_key: str, n_min: int, n_max: int) -> list[
     return list(range(lo, n_max + 1))
 
 
-def _load(cache: RecordCache, job: Job) -> Optional[IntPolynomial]:
-    """The job's cached generating function, or None when absent, corrupt or not a value on S_n.
-
-    A ``gf_<stat>`` record holds the offset and the trimmed coefficients,
-    which sum to n! and are none of them negative, since each counts
-    permutations.  A record that passes its checksum but breaks this is
-    recomputed, never trusted.
-    """
-    key, n = job
-    rec = cache.load_vector(f"gf_{key}", n)
-    if rec is None:
-        return None
-    offset, values = rec
-    if values and values[0] and values[-1] and min(values) >= 0 and sum(values) == factorial(n):
-        return IntPolynomial(values, offset)
-    return None
-
-
-def _parts(jobs: Sequence[Job], cache: Optional[RecordCache]) -> dict[Job, IntPolynomial]:
-    """Phase 1: each generating function loaded from the cache once, the misses computed and stored."""
-    parts: dict[Job, IntPolynomial] = {}
-    for key, n in jobs:
-        value = None if cache is None else _load(cache, (key, n))
-        if value is None:
-            value = generating_function(key, n)
-            if cache is not None:
-                cache.store_vector(f"gf_{key}", n, value.offset, value.coeffs)
-        parts[key, n] = value
-    return parts
-
-
 def scan(
     n_min: int = 4,
     n_max: int = 6,
@@ -140,32 +106,43 @@ def scan(
 
     The default range 4..6 keeps false negatives rare (several statistics are
     degenerate on tiny permutations) while staying fast; wider ranges are
-    opt-in up to n = 8.  Only the generating functions missing from ``cache``
-    are computed; a definition that raises aborts the scan.  A verdict
-    depends on the map only through its orbit structure, so each is decided
-    once per (statistic, n, orbit signature).  The report is byte-for-byte
-    independent of the cache and of the order of ``stats`` and ``maps``.
+    opt-in up to n = 8.  One loop visits the pairs statistic by statistic, n
+    ascending, and loads or computes each generating function the first time
+    it needs it; only those missing from ``cache`` are computed, and each is
+    stored as soon as it is.  A definition that raises aborts the scan.  A
+    verdict depends on the map only through its orbit structure, so each is
+    decided once per (statistic, n, orbit signature).  The report is
+    byte-for-byte independent of the cache and of the order of ``stats`` and
+    ``maps``.
     """
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
         raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
     stat_list = tuple(sorted({get_statistic(s).key for s in (stats or statistic_keys())}))
     map_list = tuple(sorted({get_map(m).key for m in (maps or map_keys())}))
-    pairs = [(s, m, _applicable_ns(s, m, n_min, n_max)) for s in stat_list for m in map_list]
-    parts = _parts(list(dict.fromkeys((s, n) for s, _, ns in pairs for n in ns)), cache)
-    orbits = {(m, n): orbit_parts(orbit_sizes(m, n))
-              for m, n in dict.fromkeys((m, n) for _, m, ns in pairs for n in ns)}
+    gfs: dict[tuple[str, int], IntPolynomial] = {}  # (stat, n)
+    orbits: dict[tuple[str, int], OrbitParts] = {}  # (map, n)
     residues: dict[tuple[str, int, int], IntPolynomial] = {}  # (stat, n, order)
     decided: dict[tuple[str, int, str], CspVerdict] = {}  # (stat, n, signature): shared by its maps
     rows: list[ScanRow] = []
     verdicts: list[PairVerdict] = []
-    for s, m, ns in pairs:
+    for s, m in product(stat_list, map_list):
         pair = f"{s}|{m}"
+        ns = _applicable_ns(s, m, n_min, n_max)
         if not ns:
             verdicts.append(PairVerdict(pair, s, m, "skipped", (), reason="undefined on the whole range"))
             continue
         failing_n = witness = None
         for n in ns:
-            f, orbit = parts[s, n], orbits[m, n]
+            if (s, n) not in gfs:
+                f = None if cache is None else cache.load_vector(f"gf_{s}", n)
+                if f is None:
+                    f = generating_function(s, n)
+                    if cache is not None:
+                        cache.store_vector(f"gf_{s}", n, f)
+                gfs[s, n] = f
+            if (m, n) not in orbits:
+                orbits[m, n] = orbit_parts(orbit_sizes(m, n))
+            f, orbit = gfs[s, n], orbits[m, n]
             v = decided.get((s, n, orbit.signature))
             if v is None:
                 residue_f = residues.get((s, n, orbit.order))

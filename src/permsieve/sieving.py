@@ -17,14 +17,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations as iter_permutations
 from math import gcd, lcm
 from typing import Callable
 
 from .bijections import get_map
 from .errors import NotAnInvolution, UsageError
 from .orbits import fixed_counts, orbit_signature, orbit_sizes
-from .permutations import Perm
+from .permutations import Perm, symmetric_group
 from .polynomials import IntPolynomial
 from .statistics import StatDescriptor, get_statistic
 from .statistics.basic import walk_gf
@@ -64,7 +63,7 @@ def _enumerated_gf(desc: StatDescriptor, n: int) -> IntPolynomial:
     step, and the test oracle of every ``gf`` and every step.
     """
     counts: dict[int, int] = {}
-    for p in iter_permutations(range(1, n + 1)):
+    for p in symmetric_group(n):
         e = desc.evaluator(p)
         counts[e] = counts.get(e, 0) + 1
     return IntPolynomial.from_terms(counts)
@@ -229,7 +228,7 @@ def transport_check(stat_a, stat_b, bijection: Callable[[Perm], Perm], n: int) -
     eval_b = get_statistic(stat_b).evaluator
     return all(
         eval_b(bijection(p)) == eval_a(p)
-        for p in iter_permutations(range(1, n + 1))
+        for p in symmetric_group(n)
     )
 
 
@@ -248,7 +247,7 @@ def parity_pairing_check(
     # second members of the 2-orbits met so far: psi(psi(q)) = psi(p) = q and the
     # parity of the pair were checked at p, so q is skipped when it comes up
     partners = set()
-    for p in iter_permutations(range(1, n + 1)):
+    for p in symmetric_group(n):
         if p in partners:
             partners.remove(p)
             continue

@@ -159,6 +159,35 @@ def test_run_all_matches_the_criteria_run_in_process():
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("affinity, workers", [({0}, 1), (None, 3)], ids=["affinity", "no-affinity-call"])
+def test_run_all_uses_at_most_one_worker_per_usable_cpu(monkeypatch, affinity, workers):
+    """On a 64-CPU host, one usable CPU gives one worker; without ``os.sched_getaffinity``
+    the host's count bounds the pool.  A fake pool stands in, so no process starts."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, numbers):
+            return iter(numbers)
+
+    if affinity is None:
+        monkeypatch.delattr(acceptance.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", FakePool)
+    assert acceptance.run_all([1, 7, 11]) == [1, 7, 11]
+    assert pools == [workers]
+
+
 def test_verify_reports_a_criterion_that_raises(monkeypatch, capsys):
     """A criterion's error crosses the worker process: ``verify`` prints it and exits 2."""
     from permsieve.cli import main

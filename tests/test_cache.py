@@ -9,39 +9,44 @@ import pytest
 
 from permsieve.cache import VERSION, RecordCache
 from permsieve.cli import main
+from permsieve.polynomials import IntPolynomial
+from permsieve.statistics import mahonian_gf
 
 RACE_STORES = 300
+GF4 = mahonian_gf(4)  # 1 + 3q + 5q^2 + 6q^3 + 5q^4 + 3q^5 + q^6, a value on S_4
 
 
 class TestRoundTrip:
     def test_store_and_load(self, tmp_path):
         cache = RecordCache(tmp_path)
-        cache.store_vector("gf_st018", 6, 0, (1, 2, -3, 4))
-        assert cache.load_vector("gf_st018", 6) == (0, (1, 2, -3, 4))
+        cache.store_vector("gf_st018", 6, mahonian_gf(6))
+        assert cache.load_vector("gf_st018", 6) == mahonian_gf(6)
 
     def test_negative_offset(self, tmp_path):
         cache = RecordCache(tmp_path)
-        cache.store_vector("gf_st1377", 4, -6, (1, 1, 2))
-        assert cache.load_vector("gf_st1377", 4) == (-6, (1, 1, 2))
+        cache.store_vector("gf_st1377", 4, GF4.shift(-6))
+        assert cache.load_vector("gf_st1377", 4) == GF4.shift(-6)
 
     def test_empty_vector(self, tmp_path):
+        """The zero polynomial is no value on S_n: it is stored, and loads as None."""
         cache = RecordCache(tmp_path)
-        cache.store_vector("gf_zero", 3, 0, ())
-        assert cache.load_vector("gf_zero", 3) == (0, ())
+        cache.store_vector("gf_zero", 3, IntPolynomial.zero())
+        assert cache._path("gf_zero", 3).exists()
+        assert cache.load_vector("gf_zero", 3) is None
 
     def test_missing_returns_none(self, tmp_path):
         assert RecordCache(tmp_path).load_vector("gf_st018", 6) is None
 
     def test_overwrite(self, tmp_path):
         cache = RecordCache(tmp_path)
-        cache.store_vector("k", 2, 0, (1,))
-        cache.store_vector("k", 2, 0, (2, 3))
-        assert cache.load_vector("k", 2) == (0, (2, 3))
+        cache.store_vector("k", 2, IntPolynomial((2,)))
+        cache.store_vector("k", 2, IntPolynomial((1, 1)))
+        assert cache.load_vector("k", 2) == IntPolynomial((1, 1))
 
     def test_key_sanitization(self, tmp_path):
         cache = RecordCache(tmp_path)
-        cache.store_vector("gf:odd/key", 2, 0, (7,))
-        assert cache.load_vector("gf:odd/key", 2) == (0, (7,))
+        cache.store_vector("gf:odd/key", 2, IntPolynomial((1, 1)))
+        assert cache.load_vector("gf:odd/key", 2) == IntPolynomial((1, 1))
 
 
 class TestCorruption:
@@ -50,14 +55,14 @@ class TestCorruption:
 
     def test_truncated_record(self, tmp_path):
         cache = RecordCache(tmp_path)
-        cache.store_vector("k", 4, 0, (1, 2, 3))
+        cache.store_vector("k", 4, GF4)
         path = self._record_path(cache, "k", 4)
         path.write_bytes(path.read_bytes()[:-5])
         assert cache.load_vector("k", 4) is None
 
     def test_flipped_payload_byte(self, tmp_path):
         cache = RecordCache(tmp_path)
-        cache.store_vector("k", 4, 0, (1, 2, 3))
+        cache.store_vector("k", 4, GF4)
         path = self._record_path(cache, "k", 4)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
@@ -67,7 +72,7 @@ class TestCorruption:
     def test_flipped_offset_byte(self, tmp_path):
         """The checksum covers key, n and offset too, so an altered offset is caught."""
         cache = RecordCache(tmp_path)
-        cache.store_vector("k", 4, 0, (1, 2, 3))
+        cache.store_vector("k", 4, GF4)
         path = self._record_path(cache, "k", 4)
         blob = path.read_bytes()
         assert blob.count(b", 0, [") == 1
@@ -77,7 +82,7 @@ class TestCorruption:
     def test_bad_magic(self, tmp_path):
         """A record whose digest line is overwritten is rejected."""
         cache = RecordCache(tmp_path)
-        cache.store_vector("k", 4, 0, (1,))
+        cache.store_vector("k", 4, GF4)
         path = self._record_path(cache, "k", 4)
         _, _, body = path.read_bytes().partition(b"\n")
         path.write_bytes(b"0" * 64 + b"\n" + body)
@@ -86,13 +91,13 @@ class TestCorruption:
     def test_version_bump_invalidates(self, tmp_path):
         """A record of another version is rejected even under a valid digest."""
         cache = RecordCache(tmp_path)
-        cache.store_vector("k", 4, 0, (1,))
-        _write_signed(self._record_path(cache, "k", 4), [VERSION + 1, "k", 4, 0, [1]])
+        cache.store_vector("k", 4, GF4)
+        _write_signed(self._record_path(cache, "k", 4), [VERSION + 1, "k", 4, 0, list(GF4.coeffs)])
         assert cache.load_vector("k", 4) is None
 
     def test_key_mismatch_rejected(self, tmp_path):
         cache = RecordCache(tmp_path)
-        cache.store_vector("aaa", 4, 0, (1,))
+        cache.store_vector("aaa", 4, GF4)
         # copy the record onto another key's filename
         other = self._record_path(cache, "bbb", 4)
         other.write_bytes(self._record_path(cache, "aaa", 4).read_bytes())
@@ -118,19 +123,31 @@ class TestCorruption:
         assert cache.load_vector(key, n) is None
         assert main([*args, "--cache-dir", str(cache.directory)]) == 0
         assert capsys.readouterr().out == cold
-        assert cache.load_vector(key, n) == (offset, values)
+        assert cache.load_vector(key, n) == IntPolynomial(values, offset)
+
+    def test_valid_body_under_a_valid_digest(self, tmp_path):
+        """The control of the forged bodies below: each differs from this one in one place."""
+        cache = RecordCache(tmp_path)
+        _write_signed(self._record_path(cache, "k", 4), [VERSION, "k", 4, 0, [23, 1]])
+        assert cache.load_vector("k", 4) == IntPolynomial((23, 1))
 
     @pytest.mark.parametrize("body", [
-        [VERSION, "k", 4, 0, [1, True]],
-        [VERSION, "k", 4, 0, [1, 1.5]],
-        [VERSION, "k", 4, 0, [1, "1"]],
-        [VERSION, "k", 4, 0, [1, [1]]],
+        [VERSION, "k", 4, 0, [23, True]],
+        [VERSION, "k", 4, 0, [23, 1.0]],
+        [VERSION, "k", 4, 0, [23, "1"]],
+        [VERSION, "k", 4, 0, [23, [1]]],
         [VERSION, "k", 4, 0],
-        [VERSION, "other", 4, 0, [1]],
-        [VERSION, "k", 4, 0.5, [1]],
-        [VERSION, "k", 4, 0, 1],
-    ], ids=["bool", "float", "string", "nested", "four-elements", "other-key", "float-offset", "scalar-values"])
+        [VERSION, "other", 4, 0, [23, 1]],
+        [VERSION, "k", 4, 0.5, [23, 1]],
+        [VERSION, "k", 4, 0, 24],
+        [VERSION, "k", 4, 0, [0, 24]],
+        [VERSION, "k", 4, 0, [2, 5]],
+        [VERSION, "k", 4, 0, [24, 0]],
+        [VERSION, "k", 4, 0, [25, -1]],
+    ], ids=["bool", "float", "string", "nested", "four-elements", "other-key", "float-offset", "scalar-values",
+            "untrimmed-bottom", "wrong-sum", "untrimmed-top", "negative"])
     def test_forged_body_under_a_valid_digest(self, tmp_path, body):
+        """Each body passes its digest and fails one check: the last four are no value on S_4."""
         cache = RecordCache(tmp_path)
         _write_signed(self._record_path(cache, "k", 4), body)
         assert cache.load_vector("k", 4) is None
@@ -142,11 +159,16 @@ def _write_signed(path, body):
     path.write_bytes(hashlib.sha256(text).hexdigest().encode() + b"\n" + text)
 
 
+def _race_gf(value):
+    """A value on S_7 with 512 coefficients, 511 of them ``value``: a long record, so a torn write would show."""
+    return IntPolynomial((5040 - 511 * value,) + (value,) * 511)
+
+
 def _store_repeatedly(directory, value, barrier):
     cache = RecordCache(directory)
     barrier.wait(timeout=60)
     for _ in range(RACE_STORES):
-        cache.store_vector("gf_shared", 7, 0, (value,) * 512)
+        cache.store_vector("gf_shared", 7, _race_gf(value))
 
 
 class TestConcurrentWriters:
@@ -164,5 +186,5 @@ class TestConcurrentWriters:
         assert not any(w.is_alive() for w in writers)
         assert [w.exitcode for w in writers] == [0, 0]
         record = RecordCache(tmp_path).load_vector("gf_shared", 7)
-        assert record in ((0, (1,) * 512), (0, (2,) * 512))
+        assert record in (_race_gf(1), _race_gf(2))
         assert [p.name for p in tmp_path.iterdir()] == ["gf_shared_7.rec"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from permsieve import cli
-from permsieve.cache import RecordCache
+from permsieve.cache import VERSION, RecordCache
 from permsieve.cli import main, to_json
 from permsieve.scan import scan
 
@@ -19,6 +19,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_signed(cache, key, n, offset, coeffs):
+    """Write the body [VERSION, key, n, offset, coeffs] as a record under a valid digest."""
+    body = json.dumps([VERSION, key, n, offset, coeffs]).encode()
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    cache._path(key, n).write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
 
 
 class TestWorkedExamples:
@@ -219,7 +226,7 @@ class TestScanCommand:
         """A record that passes its checksum but is no value on S_n is recomputed and overwritten."""
         _, clean, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "clean"))
         cache = RecordCache(tmp_path / "c")
-        cache.store_vector(*record)
+        write_signed(cache, *record)
         code, out, err = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "c"))
         assert (code, err) == (0, "")
         assert out == clean
@@ -230,7 +237,7 @@ class TestScanCommand:
         """An orbit record left by an older scan is ignored, even one that is wrong
         but looks like a structure of corteel: 10 fixed points and 7 2-orbits cover 4!."""
         _, clean, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "clean"))
-        RecordCache(tmp_path / "c").store_vector("orbit_corteel", 4, 0, (1, 10, 2, 7))
+        write_signed(RecordCache(tmp_path / "c"), "orbit_corteel", 4, 0, (1, 10, 2, 7))
         keys = []
         load_vector = RecordCache.load_vector
         monkeypatch.setattr(RecordCache, "load_vector",

@@ -83,10 +83,10 @@ class TestDecompose:
             assert list(decompose(desc, n).items()) == list(reference.items()), n
             assert orbit_sizes(key, n) == reference, n
 
-    def test_cached_variant(self):
+    def test_orbit_sizes_matches_decompose(self):
         assert orbit_sizes("reverse", 4) == decompose("reverse", 4)
 
-    def test_memo_hands_out_fresh_dicts(self):
+    def test_orbit_sizes_hands_out_fresh_dicts(self):
         orbit_sizes("reverse", 4)[2] = 0
         assert orbit_sizes("reverse", 4) == {2: 12}
 

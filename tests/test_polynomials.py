@@ -109,7 +109,7 @@ class TestAccessors:
     def test_degree_bounds(self):
         f = poly({-2: 1, 5: 7})
         assert f.min_exponent == -2
-        assert f.degree == 5
+        assert IntPolynomial.zero().min_exponent == 0
 
     def test_str(self):
         assert str(poly({0: 1, 1: 4, 2: 1})) == "1 + 4*q + q^2"

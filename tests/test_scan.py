@@ -70,7 +70,7 @@ class TestScan:
         assert verdicts["st1520|reverse"].status == "skipped"
         assert verdicts["st018|reverse"].status in ("apparent", "fail")
 
-    def test_phase_two_builds_each_map_part_once(self, monkeypatch):
+    def test_builds_each_map_part_once(self, monkeypatch):
         # import_module: the package binds the name ``scan`` to the function
         module = import_module("permsieve.scan")
         built = []
