@@ -231,10 +231,10 @@ def _brute_shifted_tableaux(shape: tuple[int, ...]) -> int:
 def criterion_9() -> CriterionResult:
     """Registered generating functions match empirical generating functions.
 
-    Each ``gf`` with an evaluator (a closed form, another statistic's walk or a
-    distance count) is checked against enumeration of S_n; the crossing closed
-    form and the shifted-tableau count, which nothing enumerates, are checked
-    besides.
+    Each ``gf`` with an evaluator (a closed form, another statistic's
+    generating function or a distance count) is checked against enumeration
+    of S_n; the crossing closed form and the shifted-tableau count, which
+    nothing enumerates, are checked besides.
     """
     failures = []
     for key in statistic_keys():

@@ -39,35 +39,60 @@ from .cache import RecordCache
 from .errors import PermsieveError, UsageError
 from .orbits import orbit_sizes
 from .permutations import format_permutation, parse_permutation
+from .polynomials import IntPolynomial
 from .scan import MAX_SCAN_N, ScanReport, ScanRow, scan
 from .sieving import csp_check, equidistribution, generating_function, orbit_parts
 from .statistics import get_statistic, statistic_keys
 
 _json_scalar = json.JSONEncoder().encode
+_json_string = json.encoder.encode_basestring_ascii
 
 
-def _json_text(obj, newline: str) -> str:
+def _json_text(obj, newline: str, memo: dict) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, default=vars)``, nested at the line break ``newline``.
 
-    A record, a dataclass instance, is written as its fields, ``vars(obj)``,
-    so a report's record types are its schema.  Each container is one
-    f-string, so its text is allocated once; a chain of ``+`` would copy the
-    whole body once per operand, and on a scan report of several MB those
-    transient copies raise the peak RSS.
+    It dispatches on the exact type.  A record, a dataclass instance, is
+    written as its fields, ``vars(obj)``, so a report's record types are its
+    schema.  A generating function is the record a document shares: every
+    row of a statistic at one n holds the same ``IntPolynomial``.  So its
+    text is kept in ``memo`` under ``(id(obj), newline)`` and rendered once
+    per indentation.  No other record enters the memo, which would then hold
+    a second copy of the rows.  Each container is one f-string, so its text
+    is allocated once; a chain of ``+`` would copy the whole body once per
+    operand, and on a scan report of several MB those transient copies raise
+    the peak RSS.
     """
+    kind = type(obj)
+    if kind is str:
+        return _json_string(obj)
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     inner = newline + "  "
-    if isinstance(obj, dict) and obj:
-        items = (_json_scalar(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj))
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = (_json_string(key) + ": " + _json_text(obj[key], inner, memo) for key in sorted(obj))
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(obj, (list, tuple)) and obj:
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
         if set(map(type, obj)) == {int}:  # not bool, which JSON writes as true/false
             items = map(str, obj)
         else:
-            items = (_json_text(x, inner) for x in obj)
+            items = (_json_text(x, inner, memo) for x in obj)
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if kind is IntPolynomial:
+        text = memo.get((id(obj), newline))
+        if text is None:
+            text = memo[id(obj), newline] = _json_text(vars(obj), newline, memo)
+        return text
     if hasattr(obj, "__dataclass_fields__"):  # a record: is_dataclass's test, without its call per scalar
-        return _json_text(vars(obj), newline)
-    return _json_scalar(obj)  # a scalar, or an empty list or dict
+        return _json_text(vars(obj), newline, memo)
+    return _json_scalar(obj)  # a float
 
 
 def to_json(doc) -> str:
@@ -75,10 +100,13 @@ def to_json(doc) -> str:
 
     Keys are strings only, and a record is written as its fields.  Every JSON
     output is written here.  ``json.dumps`` with ``indent`` always
-    takes the pure-Python encoder, which joins one string per token; this
-    writes each list of ints with one ``join``.
+    takes the pure-Python encoder, which joins one string per token and
+    renders an object again wherever it recurs; this writes each list of ints
+    with one ``join`` and each generating function once per indentation.  The
+    memo lives for one call, and every object in it is reachable from
+    ``doc``, so no id in it can be reused while it lives.
     """
-    return _json_text(doc, "\n") + "\n"
+    return _json_text(doc, "\n", {}) + "\n"
 
 
 def scan_report_to_json(report: ScanReport) -> str:

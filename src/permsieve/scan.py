@@ -6,15 +6,18 @@ applicable n are skipped with a reason.  A definition that raises aborts the
 scan with its own error.  Pairs are then deduplicated by their joint
 (orbit signature, generating function) fingerprint across the range, since
 two maps with the same orbit structure sieve for exactly the same generating
-functions.  The scan is one loop over the pairs, statistic by statistic.  It
-loads each generating function from the cache, or computes and stores it,
-the first time a pair needs it; it builds the order, orbit polynomial,
-fixed-point counts and signature of each (map, n) from the declared orbit
-structure the first time a pair needs them; it folds each generating
-function once per (statistic, n, order), and decides each verdict, witness
-included, once per (statistic, n, orbit signature), all in dicts local to
-the ``scan`` call.  Reports are deterministic: the loop emits rows and
-verdicts in sorted key order, and the cache cannot change any value.
+functions.  The scan is one loop over the pairs, statistic by statistic.  A
+statistic that borrows an equidistributed statistic's generating function
+shares everything below with its lender, the *definer* (``gf_key``).  The
+loop loads each definer's generating function from the cache, under
+``gf_<definer>``, or computes and stores it, the first time a pair needs it;
+it builds the order, orbit polynomial, fixed-point counts and signature of
+each (map, n) from the declared orbit structure the first time a pair needs
+them; it folds each generating function once per (definer, n, order), and
+decides each verdict, witness included, once per (definer, n, orbit
+signature), all in dicts local to the ``scan`` call.  Reports are
+deterministic: the loop emits rows and verdicts in sorted key order, and the
+cache cannot change any value.
 """
 
 from __future__ import annotations
@@ -109,20 +112,22 @@ def scan(
     opt-in up to n = 8.  One loop visits the pairs statistic by statistic, n
     ascending, and loads or computes each generating function the first time
     it needs it; only those missing from ``cache`` are computed, and each is
-    stored as soon as it is.  A definition that raises aborts the scan.  A
-    verdict depends on the map only through its orbit structure, so each is
-    decided once per (statistic, n, orbit signature).  The report is
-    byte-for-byte independent of the cache and of the order of ``stats`` and
-    ``maps``.
+    stored as soon as it is, once per defining statistic.  A definition that
+    raises aborts the scan.  A verdict depends on the map only through its
+    orbit structure and on the statistic only through its generating
+    function, so each is decided once per (definer, n, orbit signature).
+    The report is byte-for-byte independent of the cache and of the order of
+    ``stats`` and ``maps``.
     """
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
         raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
     stat_list = tuple(sorted({get_statistic(s).key for s in (stats or statistic_keys())}))
     map_list = tuple(sorted({get_map(m).key for m in (maps or map_keys())}))
-    gfs: dict[tuple[str, int], IntPolynomial] = {}  # (stat, n)
+    # a statistic's generating function, and so each verdict, is its definer's (its gf_key)
+    gfs: dict[tuple[str, int], IntPolynomial] = {}  # (definer, n)
     orbits: dict[tuple[str, int], OrbitParts] = {}  # (map, n)
-    residues: dict[tuple[str, int, int], IntPolynomial] = {}  # (stat, n, order)
-    decided: dict[tuple[str, int, str], CspVerdict] = {}  # (stat, n, signature): shared by its maps
+    residues: dict[tuple[str, int, int], IntPolynomial] = {}  # (definer, n, order)
+    decided: dict[tuple[str, int, str], CspVerdict] = {}  # (definer, n, signature): shared by its maps
     rows: list[ScanRow] = []
     verdicts: list[PairVerdict] = []
     for s, m in product(stat_list, map_list):
@@ -131,24 +136,25 @@ def scan(
         if not ns:
             verdicts.append(PairVerdict(pair, s, m, "skipped", (), reason="undefined on the whole range"))
             continue
+        definer = get_statistic(s).gf_key
         failing_n = witness = None
         for n in ns:
-            if (s, n) not in gfs:
-                f = None if cache is None else cache.load_vector(f"gf_{s}", n)
+            if (definer, n) not in gfs:
+                f = None if cache is None else cache.load_vector(f"gf_{definer}", n)
                 if f is None:
-                    f = generating_function(s, n)
+                    f = generating_function(definer, n)
                     if cache is not None:
-                        cache.store_vector(f"gf_{s}", n, f)
-                gfs[s, n] = f
+                        cache.store_vector(f"gf_{definer}", n, f)
+                gfs[definer, n] = f
             if (m, n) not in orbits:
                 orbits[m, n] = orbit_parts(orbit_sizes(m, n))
-            f, orbit = gfs[s, n], orbits[m, n]
-            v = decided.get((s, n, orbit.signature))
+            f, orbit = gfs[definer, n], orbits[m, n]
+            v = decided.get((definer, n, orbit.signature))
             if v is None:
-                residue_f = residues.get((s, n, orbit.order))
+                residue_f = residues.get((definer, n, orbit.order))
                 if residue_f is None:
-                    residue_f = residues[s, n, orbit.order] = f.fold(orbit.order)
-                v = decided[s, n, orbit.signature] = verdict_from_parts(residue_f, f.min_exponent, orbit)
+                    residue_f = residues[definer, n, orbit.order] = f.fold(orbit.order)
+                v = decided[definer, n, orbit.signature] = verdict_from_parts(residue_f, f.min_exponent, orbit)
             rows.append(ScanRow(pair, n, v.holds, v.fixed, orbit.signature, f))
             if not v.holds and failing_n is None:
                 # unequal residues of degree below the order differ at some root

@@ -34,12 +34,12 @@ def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
 
     Raises :class:`UsageError` when n is below the statistic's ``min_n``.  A
     statistic whose ``gf`` is another statistic's key reads that statistic's
-    generating function, the same object.
+    generating function, the same object, memoized under its ``gf_key``.
     """
     desc = get_statistic(stat)
     if n < desc.min_n:
         raise UsageError(f"statistic {desc.key} is defined for n >= {desc.min_n}, got n={n}")
-    return _generating_function_cached(desc.gf if isinstance(desc.gf, str) else desc.key, n)
+    return _generating_function_cached(desc.gf_key, n)
 
 
 @lru_cache(maxsize=None)

@@ -3,18 +3,25 @@
 Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and the smallest meaningful n the
-scanning layer needs.  A generating function has at most one fast
-definition.  Thirty-three statistics carry a ``gf``: the q-factorial for
-major index, inversions and comajor index (MacMahon), uniform distributions
-for the fixed entries and Lehmer-code entries, the forms for cycles (which
-the four partial extrema and, shifted, st541 share), absolute length (shared
-by st316), rank and (registered through it only) the circled entries of the
-shifted recording tableau, the key of an equidistributed statistic for
-crossings, cycle descents, both admissible-inversion counts, st1687, maj
-plus imaj and maj minus imaj, ``blocks_gf`` for descents or inversions
-inside disjoint position blocks, the layer sizes of st1076's breadth-first
-search, and the star-graph formula summed over cycle types for st1077.
-Thirty-two carry a transfer-matrix step instead, and one, st1579, enumerates
+scanning layer needs.  A generating function has one definition, registered
+on one statistic.  Thirty-three statistics carry a ``gf``:
+
+- nine closed forms: the q-factorial for inversions (MacMahon), the forms
+  for cycles and, shifted, st541, absolute length, the uniform distribution
+  of the first entry, the two Lehmer-code entries, rank, and (registered
+  through it only) the circled entries of the shifted recording tableau;
+- two distances: the layer sizes of st1076's breadth-first search and the
+  star-graph formula summed over cycle types for st1077;
+- five ``blocks_gf`` forms, for descents or inversions inside disjoint
+  position blocks;
+- seventeen keys of an equidistributed statistic, whose generating function
+  they borrow: major and comajor index (st018), the four partial extrema
+  (st031), st316 (st216), the last and both middle entries (st054),
+  crossings, cycle descents, both admissible-inversion counts, st1687, maj
+  plus imaj and maj minus imaj.
+
+So every callable ``gf`` belongs to exactly one statistic.  Thirty-two
+statistics carry a transfer-matrix step instead, and one, st1579, enumerates
 S_n.
 """
 
@@ -109,7 +116,8 @@ class StatDescriptor:
     statistic, with a ``gf`` or step of its own and the same ``min_n``, when a
     bijection or theorem, named beside the registration, makes the two
     equidistributed; :func:`~permsieve.sieving.generating_function` then
-    returns the lender's generating function.
+    returns the lender's generating function, computed, memoized and cached
+    under the lender's key, :attr:`gf_key`.
     When the statistic also has an evaluator, enumerating S_n through it is
     the ``gf``'s oracle (acceptance criterion 9).  ``gf`` and ``step`` are
     exclusive: a step beside a ``gf`` would never run.
@@ -126,6 +134,13 @@ class StatDescriptor:
     def __post_init__(self) -> None:
         if self.gf is not None and self.step is not None:
             raise ValueError(f"{self.key} has both a closed form and a step; the step would never run")
+
+    @property
+    def gf_key(self) -> str:
+        """The statistic that defines this one's generating function: the lender
+        that ``gf`` names, else this statistic itself.  The generating function
+        is computed, memoized and cached under this key only."""
+        return self.gf if isinstance(self.gf, str) else self.key
 
     def __call__(self, p: Perm) -> int:
         if self.evaluator is None:
@@ -144,10 +159,12 @@ def _descriptors() -> list[StatDescriptor]:
     above, below = placed_above, placed_below
     # Step lambdas: "m, s" are the mask and a state the step leaves alone.
     return [
-        # Mahonian representatives
-        S("st004", "major index", major_index, 4, gf=mahonian_gf),
+        # Mahonian representatives: Foata's bijection takes maj to inv, so
+        # st004(p) = st018(foata(p)) and st833(p) = st018(foata(rc(p))), rc the
+        # reverse-complement
+        S("st004", "major index", major_index, 4, gf="st018"),
         S("st018", "number of inversions", inversions, 18, gf=mahonian_gf),
-        S("st833", "comajor index", comajor_index, 833, gf=mahonian_gf),
+        S("st833", "comajor index", comajor_index, 833, gf="st018"),
         # descents and run shapes
         S("st021", "number of descents", descents, 21, step=basic.descents_step),
         # descents inside blocks of positions: chains mod k, pairs (1, 2), (3, 4), ... or (2, 3), ...
@@ -197,16 +214,17 @@ def _descriptors() -> list[StatDescriptor]:
         # value is placed, and so on
         # The fundamental transform takes left-to-right maxima (st314) to cycles
         # (st031); reverse, complement and both take st314 to st007, st542 and
-        # st991.  On every permutation st541 = st542 - 1 and st316 = n - st314.
-        S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, 7, gf=cycles_gf),
+        # st991.  On every permutation st541 = st542 - 1, st316 = n - st314 and
+        # st216 = n - st031, so the transform also takes st316 to st216.
+        S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, 7, gf="st031"),
         S("st031", "number of cycles", extrema.cycle_count, 31, gf=cycles_gf),
-        S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, 314, gf=cycles_gf),
+        S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, 314, gf="st031"),
         S("st541", "values >= 2 with all smaller values to the right", extrema.small_values_to_the_right, 541,
           gf=lambda n: cycles_gf(n).shift(-1)),
-        S("st542", "number of left-to-right minima", extrema.count_l2r_minima, 542, gf=cycles_gf),
-        S("st991", "number of right-to-left minima", extrema.count_r2l_minima, 991, gf=cycles_gf),
+        S("st542", "number of left-to-right minima", extrema.count_l2r_minima, 542, gf="st031"),
+        S("st991", "number of right-to-left minima", extrema.count_r2l_minima, 991, gf="st031"),
         S("st216", "absolute length", extrema.absolute_length, 216, gf=absolute_length_gf),
-        S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, 316, gf=absolute_length_gf),
+        S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, 316, gf="st216"),
         S("st1004", "positions that are l2r maxima or r2l minima", extrema.extrema_union, 1004,
           step=lambda m, s, v, i, n: (s, int(above(m, v) == 0 or below(m, v) == v - 1))),
         S("st1005", "positions that are l2r maxima xor r2l minima", extrema.extrema_xor, 1005,
@@ -256,11 +274,13 @@ def _descriptors() -> list[StatDescriptor]:
           gf=distances.cyclic_shift_gf),
         S("st1077", "prefix exchange distance", distances.prefix_exchange_distance, 1077,
           gf=distances.prefix_exchange_gf),
-        # entries and rank
+        # entries and rank: reverse moves the last entry to the front, and
+        # moving the upper (lower) middle entry to the front does the same for
+        # st1806 (st1807), so each is st054 of the moved permutation
         S("st054", "first entry", entries.first_entry, 54, gf=entry_gf),
-        S("st740", "last entry", entries.last_entry, 740, gf=entry_gf),
-        S("st1806", "upper middle entry", entries.upper_middle_entry, 1806, gf=entry_gf),
-        S("st1807", "lower middle entry", entries.lower_middle_entry, 1807, gf=entry_gf),
+        S("st740", "last entry", entries.last_entry, 740, gf="st054"),
+        S("st1806", "upper middle entry", entries.upper_middle_entry, 1806, gf="st054"),
+        S("st1807", "lower middle entry", entries.lower_middle_entry, 1807, gf="st054"),
         S("st1557", "inversions of the second entry", lambda p: entries.inversions_of_ith_entry(p, 2), 1557, min_n=2,
           gf=lambda n: inv_entry_gf(n, 2)),
         S("st1556", "inversions of the third entry", lambda p: entries.inversions_of_ith_entry(p, 3), 1556, min_n=3,

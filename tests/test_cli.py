@@ -12,7 +12,8 @@ import pytest
 from permsieve import cli
 from permsieve.cache import VERSION, RecordCache
 from permsieve.cli import main, to_json
-from permsieve.scan import scan
+from permsieve.polynomials import IntPolynomial
+from permsieve.scan import DedupClass, PairVerdict, ScanReport, ScanRow, scan
 
 
 def run(capsys, *argv):
@@ -193,7 +194,7 @@ class TestScanCommand:
         _, cold, _ = run(capsys, *self.ARGS, "--cache-dir", cache)
         # only generating functions are cached: orbit structures are declared
         assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
-            f"gf_{stat}_4.rec" for stat in ("st018", "st021", "st039")]
+            f"gf_{stat}_4.rec" for stat in ("st018", "st021", "st223")]  # st039 borrows st223's
         _, warm, _ = run(capsys, *self.ARGS, "--cache-dir", cache)
         assert cold == warm
 
@@ -286,7 +287,7 @@ class TestScanCommand:
         _, cold, _ = run(capsys, *args)
         cold_loads, loads[:] = list(loads), []
         _, warm, _ = run(capsys, *args)
-        records = {(f"gf_{stat}", n) for n in (4, 5) for stat in ("st018", "st021", "st039")}
+        records = {(f"gf_{stat}", n) for n in (4, 5) for stat in ("st018", "st021", "st223")}
         assert sorted(cold_loads) == sorted(records)
         assert sorted(loads) == sorted(records)
         assert cold == warm
@@ -391,6 +392,21 @@ EDGE_CASES = {
 }
 
 
+GF = IntPolynomial((1, 3, 5, 6, 5, 3, 1))
+ROW = ScanRow("st018|reverse", 4, True, (24, 0), "2^12", GF)
+VERDICT = PairVerdict("st018|reverse", "st018", "reverse", "apparent", (4,))
+
+RECORD_CASES = {
+    # a memo keyed by id alone would write the second copy at the first one's indentation
+    "one record at two depths": {"gf": GF, "rows": [{"gf": GF}, [[GF]]]},
+    "one record twice at one depth": [GF, GF, {"a": GF, "b": GF}],
+    "nested records": ScanReport(4, 4, (ROW, ROW), (VERDICT,), (DedupClass(("st018|reverse",), True, ("2^12",)),)),
+    "empty lists and dicts": {"a": [], "b": {}, "c": [[], {}, ()], "d": IntPolynomial.zero()},
+    "bool inside an int list": [[1, True, 2], [0, False], (3, False)],
+    "floats and none": [0.5, None, -1e-10, {"x": None, "y": 2.5, "z": [1.0, GF]}],
+}
+
+
 class TestJsonWriter:
     """Every JSON output is ``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte."""
 
@@ -398,6 +414,12 @@ class TestJsonWriter:
         assert to_json(EDGE_CASES) == json.dumps(EDGE_CASES, sort_keys=True, indent=2) + "\n"
         for value in EDGE_CASES.values():
             assert to_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", RECORD_CASES.values(), ids=RECORD_CASES)
+    def test_records_rendered_once_per_depth(self, doc):
+        """A generating function's text is kept per call under its id and indentation."""
+        assert to_json(doc) == json.dumps(doc, sort_keys=True, indent=2, default=vars) + "\n"
+        assert to_json([doc, doc]) == json.dumps([doc, doc], sort_keys=True, indent=2, default=vars) + "\n"
 
     def test_scan_report(self, monkeypatch):
         docs = []

@@ -34,6 +34,16 @@ def reverse_complement(p):
     return reverse(complement(p))
 
 
+def to_front(position):
+    """The bijection that moves the entry at ``position(n)`` (1-based) to the front."""
+
+    def move(p):
+        i = position(len(p)) - 1
+        return (p[i],) + p[:i] + p[i + 1:]
+
+    return move
+
+
 def foata(p):
     """Foata's second fundamental transformation, one letter x at a time: cut the
     word so far after every letter on the same side of x as its last letter,
@@ -82,16 +92,28 @@ def test_closed_form_matches_enumeration(key):
 
 
 BORROWED = {"st039": "st223", "st317": "st1744", "st1687": "st1683", "st825": "st1379",
-            "maj_minus_imaj": "st1377", "st463": "st462", "st866": "st462"}
+            "maj_minus_imaj": "st1377", "st463": "st462", "st866": "st462",
+            "st004": "st018", "st833": "st018", "st007": "st031", "st314": "st031", "st542": "st031",
+            "st991": "st031", "st316": "st216", "st740": "st054", "st1806": "st054", "st1807": "st054"}
 
 
 def test_borrowed_gf_is_the_lenders():
     """A statistic whose ``gf`` names an equidistributed statistic reads the lender's
     generating function itself, so the lender's walk runs once per n."""
-    assert {key: desc.gf for key, desc in REGISTRY.items() if isinstance(desc.gf, str)} == BORROWED
+    assert {key: desc.gf_key for key, desc in REGISTRY.items() if desc.gf_key != key} == BORROWED
     for borrower, lender in BORROWED.items():
         for n in range(1, 7):
             assert generating_function(borrower, n) is generating_function(lender, n), (borrower, n)
+
+
+def test_each_callable_gf_is_registered_once():
+    """A distribution has one definition: an equidistributed statistic borrows its
+    definer's key rather than registering the same function again."""
+    owners = {}
+    for key, desc in REGISTRY.items():
+        if callable(desc.gf):
+            owners.setdefault(desc.gf, []).append(key)
+    assert {keys[0]: keys for keys in owners.values() if len(keys) > 1} == {}
 
 
 def test_borrowed_gf_names_a_defining_statistic():
@@ -305,6 +327,24 @@ class TestTransport:
         for n in range(1, 8):
             assert transport_check("st825", "st1379", lambda p: inverse(foata(p)), n)
             assert transport_check("maj_minus_imaj", "st1377", lambda p: inverse(foata(inverse(p))), n)
+
+    def test_comaj_to_inv_by_foata_of_reverse_complement(self):
+        # reverse-complement takes comaj to maj, and Foata's transform maj to inv
+        for n in range(1, 8):
+            assert transport_check("st833", "st018", lambda p: foata(reverse_complement(p)), n)
+
+    def test_non_l2r_maxima_to_absolute_length_by_fundamental_transform(self):
+        for n in range(1, 8):
+            assert transport_check("st316", "st216", fundamental_transform, n)
+
+    @pytest.mark.parametrize("key,phi", [
+        ("st740", reverse),
+        ("st1806", to_front(lambda n: n // 2 + 1)),
+        ("st1807", to_front(lambda n: (n + 1) // 2)),
+    ])
+    def test_entries_to_the_first_entry(self, key, phi):
+        for n in range(1, 8):
+            assert transport_check(key, "st054", phi, n)
 
     def test_shifted_and_complementary_extrema(self):
         st314, st316 = get_statistic("st314"), get_statistic("st316")
