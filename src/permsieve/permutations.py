@@ -63,7 +63,7 @@ def parse_permutation(text: str) -> Perm:
         except ValueError as exc:
             raise NotAPermutation(f"non-integer entry in {text!r}") from exc
     else:
-        if not text.isdigit():
+        if not text.isdecimal():
             raise NotAPermutation(f"digit-word permutation expected, got {text!r}")
         if len(text) > 9:
             raise NotAPermutation(

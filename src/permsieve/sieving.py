@@ -44,23 +44,22 @@ def generating_function(stat: StatDescriptor | str, n: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _generating_function_cached(stat_key: str, n: int) -> IntPolynomial:
-    """The statistic's registered ``gf``, else the walk of its step, else enumeration.
+    """The statistic's registered ``gf``, else the walk of its step; a
+    :class:`StatDescriptor` has exactly one of them.
 
     A registered ``gf`` is the generating function; acceptance criterion 9
     checks each one that has an evaluator against :func:`_enumerated_gf`.  The
     walk is :func:`~permsieve.statistics.basic.walk_gf`.
     """
     desc = get_statistic(stat_key)
-    if desc.gf is None and desc.step is None:
-        return _enumerated_gf(desc, n)
     return desc.gf(n) if desc.gf is not None else walk_gf(desc.step, n)
 
 
 def _enumerated_gf(desc: StatDescriptor, n: int) -> IntPolynomial:
     """sum over S_n of q**desc(sigma), one evaluation per permutation.
 
-    The generating function of every statistic with neither a ``gf`` nor a
-    step, and the test oracle of every ``gf`` and every step.
+    No generating function is computed this way: it is the test oracle of
+    every ``gf`` and every step.
     """
     counts: dict[int, int] = {}
     for p in symmetric_group(n):

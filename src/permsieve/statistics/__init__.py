@@ -4,14 +4,15 @@ Each statistic is a pure function from a permutation tuple to an integer,
 wrapped in a :class:`StatDescriptor` carrying a stable string key, the
 FindStat identifier when one exists, and the smallest meaningful n the
 scanning layer needs.  A generating function has one definition, registered
-on one statistic.  Thirty-three statistics carry a ``gf``:
+on one statistic.  Thirty-four statistics carry a ``gf``:
 
 - nine closed forms: the q-factorial for inversions (MacMahon), the forms
   for cycles and, shifted, st541, absolute length, the uniform distribution
   of the first entry, the two Lehmer-code entries, rank, and (registered
   through it only) the circled entries of the shifted recording tableau;
-- two distances: the layer sizes of st1076's breadth-first search and the
-  star-graph formula summed over cycle types for st1077;
+- three distances: the closed form of st1579's cyclic comparator sort, the
+  layer sizes of st1076's breadth-first search and the star-graph formula
+  summed over cycle types for st1077;
 - five ``blocks_gf`` forms, for descents or inversions inside disjoint
   position blocks;
 - seventeen keys of an equidistributed statistic, whose generating function
@@ -20,9 +21,9 @@ on one statistic.  Thirty-three statistics carry a ``gf``:
   crossings, cycle descents, both admissible-inversion counts, st1687, maj
   plus imaj and maj minus imaj.
 
-So every callable ``gf`` belongs to exactly one statistic.  Thirty-two
-statistics carry a transfer-matrix step instead, and one, st1579, enumerates
-S_n.
+So every callable ``gf`` belongs to exactly one statistic.  The other
+thirty-two statistics carry a transfer-matrix step instead, and a descriptor
+with neither is refused, so no generating function enumerates S_n.
 """
 
 from __future__ import annotations
@@ -111,16 +112,17 @@ class StatDescriptor:
     for the eight pattern statistics: pattern evaluators walk their registered
     step (:func:`basic.walk`), and :func:`patterns.pattern_count` defines them.
 
-    ``gf``, when given, is the generating function from ``min_n`` on:
-    enumeration does not run.  It is a closed form, or the key of another
-    statistic, with a ``gf`` or step of its own and the same ``min_n``, when a
-    bijection or theorem, named beside the registration, makes the two
-    equidistributed; :func:`~permsieve.sieving.generating_function` then
-    returns the lender's generating function, computed, memoized and cached
-    under the lender's key, :attr:`gf_key`.
+    ``gf``, when given, is the generating function from ``min_n`` on.  It is
+    a closed form, or the key of another statistic, with a ``gf`` or step of
+    its own and the same ``min_n``, when a bijection or theorem, named beside
+    the registration, makes the two equidistributed;
+    :func:`~permsieve.sieving.generating_function` then returns the lender's
+    generating function, computed, memoized and cached under the lender's key,
+    :attr:`gf_key`.
     When the statistic also has an evaluator, enumerating S_n through it is
-    the ``gf``'s oracle (acceptance criterion 9).  ``gf`` and ``step`` are
-    exclusive: a step beside a ``gf`` would never run.
+    the ``gf``'s oracle (acceptance criterion 9).  A statistic has exactly
+    one of ``gf`` and ``step``: a step beside a ``gf`` would never run, and
+    without either its generating function would have no fast definition.
     """
 
     key: str
@@ -134,6 +136,8 @@ class StatDescriptor:
     def __post_init__(self) -> None:
         if self.gf is not None and self.step is not None:
             raise ValueError(f"{self.key} has both a closed form and a step; the step would never run")
+        if self.gf is None and self.step is None:
+            raise ValueError(f"{self.key} has neither a closed form nor a step")
 
     @property
     def gf_key(self) -> str:
@@ -269,7 +273,11 @@ def _descriptors() -> list[StatDescriptor]:
         # sorting and factorization distances
         S("st809", "reduced reflection length", distances.reduced_reflection_length, 809,
           step=lambda m, s, v, i, n: (s, 2 * max(v - i, 0) - above(m, v))),
-        S("st1579", "cyclic comparator swaps to sort", distances.cyclic_sort_swaps, 1579),
+        # the factor 1 + q of its generating function gives f(-1) = 0 for every
+        # n >= 2, so st1579 sieves under reverse and under complement at every
+        # n >= 2: both are involutions without fixed points there
+        S("st1579", "cyclic comparator swaps to sort", distances.cyclic_sort_swaps, 1579,
+          gf=distances.cyclic_sort_gf),
         S("st1076", "factorization length over cyclic shifts of (12)", distances.cyclic_shift_factorization_length, 1076,
           gf=distances.cyclic_shift_gf),
         S("st1077", "prefix exchange distance", distances.prefix_exchange_distance, 1077,
@@ -320,6 +328,6 @@ def get_statistic(key: str | int | StatDescriptor) -> StatDescriptor:
         raise KeyError(f"no statistic with id {key}")
     if key in REGISTRY:
         return REGISTRY[key]
-    if key.isdigit() and int(key) in _BY_ID:
+    if key.isdecimal() and int(key) in _BY_ID:
         return REGISTRY[_BY_ID[int(key)]]
     raise KeyError(f"unknown statistic {key!r}")

@@ -1,5 +1,18 @@
 """Sorting and factorization distances.
 
+The cyclic comparator sort (st1579) first visits the positions {1, n}, so it
+swaps the end entries when p(1) > p(n).  Its bubble pass over {1, 2}, ...,
+{n-1, n} then carries n to the last position, after which {1, n} never swaps
+again, and every swap exchanges adjacent entries out of order, removing one
+inversion.  So st1579(p) = [p(1) > p(n)] + inv(p'), p' being p with its end
+entries exchanged when p(1) > p(n).  The map p -> p' is two to one onto the
+permutations with p'(1) < p'(n), one preimage weighing q more than the other,
+and such a permutation with end values a < b has a - 1 + n - b inversions
+through its ends besides those of its middle, so the generating function is
+(1 + q) [n-2]_q! sum_(k=0..n-2) (k+1) q^k for n >= 2, the k + 1 counting the
+pairs a < b with a - 1 + n - b = k.  The sort itself stays the evaluator,
+and enumerating S_n through it is the formula's test oracle.
+
 The factorization length over the cyclic shifts of (12) (st1076) is the
 affine length of the best lift of the permutation to the affine symmetric
 group, a formula at any n.  Its generating function counts the layers of a
@@ -58,6 +71,17 @@ def cyclic_sort_swaps(p: Perm) -> int:
             if word == target:
                 break
     return swaps
+
+
+def cyclic_sort_gf(n: int) -> IntPolynomial:
+    """The generating function of st1579: (1 + q) [n-2]_q! sum_(k=0..n-2) (k+1) q^k, and 1 for n <= 1.
+
+    >>> str(cyclic_sort_gf(3))
+    '1 + 3*q + 2*q^2'
+    """
+    if n <= 1:
+        return IntPolynomial((1,), 0)
+    return IntPolynomial((1, 1), 0) * IntPolynomial.q_factorial(n - 2) * IntPolynomial(tuple(range(1, n)), 0)
 
 
 def _swap_positions(p: Perm, a: int, b: int) -> Perm:

@@ -62,13 +62,19 @@ class TestExitCodes:
         assert run(capsys, "equidist", "st538", "st539", "--n", "4")[0] == 1
 
     def test_unknown_statistic_exits_two(self, capsys):
-        code, _, err = run(capsys, "stat", "eval", "st9999", "123")
-        assert code == 2
-        assert "unknown" in err
+        # superscript digits pass str.isdigit() but not int()
+        for argv in (("stat", "eval", "st9999", "123"), ("stat", "eval", "\u00b2", "123"),
+                     ("csp", "check", "\u00b9", "reverse", "--n", "4")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert "unknown" in err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_permutation_exits_two(self, capsys):
-        code, _, err = run(capsys, "stat", "eval", "st018", "2231")
-        assert code == 2
+        for word in ("2231", "\u00b2\u00b9"):  # a repeated entry, superscript digits
+            code, _, err = run(capsys, "stat", "eval", "st018", word)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_eval_of_gf_only_statistic_exits_two(self, capsys):
         code, out, err = run(capsys, "stat", "eval", "st864", "1,2,3")
@@ -362,7 +368,9 @@ class TestScanUsageErrors:
         ["--workers", "0"],
         ["--min-n", "3", "--max-n", "9"],
         ["--stats", "nope"],
-    ], ids=["negative-workers", "zero-workers", "range-beyond-max", "unknown-statistic"])
+        ["--stats", "\u00b2"],
+    ], ids=["negative-workers", "zero-workers", "range-beyond-max", "unknown-statistic",
+            "superscript-statistic"])
     def test_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
         """And leaves no cache directory behind."""
         monkeypatch.chdir(tmp_path)

@@ -23,7 +23,7 @@ from permsieve.sieving import (
     q_minus_one,
     transport_check,
 )
-from permsieve.statistics import REGISTRY, get_statistic, mahonian_gf, walk
+from permsieve.statistics import REGISTRY, StatDescriptor, get_statistic, mahonian_gf, walk
 
 
 def poly(terms):
@@ -137,12 +137,13 @@ def test_transfer_matrix_matches_enumeration(key):
             assert walk(desc.step, p) == desc.evaluator(p), p
 
 
-def test_enumeration_on_the_hot_path():
-    """Only st1579 enumerates S_n for its generating function, and st373 keeps its
-    own step: criterion 10 observes st373 ~ st317 without a proof, and a borrowed
-    ``gf`` would compare one definition with itself."""
-    enumerated = {key for key, desc in REGISTRY.items() if desc.gf is None and desc.step is None}
-    assert enumerated == {"st1579"}
+def test_a_statistic_without_a_fast_definition_is_refused():
+    """A statistic with neither a ``gf`` nor a step is refused, so no generating
+    function enumerates S_n; and st373 keeps its own step: criterion 10 observes
+    st373 ~ st317 without a proof, and a borrowed ``gf`` would compare one
+    definition with itself."""
+    with pytest.raises(ValueError, match="neither a closed form nor a step"):
+        StatDescriptor("neither", "no fast definition", len)
     assert REGISTRY["st373"].step is not None and REGISTRY["st373"].gf is None
 
 

@@ -14,11 +14,13 @@ from permsieve.statistics import get_statistic, mahonian_gf
 from permsieve.statistics.basic import (
     bialternating,
     bialternating_inversion_raw,
+    inversions,
     width_k_descents,
 )
 from permsieve.statistics.distances import (
     _distance_table,
     cyclic_shift_gf,
+    cyclic_sort_swaps,
     depth,
     prefix_exchange_distance,
     reduced_reflection_length,
@@ -313,6 +315,23 @@ class TestSortingDistances:
     def test_1579_example(self):
         assert get_statistic("st1579")((2, 4, 3, 1)) == 4
 
+    def test_1579_pointwise_formula(self):
+        """The sort swaps the end entries when p(1) > p(n), then removes one inversion per swap."""
+
+        def formula(p):
+            if p[0] > p[-1]:
+                return 1 + inversions((p[-1], *p[1:-1], p[0]))
+            return inversions(p)
+
+        for n in range(1, 9):
+            for p in S(n):
+                assert cyclic_sort_swaps(p) == formula(p), p
+
+    def test_1579_gf_vanishes_at_minus_one(self):
+        """The factor 1 + q: st1579 sieves under reverse and complement at every n >= 2."""
+        for n in range(2, 10):
+            assert generating_function("st1579", n).evaluate(-1) == 0, n
+
     def test_1076_1077_examples(self):
         assert get_statistic("st1076")((2, 4, 3, 1)) == 2
         assert get_statistic("st1077")((2, 4, 3, 1)) == 2
@@ -384,9 +403,10 @@ class TestSortingDistances:
         assert get_statistic("st1077")((2, 1, *range(3, 13))) == 1
         assert get_statistic("st1077")((*range(2, 13), 1)) == 12 + 1 - 2  # one 12-cycle through 1
 
-    @pytest.mark.parametrize("key", ["st1076", "st1077"])
+    @pytest.mark.parametrize("key", ["st1579", "st1076", "st1077"])
     def test_distance_gfs_against_enumeration(self, key):
-        """st1076's search layers against its formula, st1077's exponential formula against its formula."""
+        """st1579's closed form against its sort, st1076's search layers against its
+        formula, st1077's exponential formula against its formula."""
         desc = get_statistic(key)
         for n in range(1, 9):
             assert desc.gf(n) == _enumerated_gf(desc, n), n
@@ -488,7 +508,7 @@ class TestRegistryInvariants:
         from permsieve.statistics import StatDescriptor
 
         registered = get_statistic("st018")
-        unregistered = StatDescriptor("unregistered", "not in the registry", len)
+        unregistered = StatDescriptor("unregistered", "not in the registry", len, gf=mahonian_gf)
         assert get_statistic(registered) is registered
         assert get_statistic(unregistered) is unregistered
 
