@@ -243,11 +243,13 @@ def map_keys() -> tuple[str, ...]:
 
 
 def get_map(key: str | MapDescriptor) -> MapDescriptor:
-    """Look a map up by registry key or swap alias; a descriptor is returned as it is."""
+    """Look a map up by registry key or swap alias; a descriptor is returned as it is.
+
+    A name that resolves to nothing registered raises :class:`UsageError`.
+    """
     if isinstance(key, MapDescriptor):
         return key
-    if key in MAPS:
-        return MAPS[key]
-    if key in _SWAP_ALIASES:
-        return MAPS[_SWAP_ALIASES[key]]
-    raise KeyError(f"unknown map {key!r}")
+    resolved = _SWAP_ALIASES.get(key, key)
+    if resolved not in MAPS:
+        raise UsageError(f"unknown map {key!r}")
+    return MAPS[resolved]

@@ -32,9 +32,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .bijections import get_map, map_keys
+from .bijections import MAPS, get_map
 from .cache import RecordCache
 from .errors import PermsieveError, UsageError
 from .orbits import orbit_sizes
@@ -42,7 +42,7 @@ from .permutations import format_permutation, parse_permutation
 from .polynomials import IntPolynomial
 from .scan import MAX_SCAN_N, ScanReport, ScanRow, scan
 from .sieving import csp_check, equidistribution, generating_function, orbit_parts
-from .statistics import get_statistic, statistic_keys
+from .statistics import REGISTRY, get_statistic
 
 _json_scalar = json.JSONEncoder().encode
 _json_string = json.encoder.encode_basestring_ascii
@@ -170,13 +170,17 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _list(descriptors: Iterable) -> int:
+    """Print one registered statistic or map per line: its key, FindStat id if any, and name."""
+    for d in descriptors:
+        fid = f" [{d.findstat_id}]" if d.findstat_id is not None else ""
+        print(f"{d.key}{fid}: {d.name}")
+    return 0
+
+
 def _cmd_stat(args: argparse.Namespace) -> int:
     if args.stat_command == "list":
-        for key in statistic_keys():
-            d = get_statistic(key)
-            fid = f" [{d.findstat_id}]" if d.findstat_id is not None else ""
-            print(f"{key}{fid}: {d.name}")
-        return 0
+        return _list(REGISTRY.values())
     desc = get_statistic(args.key)
     if args.stat_command == "eval":
         print(desc(parse_permutation(args.perm)))
@@ -190,11 +194,7 @@ def _cmd_stat(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     if args.map_command == "list":
-        for key in map_keys():
-            d = get_map(key)
-            fid = f" [{d.findstat_id}]" if d.findstat_id is not None else ""
-            print(f"{key}{fid}: {d.name}")
-        return 0
+        return _list(MAPS.values())
     desc = get_map(args.key)
     if args.map_command == "apply":
         p = parse_permutation(args.perm)
@@ -248,6 +248,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise UsageError(f"workers must be a positive integer, got {args.workers}")
     if args.output and not Path(args.output).parent.is_dir():
         raise UsageError(f"cannot write {args.output}: {Path(args.output).parent} is not a directory")
+    if args.output and Path(args.output).is_dir():
+        raise UsageError(f"cannot write {args.output}: it is a directory")
     cache = RecordCache(args.cache_dir)
     stats = args.stats.split(",") if args.stats else None
     maps = args.maps.split(",") if args.maps else None
@@ -356,9 +358,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (PermsieveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

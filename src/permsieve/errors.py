@@ -50,4 +50,4 @@ class NotABijection(PermsieveError):
 
 
 class UsageError(PermsieveError, ValueError):
-    """Raised when a command or scan argument is out of its documented range."""
+    """Raised when a command or scan argument is out of its documented range or names nothing registered."""

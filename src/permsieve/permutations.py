@@ -56,12 +56,10 @@ def parse_permutation(text: str) -> Perm:
         raise EmptyInput("empty permutation string")
     if "," in text:
         parts = [s.strip() for s in text.split(",")]
-        if any(not s for s in parts):
+        # isdecimal first: int() alone also takes a sign and underscores
+        if not all(s.isdecimal() for s in parts):
             raise NotAPermutation(f"malformed comma-separated permutation: {text!r}")
-        try:
-            values = [int(s) for s in parts]
-        except ValueError as exc:
-            raise NotAPermutation(f"non-integer entry in {text!r}") from exc
+        values = [int(s) for s in parts]
     else:
         if not text.isdecimal():
             raise NotAPermutation(f"digit-word permutation expected, got {text!r}")

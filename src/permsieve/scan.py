@@ -91,13 +91,6 @@ class ScanReport:
         return counts
 
 
-def _applicable_ns(stat_key: str, map_key: str, n_min: int, n_max: int) -> list[int]:
-    stat = get_statistic(stat_key)
-    mp = get_map(map_key)
-    lo = max(n_min, stat.min_n, mp.min_n)
-    return list(range(lo, n_max + 1))
-
-
 def scan(
     n_min: int = 4,
     n_max: int = 6,
@@ -121,8 +114,9 @@ def scan(
     """
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
         raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
-    stat_list = tuple(sorted({get_statistic(s).key for s in (stats or statistic_keys())}))
-    map_list = tuple(sorted({get_map(m).key for m in (maps or map_keys())}))
+    key = attrgetter("key")
+    stat_list = sorted({get_statistic(s) for s in stats or statistic_keys()}, key=key)
+    map_list = sorted({get_map(m) for m in maps or map_keys()}, key=key)
     # a statistic's generating function, and so each verdict, is its definer's (its gf_key)
     gfs: dict[tuple[str, int], IntPolynomial] = {}  # (definer, n)
     orbits: dict[tuple[str, int], OrbitParts] = {}  # (map, n)
@@ -130,13 +124,13 @@ def scan(
     decided: dict[tuple[str, int, str], CspVerdict] = {}  # (definer, n, signature): shared by its maps
     rows: list[ScanRow] = []
     verdicts: list[PairVerdict] = []
-    for s, m in product(stat_list, map_list):
+    for stat, mp in product(stat_list, map_list):
+        s, m, definer = stat.key, mp.key, stat.gf_key
         pair = f"{s}|{m}"
-        ns = _applicable_ns(s, m, n_min, n_max)
+        ns = range(max(n_min, stat.min_n, mp.min_n), n_max + 1)
         if not ns:
             verdicts.append(PairVerdict(pair, s, m, "skipped", (), reason="undefined on the whole range"))
             continue
-        definer = get_statistic(s).gf_key
         failing_n = witness = None
         for n in ns:
             if (definer, n) not in gfs:

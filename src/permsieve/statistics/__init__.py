@@ -1,10 +1,12 @@
 """Registry of permutation statistics.
 
 Each statistic is a pure function from a permutation tuple to an integer,
-wrapped in a :class:`StatDescriptor` carrying a stable string key, the
-FindStat identifier when one exists, and the smallest meaningful n the
-scanning layer needs.  A generating function has one definition, registered
-on one statistic.  Thirty-four statistics carry a ``gf``:
+wrapped in a :class:`StatDescriptor` carrying a stable string key and the
+smallest meaningful n the scanning layer needs.  A statistic's key spells its
+FindStat id, st018 for St000018, and the id is read off the key, so
+:func:`get_statistic` resolves a key or an id by one rule; two statistics
+without an id, ``extrema_sum`` and ``maj_minus_imaj``, have keys of another
+form.  A generating function has one definition, registered on one statistic.  Thirty-four statistics carry a ``gf``:
 
 - nine closed forms: the q-factorial for inversions (MacMahon), the forms
   for cycles and, shifted, st541, absolute length, the uniform distribution
@@ -93,7 +95,10 @@ Step = Callable[[int, Hashable, int, int, int], tuple[Hashable, int]]
 
 @dataclass(frozen=True)
 class StatDescriptor:
-    """A registered statistic: evaluator, identifiers, and scan metadata.
+    """A registered statistic: evaluator, key, and scan metadata.
+
+    ``key`` is ``st`` and the FindStat id in at least three digits when the
+    statistic has one; :attr:`findstat_id` reads the id off it.
 
     ``step``, when given, lets the generating function be built left to right
     (the transfer-matrix method) instead of by evaluating every permutation.
@@ -128,7 +133,6 @@ class StatDescriptor:
     key: str
     name: str
     evaluator: Optional[Callable[[Perm], int]]
-    findstat_id: Optional[int] = None
     gf: Optional[Union[Callable[[int], IntPolynomial], str]] = None
     min_n: int = 1
     step: Optional[Step] = None
@@ -138,6 +142,12 @@ class StatDescriptor:
             raise ValueError(f"{self.key} has both a closed form and a step; the step would never run")
         if self.gf is None and self.step is None:
             raise ValueError(f"{self.key} has neither a closed form nor a step")
+
+    @property
+    def findstat_id(self) -> Optional[int]:
+        """The FindStat id that the key spells, as st018 spells 18; None for a key of another form."""
+        digits = self.key[2:]
+        return int(digits) if self.key.startswith("st") and digits.isdecimal() else None
 
     @property
     def gf_key(self) -> str:
@@ -155,10 +165,10 @@ class StatDescriptor:
 def _descriptors() -> list[StatDescriptor]:
     S = StatDescriptor
 
-    def pattern(key: str, name: str, findstat_id: int) -> StatDescriptor:
+    def pattern(key: str, name: str) -> StatDescriptor:
         # the step is the one definition: the evaluator walks it along p
         step = patterns.STEPS[key]
-        return S(key, name, partial(walk, step), findstat_id, step=step)
+        return S(key, name, partial(walk, step), step=step)
 
     above, below = placed_above, placed_below
     # Step lambdas: "m, s" are the mask and a state the step leaves alone.
@@ -166,52 +176,50 @@ def _descriptors() -> list[StatDescriptor]:
         # Mahonian representatives: Foata's bijection takes maj to inv, so
         # st004(p) = st018(foata(p)) and st833(p) = st018(foata(rc(p))), rc the
         # reverse-complement
-        S("st004", "major index", major_index, 4, gf="st018"),
-        S("st018", "number of inversions", inversions, 18, gf=mahonian_gf),
-        S("st833", "comajor index", comajor_index, 833, gf="st018"),
+        S("st004", "major index", major_index, gf="st018"),
+        S("st018", "number of inversions", inversions, gf=mahonian_gf),
+        S("st833", "comajor index", comajor_index, gf="st018"),
         # descents and run shapes
-        S("st021", "number of descents", descents, 21, step=basic.descents_step),
+        S("st021", "number of descents", descents, step=basic.descents_step),
         # descents inside blocks of positions: chains mod k, pairs (1, 2), (3, 4), ... or (2, 3), ...
-        S("st836", "number of width-2 descents", lambda p: basic.width_k_descents(p, 2), 836, min_n=3,
+        S("st836", "number of width-2 descents", lambda p: basic.width_k_descents(p, 2), min_n=3,
           gf=lambda n: basic.width_k_descents_gf(n, 2)),
-        S("st1520", "number of width-3 descents", lambda p: basic.width_k_descents(p, 3), 1520, min_n=4,
+        S("st1520", "number of width-3 descents", lambda p: basic.width_k_descents(p, 3), min_n=4,
           gf=lambda n: basic.width_k_descents_gf(n, 3)),
-        S("st1114", "number of odd descents", basic.odd_descents, 1114,
+        S("st1114", "number of odd descents", basic.odd_descents,
           gf=lambda n: blocks_gf(n, [2] * (n // 2), basic.eulerian_gf)),
-        S("st1115", "number of even descents", basic.even_descents, 1115,
+        S("st1115", "number of even descents", basic.even_descents,
           gf=lambda n: blocks_gf(n, [2] * ((n - 1) // 2), basic.eulerian_gf)),
-        S("st483", "number of monotone switches", basic.monotone_switches, 483, step=basic.monotone_switches_step),
-        S("st638", "number of up-down runs", basic.up_down_runs, 638, step=basic.up_down_runs_step),
+        S("st483", "number of monotone switches", basic.monotone_switches, step=basic.monotone_switches_step),
+        S("st638", "number of up-down runs", basic.up_down_runs, step=basic.up_down_runs_step),
         # cycle diagram statistics
         # Corteel's map swaps crossings and nestings
-        S("st039", "number of crossings", cycles.crossings, 39, gf="st223"),
-        S("st223", "number of nestings", cycles.nestings, 223, step=cycles.nestings_step),
+        S("st039", "number of crossings", cycles.crossings, gf="st223"),
+        S("st223", "number of nestings", cycles.nestings, step=cycles.nestings_step),
         # st1744(p) = st317(phi(p)^-1), phi Foata's fundamental transform
-        S("st317", "cycle descent number", cycles.cycle_descents, 317, gf="st1744"),
-        S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, 1744,
-          step=cycles.arrow_12_patterns_step),
+        S("st317", "cycle descent number", cycles.cycle_descents, gf="st1744"),
+        S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, step=cycles.arrow_12_patterns_step),
         # vincular patterns
-        pattern("st356", "occurrences of 13-2", 356),
-        pattern("st357", "occurrences of 12-3", 357),
-        pattern("st358", "occurrences of 31-2", 358),
-        pattern("st360", "occurrences of 32-1", 360),
+        pattern("st356", "occurrences of 13-2"),
+        pattern("st357", "occurrences of 12-3"),
+        pattern("st358", "occurrences of 31-2"),
+        pattern("st360", "occurrences of 32-1"),
         # classical pattern pairs
-        pattern("st423", "occurrences of 123 or 132", 423),
-        pattern("st428", "occurrences of 123 or 213", 428),
-        pattern("st436", "occurrences of 231 or 321", 436),
-        pattern("st437", "occurrences of 312 or 321", 437),
+        pattern("st423", "occurrences of 123 or 132"),
+        pattern("st428", "occurrences of 123 or 213"),
+        pattern("st436", "occurrences of 231 or 321"),
+        pattern("st437", "occurrences of 312 or 321"),
         # midpoints of length-3 monotone subsequences: a placed value above v
         # and an unplaced one below it, or the other way round
-        S("st371", "midpoints of decreasing length-3 subsequences", extrema.count_decreasing_midpoints, 371,
+        S("st371", "midpoints of decreasing length-3 subsequences", extrema.count_decreasing_midpoints,
           step=lambda m, s, v, i, n: (s, int(above(m, v) > 0 and below(m, v) < v - 1))),
-        S("st372", "midpoints of increasing length-3 subsequences", extrema.count_increasing_midpoints, 372,
+        S("st372", "midpoints of increasing length-3 subsequences", extrema.count_increasing_midpoints,
           step=lambda m, s, v, i, n: (s, int(below(m, v) > 0 and above(m, v) < n - v))),
-        S("st1683", "distinct positions of 3 in 132 occurrences", extrema.distinct_positions_of_3_in_132, 1683,
+        S("st1683", "distinct positions of 3 in 132 occurrences", extrema.distinct_positions_of_3_in_132,
           step=extrema.distinct_positions_of_3_in_132_step),
         # st1687(p) = st1683(rc(p^-1)), rc the reverse-complement
-        S("st1687", "distinct positions of 2 in 213 occurrences", extrema.distinct_positions_of_2_in_213, 1687,
-          gf="st1683"),
-        S("st373", "weak excedances that are decreasing midpoints", extrema.weak_excedance_decreasing_midpoints, 373,
+        S("st1687", "distinct positions of 2 in 213 occurrences", extrema.distinct_positions_of_2_in_213, gf="st1683"),
+        S("st373", "weak excedances that are decreasing midpoints", extrema.weak_excedance_decreasing_midpoints,
           step=lambda m, s, v, i, n: (s, int(v >= i and above(m, v) > 0 and below(m, v) < v - 1))),
         # partial extrema and cycles: v is a left-to-right maximum when no
         # placed value exceeds it, a right-to-left minimum when every smaller
@@ -220,82 +228,74 @@ def _descriptors() -> list[StatDescriptor]:
         # (st031); reverse, complement and both take st314 to st007, st542 and
         # st991.  On every permutation st541 = st542 - 1, st316 = n - st314 and
         # st216 = n - st031, so the transform also takes st316 to st216.
-        S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, 7, gf="st031"),
-        S("st031", "number of cycles", extrema.cycle_count, 31, gf=cycles_gf),
-        S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, 314, gf="st031"),
-        S("st541", "values >= 2 with all smaller values to the right", extrema.small_values_to_the_right, 541,
+        S("st007", "number of right-to-left maxima", extrema.count_r2l_maxima, gf="st031"),
+        S("st031", "number of cycles", extrema.cycle_count, gf=cycles_gf),
+        S("st314", "number of left-to-right maxima", extrema.count_l2r_maxima, gf="st031"),
+        S("st541", "values >= 2 with all smaller values to the right", extrema.small_values_to_the_right,
           gf=lambda n: cycles_gf(n).shift(-1)),
-        S("st542", "number of left-to-right minima", extrema.count_l2r_minima, 542, gf="st031"),
-        S("st991", "number of right-to-left minima", extrema.count_r2l_minima, 991, gf="st031"),
-        S("st216", "absolute length", extrema.absolute_length, 216, gf=absolute_length_gf),
-        S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, 316, gf="st216"),
-        S("st1004", "positions that are l2r maxima or r2l minima", extrema.extrema_union, 1004,
+        S("st542", "number of left-to-right minima", extrema.count_l2r_minima, gf="st031"),
+        S("st991", "number of right-to-left minima", extrema.count_r2l_minima, gf="st031"),
+        S("st216", "absolute length", extrema.absolute_length, gf=absolute_length_gf),
+        S("st316", "number of non-left-to-right maxima", extrema.non_l2r_maxima, gf="st216"),
+        S("st1004", "positions that are l2r maxima or r2l minima", extrema.extrema_union,
           step=lambda m, s, v, i, n: (s, int(above(m, v) == 0 or below(m, v) == v - 1))),
-        S("st1005", "positions that are l2r maxima xor r2l minima", extrema.extrema_xor, 1005,
+        S("st1005", "positions that are l2r maxima xor r2l minima", extrema.extrema_xor,
           step=lambda m, s, v, i, n: (s, int((above(m, v) == 0) != (below(m, v) == v - 1)))),
-        S("extrema_sum", "l2r maxima plus r2l minima", extrema.extrema_sum, None,
+        S("extrema_sum", "l2r maxima plus r2l minima", extrema.extrema_sum,
           step=lambda m, s, v, i, n: (s, (above(m, v) == 0) + (below(m, v) == v - 1))),
         # inversion variants
-        S("st495", "inversions of distance at most 2", lambda p: basic.inversions_within_distance(p, 2), 495,
+        S("st495", "inversions of distance at most 2", lambda p: basic.inversions_within_distance(p, 2),
           step=basic.inversions_within_distance_step(2)),
-        S("st494", "inversions of distance at most 3", lambda p: basic.inversions_within_distance(p, 3), 494,
+        S("st494", "inversions of distance at most 3", lambda p: basic.inversions_within_distance(p, 3),
           step=basic.inversions_within_distance_step(3)),
-        S("st538", "number of even inversions", basic.even_inversions, 538,
+        S("st538", "number of even inversions", basic.even_inversions,
           gf=lambda n: blocks_gf(n, [(n + 1) // 2, n // 2], mahonian_gf)),
-        S("st539", "number of odd inversions", basic.odd_inversions, 539, step=basic.odd_inversions_step),
-        S("st1726", "number of visible inversions", basic.visible_inversions, 1726,
-          step=basic.visible_inversions_step),
-        S("st1727", "number of invisible inversions", basic.invisible_inversions, 1727,
-          step=basic.invisible_inversions_step),
+        S("st539", "number of odd inversions", basic.odd_inversions, step=basic.odd_inversions_step),
+        S("st1726", "number of visible inversions", basic.visible_inversions, step=basic.visible_inversions_step),
+        S("st1727", "number of invisible inversions", basic.invisible_inversions, step=basic.invisible_inversions_step),
         # signed and alternating combinations
-        S("st677", "standardized bi-alternating inversion number", basic.bialternating, 677,
-          step=basic.bialternating_step),
+        S("st677", "standardized bi-alternating inversion number", basic.bialternating, step=basic.bialternating_step),
         # Foata and Schuetzenberger (1978): Foata's second fundamental transformation
         # Phi takes maj to inv and keeps the inverse descent set, so
         # st825(p) = st1379(Phi(p)^-1)
-        S("st825", "major index plus inverse major index", longcycle.maj_plus_imaj, 825, gf="st1379"),
-        S("st1379", "inversions plus major index", longcycle.inv_plus_maj, 1379,
-          step=longcycle.inv_plus_maj_step),
-        S("st1377", "major index minus inversions", longcycle.maj_minus_inv, 1377,
-          step=longcycle.maj_minus_inv_step),
+        S("st825", "major index plus inverse major index", longcycle.maj_plus_imaj, gf="st1379"),
+        S("st1379", "inversions plus major index", longcycle.inv_plus_maj, step=longcycle.inv_plus_maj_step),
+        S("st1377", "major index minus inversions", longcycle.maj_minus_inv, step=longcycle.maj_minus_inv_step),
         # maj_minus_imaj(p) = st1377(Phi(p^-1)^-1), Phi as for st825
-        S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, None, gf="st1377"),
-        S("st462", "major index minus excedances", longcycle.maj_minus_excedances, 462,
+        S("maj_minus_imaj", "major index minus inverse major index", longcycle.maj_minus_imaj, gf="st1377"),
+        S("st462", "major index minus excedances", longcycle.maj_minus_excedances,
           step=longcycle.maj_minus_excedances_step),
         # st463(p) = st866(rc(p)), rc the reverse-complement
-        S("st463", "admissible inversions (Lin-Zeng)", longcycle.admissible_inversions_lz, 463, gf="st462"),
+        S("st463", "admissible inversions (Lin-Zeng)", longcycle.admissible_inversions_lz, gf="st462"),
         # Shareshian-Wachs: (aid, des) ~ (maj - exc, exc)
-        S("st866", "admissible inversions (Shareshian-Wachs)", longcycle.admissible_inversions_sw, 866, gf="st462"),
-        S("st961", "shifted major index", longcycle.shifted_major_index, 961,
-          step=longcycle.shifted_major_index_step),
-        S("st1911", "weighted descent variant minus inversions", basic.descent_variant_minus_inversions, 1911,
+        S("st866", "admissible inversions (Shareshian-Wachs)", longcycle.admissible_inversions_sw, gf="st462"),
+        S("st961", "shifted major index", longcycle.shifted_major_index, step=longcycle.shifted_major_index_step),
+        S("st1911", "weighted descent variant minus inversions", basic.descent_variant_minus_inversions,
           step=basic.descent_variant_minus_inversions_step),
         # sorting and factorization distances
-        S("st809", "reduced reflection length", distances.reduced_reflection_length, 809,
+        S("st809", "reduced reflection length", distances.reduced_reflection_length,
           step=lambda m, s, v, i, n: (s, 2 * max(v - i, 0) - above(m, v))),
         # the factor 1 + q of its generating function gives f(-1) = 0 for every
         # n >= 2, so st1579 sieves under reverse and under complement at every
         # n >= 2: both are involutions without fixed points there
-        S("st1579", "cyclic comparator swaps to sort", distances.cyclic_sort_swaps, 1579,
-          gf=distances.cyclic_sort_gf),
-        S("st1076", "factorization length over cyclic shifts of (12)", distances.cyclic_shift_factorization_length, 1076,
+        S("st1579", "cyclic comparator swaps to sort", distances.cyclic_sort_swaps, gf=distances.cyclic_sort_gf),
+        S("st1076", "factorization length over cyclic shifts of (12)", distances.cyclic_shift_factorization_length,
           gf=distances.cyclic_shift_gf),
-        S("st1077", "prefix exchange distance", distances.prefix_exchange_distance, 1077,
-          gf=distances.prefix_exchange_gf),
+        S("st1077", "prefix exchange distance", distances.prefix_exchange_distance, gf=distances.prefix_exchange_gf),
         # entries and rank: reverse moves the last entry to the front, and
         # moving the upper (lower) middle entry to the front does the same for
         # st1806 (st1807), so each is st054 of the moved permutation
-        S("st054", "first entry", entries.first_entry, 54, gf=entry_gf),
-        S("st740", "last entry", entries.last_entry, 740, gf="st054"),
-        S("st1806", "upper middle entry", entries.upper_middle_entry, 1806, gf="st054"),
-        S("st1807", "lower middle entry", entries.lower_middle_entry, 1807, gf="st054"),
-        S("st1557", "inversions of the second entry", lambda p: entries.inversions_of_ith_entry(p, 2), 1557, min_n=2,
+        S("st054", "first entry", entries.first_entry, gf=entry_gf),
+        S("st740", "last entry", entries.last_entry, gf="st054"),
+        S("st1806", "upper middle entry", entries.upper_middle_entry, gf="st054"),
+        S("st1807", "lower middle entry", entries.lower_middle_entry, gf="st054"),
+        S("st1557", "inversions of the second entry", lambda p: entries.inversions_of_ith_entry(p, 2), min_n=2,
           gf=lambda n: inv_entry_gf(n, 2)),
-        S("st1556", "inversions of the third entry", lambda p: entries.inversions_of_ith_entry(p, 3), 1556, min_n=3,
+        S("st1556", "inversions of the third entry", lambda p: entries.inversions_of_ith_entry(p, 3), min_n=3,
           gf=lambda n: inv_entry_gf(n, 3)),
-        S("st020", "lexicographic rank", entries.rank, 20, gf=rank_gf),
+        S("st020", "lexicographic rank", entries.rank, gf=rank_gf),
         # generating-function-only entry
-        S("st864", "circled entries of the shifted recording tableau", None, 864, gf=shifted_circled_gf),
+        S("st864", "circled entries of the shifted recording tableau", None, gf=shifted_circled_gf),
     ]
 
 
@@ -304,30 +304,21 @@ REGISTRY: dict[str, StatDescriptor] = {d.key: d for d in _ALL}
 if len(REGISTRY) != len(_ALL):
     raise RuntimeError("duplicate statistic keys in the registry")
 
-_BY_ID: dict[int, str] = {
-    d.findstat_id: d.key for d in REGISTRY.values() if d.findstat_id is not None
-}
-if len(_BY_ID) != sum(1 for d in _ALL if d.findstat_id is not None):
-    raise RuntimeError("duplicate FindStat ids in the registry")
-
 
 def statistic_keys() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
 
 def get_statistic(key: str | int | StatDescriptor) -> StatDescriptor:
-    """Look a statistic up by registry key, FindStat id, or bare number string.
+    """Look a statistic up by registry key or FindStat id, given as an int or a decimal string.
 
-    A descriptor is returned as it is.
+    An id n names the key ``st`` followed by n in at least three digits, so 18,
+    "18" and "0018" all name st018.  A descriptor is returned as it is, and a
+    name that resolves to nothing registered raises :class:`UsageError`.
     """
     if isinstance(key, StatDescriptor):
         return key
-    if isinstance(key, int):
-        if key in _BY_ID:
-            return REGISTRY[_BY_ID[key]]
-        raise KeyError(f"no statistic with id {key}")
-    if key in REGISTRY:
-        return REGISTRY[key]
-    if key.isdecimal() and int(key) in _BY_ID:
-        return REGISTRY[_BY_ID[int(key)]]
-    raise KeyError(f"unknown statistic {key!r}")
+    resolved = f"st{int(key):03d}" if isinstance(key, int) or key.isdecimal() else key
+    if resolved not in REGISTRY:
+        raise UsageError(f"unknown statistic {key!r}")
+    return REGISTRY[resolved]

@@ -21,6 +21,7 @@ from permsieve.bijections.involutions import (
     psi_3star,
     psi_block,
 )
+from permsieve.errors import UsageError
 from permsieve.permutations import identity, parse_permutation
 from permsieve.statistics import get_statistic
 from permsieve.statistics.extrema import r2l_min_positions
@@ -184,7 +185,7 @@ class TestPositionSwaps:
     def test_lookup_aliases(self):
         assert get_map("last-two").key == "swap_last_two"
         assert get_map("prefix-reverse-3").key == "prefix_reverse_3"
-        with pytest.raises(KeyError):
+        with pytest.raises(UsageError, match="unknown map 'nope'"):
             get_map("nope")
 
     def test_example(self):

@@ -71,7 +71,8 @@ class TestExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_permutation_exits_two(self, capsys):
-        for word in ("2231", "\u00b2\u00b9"):  # a repeated entry, superscript digits
+        # a repeated entry, superscript digits, and entries int() alone would take
+        for word in ("2231", "\u00b2\u00b9", "1,0_2", " 2,+1", "2,-1"):
             code, _, err = run(capsys, "stat", "eval", "st018", word)
             assert code == 2
             assert err.startswith("error: ") and err.count("\n") == 1
@@ -86,6 +87,15 @@ class TestExitCodes:
     def test_cyclic_shift_length_beyond_the_search_limit(self, capsys):
         """st1076's evaluator is a formula, so a permutation of length 11 needs no search of S_11."""
         assert run(capsys, "stat", "eval", "st1076", "2,1,3,4,5,6,7,8,9,10,11") == (0, "1\n", "")
+
+    def test_a_key_error_inside_a_command_is_not_a_usage_error(self, monkeypatch):
+        """Only a PermsieveError or an OSError is reported as exit 2; a bug keeps its traceback."""
+        def broken(*args):
+            raise KeyError("a bug")
+
+        monkeypatch.setattr(cli, "equidistribution", broken)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["equidist", "st039", "st223", "--n", "4"])
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -115,9 +125,11 @@ class TestExitCodes:
         ("--cache-dir", "file"),
         ("--cache-dir", "file/sub"),
         ("--output", "nodir/x.json"),
-    ], ids=["cache-dir-is-a-file", "cache-dir-under-a-file", "output-dir-missing"])
+        ("--output", "dir"),
+    ], ids=["cache-dir-is-a-file", "cache-dir-under-a-file", "output-dir-missing", "output-is-a-directory"])
     def test_bad_path_exits_two(self, capsys, tmp_path, flag, target):
         (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
         code, out, err = run(capsys, "scan", "--min-n", "4", "--max-n", "4", "--stats", "st018",
                              "--maps", "reverse", "--cache-dir", str(tmp_path / "c"),
                              flag, str(tmp_path / target))

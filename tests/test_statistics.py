@@ -512,6 +512,20 @@ class TestRegistryInvariants:
         assert get_statistic(registered) is registered
         assert get_statistic(unregistered) is unregistered
 
+    def test_a_findstat_id_resolves_to_its_statistic(self):
+        from permsieve.statistics import REGISTRY
+
+        with_id = [d for d in REGISTRY.values() if d.findstat_id is not None]
+        assert len(with_id) == 64
+        for d in with_id:
+            assert d.key == f"st{d.findstat_id:03d}"
+            assert get_statistic(d.findstat_id) is d
+            assert get_statistic(str(d.findstat_id)) is d
+        assert get_statistic("0018") is get_statistic(18) is REGISTRY["st018"]
+        for name, message in [(9999, "unknown statistic 9999"), ("st9999", "unknown statistic 'st9999'")]:
+            with pytest.raises(UsageError, match=message):
+                get_statistic(name)
+
     def test_a_closed_form_and_a_step_are_exclusive(self):
         from permsieve.statistics import StatDescriptor
 
