@@ -14,16 +14,17 @@ directly: the image has the same maximal decreasing runs in another order,
 and every side constraint reverses direction.  Those constraints and the
 ascent between consecutive runs fix the order.  A smallest-head-first
 placement finds it without backtracking on all of S_1..S_8 (checked against
-the oracle); a dead end raises :class:`NoPreimage`.  The diagram objects and
-the encode/reflect/decode functions stay as its oracle, and
-:func:`laguerre_decode` keeps its backtracking search.
+the oracle); a dead end is a fault and raises :class:`PermsieveError`.  The
+diagram objects and the encode/reflect/decode functions stay as its oracle,
+and :func:`laguerre_decode` keeps its backtracking search, which raises
+:class:`UsageError` for a diagram that no permutation realizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import NoPreimage
+from ..errors import PermsieveError, UsageError
 from ..permutations import Perm, check_permutation
 
 Arc = tuple[int, int]
@@ -40,12 +41,12 @@ class ArcDiagram:
         uppers = [a for a, _ in self.left_sides]
         lowers = [b for _, b in self.left_sides]
         if len(set(uppers)) != len(uppers) or len(set(lowers)) != len(lowers):
-            raise NoPreimage("a value may start and end at most one arc each")
+            raise UsageError("a value may start and end at most one arc each")
         for (a, b), left in self.left_sides.items():
             if not (1 <= b < a <= self.n):
-                raise NoPreimage(f"arc {(a, b)} out of range")
+                raise UsageError(f"arc {(a, b)} out of range")
             if not left <= frozenset(range(b + 1, a)):
-                raise NoPreimage(f"side data of arc {(a, b)} names outside values")
+                raise UsageError(f"side data of arc {(a, b)} names outside values")
 
 
 def laguerre_encode(p: Perm) -> ArcDiagram:
@@ -137,7 +138,7 @@ def laguerre_decode(d: ArcDiagram) -> Perm:
         return False
 
     if not search(0):
-        raise NoPreimage("no permutation realizes this arc diagram")
+        raise UsageError("no permutation realizes this arc diagram")
     word: list[int] = []
     for idx in order:
         word.extend(chains[idx])
@@ -151,8 +152,8 @@ def invert_laguerre_heap(p: Perm) -> Perm:
     test oracle).  The image keeps the maximal decreasing runs of p; for an
     arc (a, b) and a value v strictly between b and a, v's run goes before
     a's run when v sits right of a in p, and after it otherwise.  The runs
-    are placed smallest admissible head first; a dead end raises
-    :class:`NoPreimage`.
+    are placed smallest admissible head first; a dead end, which the
+    oracle check rules out on S_1..S_8, raises :class:`PermsieveError`.
 
     >>> invert_laguerre_heap((1, 10, 12, 2, 7, 6, 9, 8, 5, 11, 4, 3))
     (1, 11, 4, 3, 9, 8, 5, 7, 6, 12, 2, 10)
@@ -188,7 +189,7 @@ def invert_laguerre_heap(p: Perm) -> Perm:
             if not placed >> r & 1 and runs[r][0] > last and not before[r] & ~placed:
                 break
         else:
-            raise NoPreimage(f"no order of the runs of {p} realizes the reflected diagram")
+            raise PermsieveError(f"no order of the runs of {p} realizes the reflected diagram")
         placed |= 1 << r
         word.extend(runs[r])
         last = word[-1]

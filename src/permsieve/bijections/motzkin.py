@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import NoPreimage, WeightOutOfRange
+from ..errors import UsageError
 from ..permutations import Perm, check_permutation, inverse
 
 Word = tuple[str, ...]
@@ -43,31 +43,34 @@ def _step_heights(word: Word) -> tuple[int, ...]:
         elif w == "d":
             h -= 1
             if h < 0:
-                raise WeightOutOfRange(f"path dips below zero at step {i + 1}")
+                raise UsageError(f"path dips below zero at step {i + 1}")
             heights.append(h)
         elif w in ("r", "b"):
             heights.append(h)
         else:
-            raise WeightOutOfRange(f"unknown step letter {w!r}")
+            raise UsageError(f"unknown step letter {w!r}")
     if h != 0:
-        raise WeightOutOfRange("path must end at height zero")
+        raise UsageError("path must end at height zero")
     return tuple(heights)
 
 
 @dataclass(frozen=True)
 class ColoredMotzkinPath:
-    """A word in {u, d, r, b} with one nonnegative weight per step."""
+    """A word in {u, d, r, b} with one nonnegative weight per step.
+
+    A word or weight out of its bounds raises :class:`UsageError`.
+    """
 
     word: Word
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.word) != len(self.weights):
-            raise WeightOutOfRange("word and weight vectors differ in length")
+            raise UsageError("word and weight vectors differ in length")
         for i, (w, p, h) in enumerate(zip(self.word, self.weights, self.heights)):
             bound = h - 1 if w == "r" else h
             if not 0 <= p <= bound:
-                raise WeightOutOfRange(
+                raise UsageError(
                     f"weight {p} at step {i + 1} ({w}) exceeds bound {bound}"
                 )
 
@@ -122,7 +125,7 @@ def fz_decode(m: ColoredMotzkinPath) -> Perm:
     Sweeps left to right keeping the open arcs above the diagonal ordered by
     closing time and the open arcs below ordered by left endpoint; the weight
     selects the nesting depth at which an arc opens or closes.  Raises
-    :class:`NoPreimage` when no permutation has this encoding.
+    :class:`UsageError` when no permutation has this encoding.
     """
     n = len(m.word)
     sigma = [0] * (n + 1)
@@ -143,19 +146,19 @@ def fz_decode(m: ColoredMotzkinPath) -> Perm:
                 upper.insert(len(upper) - q, i)
         elif w == "d":
             if not upper or q >= len(lower):
-                raise NoPreimage(f"no arc to close at step {i}")
+                raise UsageError(f"no arc to close at step {i}")
             origin = upper.pop(0)
             sigma[origin] = i
             sigma[i] = lower.pop(q)
         elif w == "r":
             if q >= len(lower):
-                raise NoPreimage(f"no arc to pass at step {i}")
+                raise UsageError(f"no arc to pass at step {i}")
             sigma[i] = lower.pop(q)
             lower.append(i)
         else:
-            raise NoPreimage(f"unknown step letter {w!r}")
+            raise UsageError(f"unknown step letter {w!r}")
     if upper or lower:
-        raise NoPreimage("arcs left open at the end of the path")
+        raise UsageError("arcs left open at the end of the path")
     return check_permutation(sigma[1:])
 
 

@@ -251,8 +251,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.output and Path(args.output).is_dir():
         raise UsageError(f"cannot write {args.output}: it is a directory")
     cache = RecordCache(args.cache_dir)
-    stats = args.stats.split(",") if args.stats else None
-    maps = args.maps.split(",") if args.maps else None
+    stats = None if args.stats is None else args.stats.split(",")
+    maps = None if args.maps is None else args.maps.split(",")
     report = scan(args.min_n, args.max_n, stats, maps, cache=cache)
     _emit(_SCAN_EMITTERS[args.format](report), args.output)
     return 0
@@ -289,8 +289,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are usage errors, which :func:`main` reports like every other."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="permsieve", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="permsieve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stat = sub.add_parser("stat", help="statistic operations")
@@ -352,9 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (PermsieveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

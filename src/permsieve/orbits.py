@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import lcm
 
 from .bijections import MapDescriptor, get_map
-from .errors import NotABijection
+from .errors import PermsieveError
 from .permutations import symmetric_group
 
 
@@ -25,7 +25,7 @@ def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
     """Size multiset of the map's orbits on S_n, sizes in order of first seed.
 
     Raises :class:`UsageError` when n is below the map's ``min_n``, and
-    :class:`NotABijection` when an image is not a permutation in S_n or when
+    :class:`PermsieveError` when an image is not a permutation in S_n or when
     two trajectories merge.
     """
     desc = get_map(map_desc)
@@ -43,8 +43,8 @@ def decompose(map_desc: MapDescriptor | str, n: int) -> dict[int, int]:
                 unvisited.remove(current)
             except KeyError:
                 if sorted(current) != list(range(1, n + 1)):
-                    raise NotABijection(f"{desc.key} maps into {current!r}, which is not in S_{n}") from None
-                raise NotABijection(f"{desc.key} merged two trajectories at {current!r} in S_{n}") from None
+                    raise PermsieveError(f"{desc.key} maps into {current!r}, which is not in S_{n}") from None
+                raise PermsieveError(f"{desc.key} merged two trajectories at {current!r} in S_{n}") from None
             length += 1
             current = desc(current)
         sizes[length] = sizes.get(length, 0) + 1

@@ -16,7 +16,7 @@ from itertools import permutations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CodeOutOfRange, EmptyInput, NotAPermutation, SizeMismatch
+from .errors import UsageError
 
 Perm = tuple[int, ...]
 
@@ -29,16 +29,16 @@ def check_permutation(entries: Sequence[int]) -> Perm:
     >>> check_permutation([2, 2, 3, 1])
     Traceback (most recent call last):
         ...
-    permsieve.errors.NotAPermutation: duplicate or out-of-range value in (2, 2, 3, 1)
+    permsieve.errors.UsageError: duplicate or out-of-range value in (2, 2, 3, 1)
     """
     p = tuple(int(v) for v in entries)
     n = len(p)
     if n == 0:
-        raise NotAPermutation("a permutation needs n >= 1")
+        raise UsageError("a permutation needs n >= 1")
     seen = [False] * (n + 1)
     for v in p:
         if not 1 <= v <= n or seen[v]:
-            raise NotAPermutation(f"duplicate or out-of-range value in {p}")
+            raise UsageError(f"duplicate or out-of-range value in {p}")
         seen[v] = True
     return p
 
@@ -53,18 +53,18 @@ def parse_permutation(text: str) -> Perm:
     """
     text = text.strip()
     if not text:
-        raise EmptyInput("empty permutation string")
+        raise UsageError("empty permutation string")
     if "," in text:
         parts = [s.strip() for s in text.split(",")]
         # isdecimal first: int() alone also takes a sign and underscores
         if not all(s.isdecimal() for s in parts):
-            raise NotAPermutation(f"malformed comma-separated permutation: {text!r}")
+            raise UsageError(f"malformed comma-separated permutation: {text!r}")
         values = [int(s) for s in parts]
     else:
         if not text.isdecimal():
-            raise NotAPermutation(f"digit-word permutation expected, got {text!r}")
+            raise UsageError(f"digit-word permutation expected, got {text!r}")
         if len(text) > 9:
-            raise NotAPermutation(
+            raise UsageError(
                 "digit words are ambiguous beyond n = 9; use comma-separated values"
             )
         values = [int(ch) for ch in text]
@@ -116,16 +116,14 @@ def compose(p: Perm, q: Perm) -> Perm:
     (2, 3, 1)
     """
     if len(p) != len(q):
-        raise SizeMismatch(f"cannot compose sizes {len(p)} and {len(q)}")
+        raise UsageError(f"cannot compose sizes {len(p)} and {len(q)}")
     return tuple(p[v - 1] for v in q)
 
 
-def cycle_form(p: Perm, canonical: str = "smallest-first") -> tuple[tuple[int, ...], ...]:
+def cycle_form(p: Perm) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles of p, partitioning {1, ..., n}.
 
-    ``canonical`` picks the presentation: ``smallest-first`` starts each cycle
-    at its minimum and sorts cycles by minimum, ``largest-first`` starts each
-    cycle at its maximum and sorts cycles by maximum.
+    Each cycle starts at its minimum, and the cycles are sorted by it.
 
     >>> cycle_form((2, 4, 3, 1))
     ((1, 2, 4), (3,))
@@ -145,18 +143,8 @@ def cycle_form(p: Perm, canonical: str = "smallest-first") -> tuple[tuple[int, .
             cyc.append(x)
             seen[x] = True
             x = p[x - 1]
-        cycles.append(cyc)
-    if canonical == "smallest-first":
-        # scan order already begins each cycle at its minimum
-        return tuple(tuple(c) for c in cycles)
-    if canonical == "largest-first":
-        rotated = []
-        for c in cycles:
-            k = c.index(max(c))
-            rotated.append(tuple(c[k:] + c[:k]))
-        rotated.sort(key=lambda c: c[0])
-        return tuple(rotated)
-    raise ValueError(f"unknown canonicalization {canonical!r}")
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
 
 
 def from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Perm:
@@ -166,7 +154,7 @@ def from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Perm:
     for cyc in cycles:
         for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
             if not 1 <= a <= n or seen[a]:
-                raise NotAPermutation(f"cycles do not partition 1..{n}")
+                raise UsageError(f"cycles do not partition 1..{n}")
             seen[a] = True
             result[a - 1] = b
     return check_permutation(result)
@@ -195,7 +183,7 @@ def lehmer_decode(code: Sequence[int]) -> Perm:
     out = []
     for i, c in enumerate(code):
         if not 0 <= c <= n - 1 - i:
-            raise CodeOutOfRange(f"code entry {c} at position {i + 1} exceeds {n - 1 - i}")
+            raise UsageError(f"code entry {c} at position {i + 1} exceeds {n - 1 - i}")
         out.append(remaining.pop(c))
     return tuple(out)
 
@@ -255,8 +243,9 @@ def fundamental_inverse(p: Perm) -> Perm:
     >>> fundamental_inverse((3, 2, 4, 1, 6, 5))
     (2, 4, 1, 3, 6, 5)
     """
-    cycles = cycle_form(p, canonical="largest-first")
-    out: list[int] = []
-    for cyc in cycles:
-        out.extend(cyc)
-    return tuple(out)
+    rotated = []
+    for cyc in cycle_form(p):
+        k = cyc.index(max(cyc))
+        rotated.append(cyc[k:] + cyc[:k])
+    rotated.sort()
+    return tuple(v for cyc in rotated for v in cyc)

@@ -10,8 +10,9 @@ rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
+
+from .errors import UsageError
 
 
 @dataclass(frozen=True)
@@ -103,31 +104,30 @@ class IntPolynomial:
         return IntPolynomial(self.coeffs, self.offset + k) if self.coeffs else self
 
     def evaluate(self, x):
-        """Exact evaluation; returns an int, Fraction, or complex matching ``x``.
+        """Exact value at an int or complex ``x``, by Horner's rule.
 
-        Negative exponents force a Fraction for integer ``x`` other than +-1.
+        The value is an int at an int and a complex at a complex.  With a
+        negative offset it is an int only at +-1, each its own inverse, so
+        any other int is refused.
         """
-        if self.is_zero():
-            return 0 if isinstance(x, int) else type(x)(0)
-        if isinstance(x, int) and self.offset < 0 and abs(x) != 1:
-            xf = Fraction(x)
-            return sum(c * xf ** (self.offset + k) for k, c in enumerate(self.coeffs) if c)
-        total = 0
-        for k, c in enumerate(self.coeffs):
-            if c:
-                total += c * x ** (self.offset + k)
-        return total
+        total = x * 0  # of x's type, also for the zero polynomial
+        for c in reversed(self.coeffs):
+            total = total * x + c
+        e = self.offset
+        if e < 0 and isinstance(x, int):
+            if x not in (1, -1):
+                raise UsageError(f"q^{e} has no integer value at q = {x}")
+            e = -e
+        return total * x ** e
 
     def fold(self, c: int) -> "IntPolynomial":
         """Reduce exponents modulo c (offset honored); the result has degree < c."""
         if c < 1:
             raise ValueError("modulus must be >= 1")
-        acc: dict[int, int] = {}
-        for k, coeff in enumerate(self.coeffs):
-            if coeff:
-                e = (self.offset + k) % c
-                acc[e] = acc.get(e, 0) + coeff
-        return IntPolynomial.from_terms(acc)
+        residues = [0] * c
+        for k in range(min(c, len(self.coeffs))):
+            residues[(self.offset + k) % c] += sum(self.coeffs[k::c])
+        return IntPolynomial.from_terms(enumerate(residues))
 
     def coefficient(self, exponent: int) -> int:
         k = exponent - self.offset

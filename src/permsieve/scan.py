@@ -100,6 +100,9 @@ def scan(
 ) -> ScanReport:
     """Check every selected (statistic, map) pair on n_min..n_max, once each.
 
+    ``stats`` or ``maps`` None selects every registered one; an empty
+    selection is a :class:`UsageError`.
+
     The default range 4..6 keeps false negatives rare (several statistics are
     degenerate on tiny permutations) while staying fast; wider ranges are
     opt-in up to n = 8.  One loop visits the pairs statistic by statistic, n
@@ -115,8 +118,10 @@ def scan(
     if not MIN_SCAN_N <= n_min <= n_max <= MAX_SCAN_N:
         raise UsageError(f"scan range must satisfy {MIN_SCAN_N} <= n_min <= n_max <= {MAX_SCAN_N}")
     key = attrgetter("key")
-    stat_list = sorted({get_statistic(s) for s in stats or statistic_keys()}, key=key)
-    map_list = sorted({get_map(m) for m in maps or map_keys()}, key=key)
+    stat_list = sorted({get_statistic(s) for s in (statistic_keys() if stats is None else stats)}, key=key)
+    map_list = sorted({get_map(m) for m in (map_keys() if maps is None else maps)}, key=key)
+    if not stat_list or not map_list:
+        raise UsageError("a scan needs at least one statistic and one map")
     # a statistic's generating function, and so each verdict, is its definer's (its gf_key)
     gfs: dict[tuple[str, int], IntPolynomial] = {}  # (definer, n)
     orbits: dict[tuple[str, int], OrbitParts] = {}  # (map, n)

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Callable
 
 from .bijections import get_map
-from .errors import NotAnInvolution, UsageError
+from .errors import PermsieveError, UsageError
 from .orbits import fixed_counts, orbit_signature, orbit_sizes
 from .permutations import Perm, symmetric_group
 from .polynomials import IntPolynomial
@@ -239,7 +239,7 @@ def parity_pairing_check(
     Every fixed point of the involution must carry a statistic value of the
     same parity as ``expected_fixed_value``, and the two members of every
     2-orbit must carry values of opposite parity.  Raises
-    :class:`NotAnInvolution` if the map fails psi(psi(x)) = x anywhere.
+    :class:`PermsieveError` if the map fails psi(psi(x)) = x anywhere.
     """
     evaluator = get_statistic(stat).evaluator
     want = expected_fixed_value % 2
@@ -252,7 +252,7 @@ def parity_pairing_check(
             continue
         q = involution(p)
         if involution(q) != p:
-            raise NotAnInvolution(f"map is not an involution at {p}")
+            raise PermsieveError(f"map is not an involution at {p}")
         if q == p:
             if evaluator(p) % 2 != want:
                 return False

@@ -6,7 +6,7 @@ from functools import partial
 from math import comb
 from typing import Callable
 
-from ..errors import ParityViolation, WidthOutOfRange
+from ..errors import PermsieveError, UsageError
 from ..permutations import Perm
 from ..polynomials import IntPolynomial
 from .closed_forms import blocks_gf
@@ -96,7 +96,7 @@ def width_k_descents(p: Perm, k: int) -> int:
     """#{i : p_i > p_{i+k}}; a descent is the width-1 case."""
     n = len(p)
     if k >= n:
-        raise WidthOutOfRange(f"width {k} needs n > k, got n = {n}")
+        raise UsageError(f"width {k} needs n > k, got n = {n}")
     return sum(1 for i in range(n - k) if p[i] > p[i + k])
 
 
@@ -250,7 +250,7 @@ def bialternating(p: Perm) -> int:
     n = len(p)
     value = bialternating_inversion_raw(p) + (n // 2) ** 2
     if value % 2:
-        raise ParityViolation(f"bi-alternating sum {value} is odd for {p}")
+        raise PermsieveError(f"bi-alternating sum {value} is odd for {p}")
     return value // 2
 
 

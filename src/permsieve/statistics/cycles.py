@@ -53,7 +53,7 @@ def cycle_descents(p: Perm) -> int:
     2
     """
     total = 0
-    for cyc in cycle_form(p, canonical="smallest-first"):
+    for cyc in cycle_form(p):
         total += sum(1 for a, b in zip(cyc, cyc[1:]) if a > b)
     return total
 

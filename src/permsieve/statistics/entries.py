@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from ..errors import IndexOutOfRange
+from ..errors import UsageError
 from ..permutations import Perm, lehmer_code, perm_rank
 
 
 def ith_entry(p: Perm, i: int) -> int:
     if not 1 <= i <= len(p):
-        raise IndexOutOfRange(f"entry index {i} outside 1..{len(p)}")
+        raise UsageError(f"entry index {i} outside 1..{len(p)}")
     return p[i - 1]
 
 
@@ -31,7 +31,7 @@ def lower_middle_entry(p: Perm) -> int:
 def inversions_of_ith_entry(p: Perm, i: int) -> int:
     """#{j > i : p_j < p_i}, the i-th Lehmer code entry."""
     if not 1 <= i <= len(p):
-        raise IndexOutOfRange(f"entry index {i} outside 1..{len(p)}")
+        raise UsageError(f"entry index {i} outside 1..{len(p)}")
     return lehmer_code(p)[i - 1]
 
 

@@ -14,14 +14,14 @@ def faulty_st018(monkeypatch):
     outlives it.
     """
     from permsieve import sieving
-    from permsieve.errors import ParityViolation
+    from permsieve.errors import PermsieveError
     from permsieve.statistics import REGISTRY, mahonian_gf
 
     message = "an odd count at n=5"
 
     def gf(n):
         if n == 5:
-            raise ParityViolation(message)
+            raise PermsieveError(message)
         return mahonian_gf(n)
 
     monkeypatch.setitem(REGISTRY, "st018", replace(REGISTRY["st018"], gf=gf))

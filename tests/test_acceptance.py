@@ -191,10 +191,10 @@ def test_run_all_uses_at_most_one_worker_per_usable_cpu(monkeypatch, affinity, w
 def test_verify_reports_a_criterion_that_raises(monkeypatch, capsys):
     """A criterion's error crosses the worker process: ``verify`` prints it and exits 2."""
     from permsieve.cli import main
-    from permsieve.errors import NotAnInvolution
+    from permsieve.errors import PermsieveError
 
     def raising():
-        raise NotAnInvolution("map is not an involution at (2, 1)")
+        raise PermsieveError("map is not an involution at (2, 1)")
 
     monkeypatch.setattr(acceptance, "CRITERIA", tuple(
         (number, raising if number == 7 else fn) for number, fn in acceptance.CRITERIA))

@@ -98,9 +98,33 @@ class TestExitCodes:
             main(["equidist", "st039", "st223", "--n", "4"])
 
     def test_usage_error_exits_two(self, capsys):
+        code, out, err = run(capsys, "scan", "--format", "yaml")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: argument --format: invalid choice: 'yaml' "
+                       "(choose from 'csv', 'json', 'md')\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: the following arguments are required: command"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+        (["stat"], "error: the following arguments are required: stat_command"),
+        (["stat", "gf", "st018"], "error: the following arguments are required: --n"),
+        (["csp", "check", "st018", "reverse"], "error: the following arguments are required: --n"),
+        (["verify", "extra"], "error: unrecognized arguments: extra"),
+    ], ids=["missing-subcommand", "unknown-subcommand", "missing-stat-subcommand",
+            "missing-n", "missing-n-csp", "unrecognized-argument"])
+    def test_argparse_error_is_one_line(self, capsys, argv, message):
+        """An error argparse detects is reported as every other usage error: one line, exit 2."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--format", "yaml"])
-        assert exc.value.code == 2
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: permsieve")
 
     @pytest.mark.parametrize("argv", [
         ["csp", "check", "st018", "rotation", "--n", "-2"],
@@ -115,11 +139,10 @@ class TestExitCodes:
             "csp-check-9", "stat-gf-9", "map-orbits-9", "equidist-9"])
     def test_n_below_one_exits_two(self, capsys, argv):
         """Also an n above scan.MAX_SCAN_N, the largest n any command accepts."""
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "argument --n: must be a positive integer" in err
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: argument --n: must be a positive integer") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag, target", [
         ("--cache-dir", "file"),
@@ -381,8 +404,10 @@ class TestScanUsageErrors:
         ["--min-n", "3", "--max-n", "9"],
         ["--stats", "nope"],
         ["--stats", "\u00b2"],
+        ["--stats", ""],
+        ["--maps", ""],
     ], ids=["negative-workers", "zero-workers", "range-beyond-max", "unknown-statistic",
-            "superscript-statistic"])
+            "superscript-statistic", "empty-stats", "empty-maps"])
     def test_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
         """And leaves no cache directory behind."""
         monkeypatch.chdir(tmp_path)

@@ -11,7 +11,7 @@ from permsieve.bijections.laguerre import (
     laguerre_encode,
     laguerre_reflect,
 )
-from permsieve.errors import NoPreimage
+from permsieve.errors import UsageError
 from permsieve.permutations import identity, parse_permutation
 
 
@@ -66,15 +66,15 @@ class TestDecode:
     def test_inconsistent_sides_rejected(self):
         # 2 cannot be left of (4,1) while 3 is right of it if 2, 3 chain together;
         # here a flat contradiction: the same value on both sides of nested arcs
-        with pytest.raises(NoPreimage):
+        with pytest.raises(UsageError):
             laguerre_decode(
                 ArcDiagram(4, {(4, 1): frozenset({2}), (3, 2): frozenset()})
             )
 
     def test_bad_arc_data_rejected(self):
-        with pytest.raises(NoPreimage):
+        with pytest.raises(UsageError):
             ArcDiagram(3, {(1, 3): frozenset()})
-        with pytest.raises(NoPreimage):
+        with pytest.raises(UsageError):
             ArcDiagram(3, {(3, 1): frozenset({3})})
 
 

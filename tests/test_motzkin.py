@@ -11,7 +11,7 @@ from permsieve.bijections.motzkin import (
     fz_encode,
     motzkin_complement,
 )
-from permsieve.errors import WeightOutOfRange
+from permsieve.errors import UsageError
 from permsieve.permutations import identity, parse_permutation
 from permsieve.statistics.cycles import crossings, nestings
 
@@ -53,15 +53,15 @@ class TestComplement:
         assert motzkin_complement(path) == path
 
     def test_weight_bound_enforced(self):
-        with pytest.raises(WeightOutOfRange):
+        with pytest.raises(UsageError):
             ColoredMotzkinPath(tuple("ud"), (2, 0))
-        with pytest.raises(WeightOutOfRange):
+        with pytest.raises(UsageError):
             ColoredMotzkinPath(tuple("urd"), (0, 1, 0))  # r at height 1 allows only 0
 
     def test_path_shape_enforced(self):
-        with pytest.raises(WeightOutOfRange):
+        with pytest.raises(UsageError):
             ColoredMotzkinPath(tuple("du"), (0, 0))
-        with pytest.raises(WeightOutOfRange):
+        with pytest.raises(UsageError):
             ColoredMotzkinPath(tuple("uu"), (0, 0))
 
 

@@ -6,7 +6,7 @@ from math import factorial, gcd, lcm
 import pytest
 
 from permsieve.bijections import MapDescriptor, get_map, map_keys
-from permsieve.errors import NotABijection
+from permsieve.errors import PermsieveError
 from permsieve.orbits import decompose, fixed_counts, orbit_signature, orbit_sizes
 from permsieve.permutations import perm_rank, perm_unrank
 
@@ -63,16 +63,16 @@ class TestDecompose:
         collapse = MapDescriptor(
             "collapse", "sorts everything", lambda p: tuple(sorted(p)), sizes=involution
         )
-        with pytest.raises(NotABijection, match="merged two trajectories"):
+        with pytest.raises(PermsieveError, match="merged two trajectories"):
             decompose(collapse, 3)
         shift_down = MapDescriptor(
             "shift_down", "leaves [n]", lambda p: tuple(v - 1 for v in p), sizes=involution
         )
-        with pytest.raises(NotABijection, match="not in S_3"):
+        with pytest.raises(PermsieveError, match="not in S_3"):
             decompose(shift_down, 3)
         append = MapDescriptor("append", "grows the word", lambda p: p + (len(p) + 1,),
                                sizes=involution)
-        with pytest.raises(NotABijection, match="not in S_3"):
+        with pytest.raises(PermsieveError, match="not in S_3"):
             decompose(append, 3)
 
     @pytest.mark.parametrize("key", map_keys())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permsieve.errors import CodeOutOfRange, EmptyInput, NotAPermutation, SizeMismatch
+from permsieve.errors import UsageError
 from permsieve.permutations import (
     check_permutation,
     compose,
@@ -39,23 +39,23 @@ class TestParse:
         assert parse_permutation("1,2,3,4,5,6,7,8,9,10") == identity(10)
 
     def test_duplicate_rejected(self):
-        with pytest.raises(NotAPermutation):
+        with pytest.raises(UsageError):
             parse_permutation("2231")
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(UsageError):
             parse_permutation("   ")
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(NotAPermutation):
+        with pytest.raises(UsageError):
             parse_permutation("1,2,9")
 
     def test_n_zero_rejected(self):
-        with pytest.raises(NotAPermutation):
+        with pytest.raises(UsageError):
             check_permutation(())
 
     def test_long_digit_word_rejected(self):
-        with pytest.raises(NotAPermutation):
+        with pytest.raises(UsageError):
             parse_permutation("1234567891")
 
     @pytest.mark.parametrize("n", [1, 5, 9, 10, 14])
@@ -91,7 +91,7 @@ class TestAlgebra:
             assert compose(inverse(p), p) == identity(4)
 
     def test_compose_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(UsageError):
             compose((1, 2), (1, 2, 3))
 
     @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6),
@@ -119,14 +119,6 @@ class TestCycles:
             flat = sorted(v for c in cycles for v in c)
             assert flat == list(range(1, 7))
 
-    def test_largest_first(self):
-        assert cycle_form((2, 4, 3, 1), canonical="largest-first") == ((3,), (4, 1, 2),)
-
-    @pytest.mark.parametrize("canonical", ["as-produced", "largest"])
-    def test_unknown_canonicalization_rejected(self, canonical):
-        with pytest.raises(ValueError, match="unknown canonicalization"):
-            cycle_form((2, 4, 3, 1), canonical=canonical)
-
     def test_from_cycles_round_trip(self):
         for p in permutations(range(1, 6)):
             assert from_cycles(cycle_form(p), 5) == p
@@ -143,7 +135,7 @@ class TestLehmer:
         assert lehmer_decode((1, 2, 1, 0)) == (2, 4, 3, 1)
 
     def test_code_out_of_range(self):
-        with pytest.raises(CodeOutOfRange):
+        with pytest.raises(UsageError):
             lehmer_decode((4, 0, 0, 0))
 
     @pytest.mark.parametrize("n", range(1, 8))

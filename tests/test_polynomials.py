@@ -1,9 +1,8 @@
 """Exact polynomial arithmetic, including Laurent offsets and folding."""
 
-from fractions import Fraction
-
 import pytest
 
+from permsieve.errors import UsageError
 from permsieve.polynomials import IntPolynomial
 
 
@@ -65,13 +64,22 @@ class TestEvaluate:
         f = poly({-3: 2, 1: 5})
         assert f.evaluate(-1) == -2 + -5
 
-    def test_negative_offset_fraction(self):
-        f = poly({-1: 1})
-        assert f.evaluate(2) == Fraction(1, 2)
+    def test_negative_offset_is_an_exact_int_at_plus_minus_one(self):
+        f = IntPolynomial((2**60 + 1,), -1)
+        assert f.evaluate(-1) == -(2**60 + 1)
+        assert type(f.evaluate(-1)) is int
+        assert type(poly({-3: 2, 1: 5}).evaluate(1)) is int
+
+    @pytest.mark.parametrize("x", [0, 2, -3])
+    def test_negative_offset_elsewhere_refused(self, x):
+        with pytest.raises(UsageError, match="no integer value"):
+            poly({-1: 1}).evaluate(x)
 
     def test_complex(self):
         f = poly({0: 1, 2: 1})
         assert abs(f.evaluate(1j)) < 1e-12
+        assert poly({-1: 1}).evaluate(2j) == -0.5j
+        assert type(IntPolynomial.zero().evaluate(1j)) is complex
 
 
 class TestFold:

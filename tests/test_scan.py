@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 
 from permsieve.cache import RecordCache
-from permsieve.errors import ParityViolation
+from permsieve.errors import PermsieveError, UsageError
 from permsieve.scan import (
     KNOWN_INSTANCES,
     dedupe,
@@ -59,6 +59,13 @@ class TestScan:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             scan(3, 9)
+
+    @pytest.mark.parametrize("selection", [{"stats": []}, {"maps": []}, {"stats": (), "maps": ["reverse"]}],
+                             ids=["no-stats", "no-maps", "empty-tuple"])
+    def test_empty_selection_refused(self, selection):
+        """Only None selects everything; an empty selection is a usage error."""
+        with pytest.raises(UsageError, match="at least one statistic and one map"):
+            scan(4, 4, **selection)
 
     def test_trivial_range_all_pass(self):
         report = scan(1, 1, stats=["st018", "st021", "st031"], maps=["reverse", "rotation"])
@@ -120,7 +127,7 @@ class TestScan:
         """Every attempt fails: a repeat reads the part stored before the fault and meets it again."""
         cache = RecordCache(tmp_path)
         for _ in range(attempts):
-            with pytest.raises(ParityViolation, match=faulty_st018):
+            with pytest.raises(PermsieveError, match=faulty_st018):
                 scan(4, 5, stats=["st018"], maps=["reverse"], cache=cache)
         assert cache.load_vector("gf_st018", 4) is not None
         assert cache.load_vector("gf_st018", 5) is None

@@ -8,7 +8,7 @@ import pytest
 
 from permsieve.bijections import get_map
 from permsieve.bijections.basic import complement, reverse
-from permsieve.errors import NotAnInvolution
+from permsieve.errors import PermsieveError
 from permsieve.orbits import decompose
 from permsieve.permutations import fundamental_transform, inverse
 from permsieve.polynomials import IntPolynomial
@@ -258,6 +258,14 @@ class TestQMinusOne:
     def test_descents_n4(self):
         assert q_minus_one("st021", 4) == 0
 
+    def test_is_an_int_for_every_statistic(self):
+        """A negative offset (st1377 and its borrowers) must not turn the value into a float."""
+        assert q_minus_one("st1377", 5) == 8
+        for key, desc in REGISTRY.items():
+            for n in range(desc.min_n, 8):
+                assert type(q_minus_one(key, n)) is int, (key, n)
+                assert type(generating_function(key, n).evaluate(1)) is int, (key, n)
+
 
 class TestEquidistribution:
     # st039 reads st223's walk and st317 reads st1744's, so their generating
@@ -366,14 +374,14 @@ class TestParityPairing:
             assert parity_pairing_check(stat, mp, 0, n)
 
     def test_rejects_non_involution(self):
-        with pytest.raises(NotAnInvolution):
+        with pytest.raises(PermsieveError, match="not an involution"):
             parity_pairing_check("st018", get_map("rotation"), 0, 4)
 
     def test_rejects_a_second_preimage_of_a_paired_permutation(self):
         # 123 and 132 pair up first; 321 comes last and is sent onto 132 as well
         psi = {(1, 2, 3): (1, 3, 2), (1, 3, 2): (1, 2, 3), (2, 1, 3): (2, 3, 1),
                (2, 3, 1): (2, 1, 3), (3, 1, 2): (3, 1, 2), (3, 2, 1): (1, 3, 2)}
-        with pytest.raises(NotAnInvolution, match=r"\(3, 2, 1\)"):
+        with pytest.raises(PermsieveError, match=r"\(3, 2, 1\)"):
             parity_pairing_check("st018", psi.__getitem__, 0, 3)
 
     def test_detects_bad_pairing(self):

@@ -134,6 +134,33 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def test_every_raised_package_error_is_a_usage_error_or_a_fault():
+    """``errors.py`` defines two classes, and every ``raise`` of a class imported from it names one.
+
+    Input from outside the package that is refused raises ``UsageError``; a
+    fault the package finds in itself raises ``PermsieveError``.  No caller
+    tells finer classes apart, so there are none.
+    """
+    package = Path(permsieve.__file__).resolve().parent
+    allowed = ["PermsieveError", "UsageError"]
+    errors = ast.parse((package / "errors.py").read_text())
+    assert [node.name for node in errors.body if isinstance(node, ast.ClassDef)] == allowed
+    others = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        from_errors = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "errors"
+                       for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(raised, "id", None) or getattr(raised, "attr", None)
+            if name in from_errors and name not in allowed:
+                others.append(f"{path.relative_to(package)}:{node.lineno}: {name}")
+    assert others == []
+
+
 def test_package_reads_no_environment_variable():
     """Every setting comes from a command-line flag: no module reads os.environ or os.getenv."""
     package = Path(permsieve.__file__).resolve().parent
