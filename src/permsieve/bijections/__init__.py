@@ -29,7 +29,6 @@ from .basic import (
     swap_first_third,
     swap_first_two,
     swap_last_two,
-    swap_positions,
     swap_second_third,
     toric_promotion,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "psi_3star",
     "psi_32_1",
     "psi_block",
-    "swap_positions",
     "basic",
     "involutions",
     "laguerre",

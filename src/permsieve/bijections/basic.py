@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..permutations import Perm, compose, inverse, lehmer_code, lehmer_decode
+from ..permutations import Perm, compose, inverse, lehmer_code, lehmer_decode, swap_positions
 
 
 def reverse(p: Perm) -> Perm:
@@ -61,13 +61,6 @@ def toric_promotion(p: Perm) -> Perm:
             word[a], word[b] = word[b], word[a]
             pos[i], pos[j] = b, a
     return tuple(word)
-
-
-def swap_positions(p: Perm, a: int, b: int) -> Perm:
-    """Exchange the entries at 1-based positions a and b."""
-    q = list(p)
-    q[a - 1], q[b - 1] = q[b - 1], q[a - 1]
-    return tuple(q)
 
 
 def swap_last_two(p: Perm) -> Perm:

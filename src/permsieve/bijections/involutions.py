@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from ..permutations import Perm
-from .basic import swap_positions
+from ..permutations import Perm, swap_positions
 
 
 def alexandersson_kebede(p: Perm) -> Perm:

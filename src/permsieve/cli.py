@@ -251,8 +251,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.output and Path(args.output).is_dir():
         raise UsageError(f"cannot write {args.output}: it is a directory")
     cache = RecordCache(args.cache_dir)
-    stats = None if args.stats is None else args.stats.split(",")
-    maps = None if args.maps is None else args.maps.split(",")
+    stats = None if args.stats is None else [name.strip() for name in args.stats.split(",")]
+    maps = None if args.maps is None else [name.strip() for name in args.maps.split(",")]
     report = scan(args.min_n, args.max_n, stats, maps, cache=cache)
     _emit(_SCAN_EMITTERS[args.format](report), args.output)
     return 0

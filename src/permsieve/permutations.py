@@ -120,6 +120,13 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[v - 1] for v in q)
 
 
+def swap_positions(p: Perm, a: int, b: int) -> Perm:
+    """Exchange the entries at 1-based positions a and b: p times the transposition (a b)."""
+    q = list(p)
+    q[a - 1], q[b - 1] = q[b - 1], q[a - 1]
+    return tuple(q)
+
+
 def cycle_form(p: Perm) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles of p, partitioning {1, ..., n}.
 

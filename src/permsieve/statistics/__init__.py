@@ -60,14 +60,13 @@ from .closed_forms import (
     rank_gf,
     shifted_circled_gf,
 )
-from .patterns import PatternSpec, pattern_count
+from .patterns import pattern_count
 
 __all__ = [
     "StatDescriptor",
     "REGISTRY",
     "get_statistic",
     "statistic_keys",
-    "PatternSpec",
     "pattern_count",
     "walk",
     "mahonian_gf",
@@ -114,8 +113,9 @@ class StatDescriptor:
     placed at odd positions, for st539 and st677), since permutations that
     reach the same (mask, state) are counted together.  The evaluator stays the
     definition, and enumerating S_n through it is the step's test oracle, except
-    for the eight pattern statistics: pattern evaluators walk their registered
-    step (:func:`basic.walk`), and :func:`patterns.pattern_count` defines them.
+    for the eight pattern statistics: :data:`patterns.PATTERNS` names the
+    patterns and the step of each, its evaluator walks the step
+    (:func:`basic.walk`), and :func:`patterns.pattern_count` defines it.
 
     ``gf``, when given, is the generating function from ``min_n`` on.  It is
     a closed form, or the key of another statistic, with a ``gf`` or step of
@@ -165,10 +165,10 @@ class StatDescriptor:
 def _descriptors() -> list[StatDescriptor]:
     S = StatDescriptor
 
-    def pattern(key: str, name: str) -> StatDescriptor:
-        # the step is the one definition: the evaluator walks it along p
-        step = patterns.STEPS[key]
-        return S(key, name, partial(walk, step), step=step)
+    def pattern(key: str) -> StatDescriptor:
+        # named after the patterns it counts; the evaluator walks the step along p
+        texts, step = patterns.PATTERNS[key]
+        return S(key, "occurrences of " + " or ".join(texts), partial(walk, step), step=step)
 
     above, below = placed_above, placed_below
     # Step lambdas: "m, s" are the mask and a state the step leaves alone.
@@ -199,16 +199,8 @@ def _descriptors() -> list[StatDescriptor]:
         # st1744(p) = st317(phi(p)^-1), phi Foata's fundamental transform
         S("st317", "cycle descent number", cycles.cycle_descents, gf="st1744"),
         S("st1744", "number of 12 arrow patterns", cycles.arrow_12_patterns, step=cycles.arrow_12_patterns_step),
-        # vincular patterns
-        pattern("st356", "occurrences of 13-2"),
-        pattern("st357", "occurrences of 12-3"),
-        pattern("st358", "occurrences of 31-2"),
-        pattern("st360", "occurrences of 32-1"),
-        # classical pattern pairs
-        pattern("st423", "occurrences of 123 or 132"),
-        pattern("st428", "occurrences of 123 or 213"),
-        pattern("st436", "occurrences of 231 or 321"),
-        pattern("st437", "occurrences of 312 or 321"),
+        # vincular patterns, then classical pattern pairs
+        *map(pattern, patterns.PATTERNS),
         # midpoints of length-3 monotone subsequences: a placed value above v
         # and an unplaced one below it, or the other way round
         S("st371", "midpoints of decreasing length-3 subsequences", extrema.count_decreasing_midpoints,

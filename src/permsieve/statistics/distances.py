@@ -30,7 +30,7 @@ from collections import Counter, deque
 from math import perm
 
 from ..errors import UsageError
-from ..permutations import Perm, identity
+from ..permutations import Perm, identity, swap_positions
 from ..polynomials import IntPolynomial
 from .basic import inversions
 from .extrema import cycle_count
@@ -84,18 +84,12 @@ def cyclic_sort_gf(n: int) -> IntPolynomial:
     return IntPolynomial((1, 1), 0) * IntPolynomial.q_factorial(n - 2) * IntPolynomial(tuple(range(1, n)), 0)
 
 
-def _swap_positions(p: Perm, a: int, b: int) -> Perm:
-    q = list(p)
-    q[a], q[b] = q[b], q[a]
-    return tuple(q)
-
-
 def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> dict[Perm, int]:
     """BFS word lengths from the identity, keyed by permutation.
 
-    Generators are position pairs (0-based); multiplying on the right by the
-    transposition (a+1, b+1) swaps the entries at positions a and b, so BFS
-    layers enumerate products of k generators.
+    Generators are the transpositions (a b), given as 1-based position pairs;
+    multiplying on the right by (a b) swaps the entries at positions a and b,
+    so BFS layers enumerate products of k generators.
     """
     start = identity(n)
     dist = {start: 0}
@@ -104,7 +98,7 @@ def _distance_table(n: int, generators: tuple[tuple[int, int], ...]) -> dict[Per
         cur = queue.popleft()
         d = dist[cur] + 1
         for a, b in generators:
-            nxt = _swap_positions(cur, a, b)
+            nxt = swap_positions(cur, a, b)
             if nxt not in dist:
                 dist[nxt] = d
                 queue.append(nxt)
@@ -116,9 +110,9 @@ def _cyclic_shift_generators(n: int) -> tuple[tuple[int, int], ...]:
     if n > SEARCH_MAX_N:
         raise UsageError(f"the generating function of st1076 searches all of S_n, "
                          f"which is limited to n <= {SEARCH_MAX_N}; got n = {n}")
-    gens = tuple((a, a + 1) for a in range(n - 1))
+    gens = tuple((a, a + 1) for a in range(1, n))
     if n > 2:
-        gens += ((0, n - 1),)
+        gens += ((1, n),)
     return gens
 
 

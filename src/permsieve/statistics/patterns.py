@@ -6,107 +6,52 @@ never on values.  The dash notation ``32-1`` means the letters 3 and 2 are
 glued and the 1 may appear anywhere later, so an occurrence consists of
 positions (i, i+1, k) with k > i+1 and sigma_i > sigma_{i+1} > sigma_k.
 
-Each of the eight registered pattern statistics is one transfer-matrix step
-(:data:`STEPS`) that counts, when a value is placed, the still unplaced values
-in the right window: those all come later.  The registry evaluates it by
-walking that step along p.  The generic recursive :func:`pattern_count` is
-their definition and their test oracle.
+Each of the eight registered pattern statistics is one entry of
+:data:`PATTERNS`: the patterns it counts, in dash notation, and one
+transfer-matrix step that counts, when a value is placed, the still unplaced
+values in the right window: those all come later.  The registry names the
+statistic after those patterns and evaluates it by walking the step along p.
+The brute force :func:`pattern_count` is their definition and their test
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import combinations
 
+from ..errors import UsageError
 from ..permutations import Perm, check_permutation
 from .basic import placed_above, placed_below, placed_between
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    """A pattern of [k] plus the set of glued neighbour pairs.
+def pattern_count(p: Perm, text: str) -> int:
+    """Number of occurrences in p of the pattern ``text``, in dash notation.
 
-    ``adjacent`` holds 1-based letter indices t such that pattern positions
-    t and t+1 must be adjacent in the host.  The pattern is classical exactly
-    when it is empty, and vincular otherwise.
+    A text without a dash is a classical pattern.  Every tuple of positions
+    is tried: in a vincular pattern the letters of each dash-free block must
+    sit at adjacent positions, and the values there must be order-isomorphic
+    to the letters.
+
+    >>> pattern_count((3, 2, 4, 1), "32-1")
+    1
+    >>> pattern_count((4, 2, 3, 1), "32-1")
+    1
     """
-
-    pattern: tuple[int, ...]
-    adjacent: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        check_permutation(self.pattern)
-        if len(self.pattern) > 4:
-            raise ValueError("patterns longer than 4 are not supported")
-        if any(not 1 <= t < len(self.pattern) for t in self.adjacent):
-            raise ValueError("adjacency indices must name neighbouring letter pairs")
-
-    @staticmethod
-    def from_string(text: str) -> "PatternSpec":
-        """Parse dash notation: ``"132"`` is classical, ``"32-1"`` glues 3 and 2.
-
-        >>> PatternSpec.from_string("32-1")
-        PatternSpec(pattern=(3, 2, 1), adjacent=frozenset({1}))
-        """
-        blocks = text.split("-")
-        letters = [int(ch) for ch in "".join(blocks)]
-        if len(blocks) == 1:
-            return PatternSpec(tuple(letters))
-        adjacent = set()
-        pos = 0
+    blocks = text.split("-")
+    if not all(block and set(block) <= set("123456789") for block in blocks):
+        raise UsageError(f"a pattern is dash-separated blocks of the letters 1..9, got {text!r}")
+    letters = check_permutation([int(ch) for ch in "".join(blocks)])
+    glued, start = [], 0  # the letter indices t glued to t + 1
+    if len(blocks) > 1:
         for block in blocks:
-            for t in range(pos + 1, pos + len(block)):
-                adjacent.add(t)
-            pos += len(block)
-        return PatternSpec(tuple(letters), frozenset(adjacent))
-
-    def blocks(self) -> tuple[int, ...]:
-        """Lengths of the maximal glued letter runs, left to right."""
-        lengths = []
-        run = 1
-        for t in range(1, len(self.pattern)):
-            if t in self.adjacent:
-                run += 1
-            else:
-                lengths.append(run)
-                run = 1
-        lengths.append(run)
-        return tuple(lengths)
-
-
-def pattern_count(p: Perm, spec: PatternSpec) -> int:
-    """Number of occurrences of ``spec`` in p.
-
-    >>> pattern_count((3, 2, 4, 1), PatternSpec.from_string("32-1"))
-    1
-    >>> pattern_count((4, 2, 3, 1), PatternSpec.from_string("32-1"))
-    1
-    """
-    n = len(p)
-    pat = spec.pattern
-    block_lengths = spec.blocks()
-    count = 0
-
-    def order_matches(positions: list[int]) -> bool:
-        vals = [p[i - 1] for i in positions]
-        k = len(vals)
-        for a in range(k):
-            for b in range(a + 1, k):
-                if (vals[a] < vals[b]) != (pat[a] < pat[b]):
-                    return False
-        return True
-
-    def place(block: int, start_min: int, positions: list[int]) -> None:
-        nonlocal count
-        if block == len(block_lengths):
-            count += order_matches(positions)
-            return
-        length = block_lengths[block]
-        tail = sum(block_lengths[block + 1 :])
-        for s in range(start_min, n - length - tail + 2):
-            place(block + 1, s + length, positions + list(range(s, s + length)))
-
-    place(0, 1, [])
-    return count
+            glued += range(start, start + len(block) - 1)
+            start += len(block)
+    rising = sorted(range(len(letters)), key=letters.__getitem__)  # order-isomorphic: rising under 1, 2, ..., k
+    return sum(
+        all(pos[t + 1] == pos[t] + 1 for t in glued)
+        and all(p[pos[a]] < p[pos[b]] for a, b in zip(rising, rising[1:]))
+        for pos in combinations(range(len(p)), len(letters))
+    )
 
 
 def glued_then_later_step(pattern: tuple[int, int, int]):
@@ -153,14 +98,15 @@ def choose_two_step(left: bool, larger: bool):
     return step
 
 
-# The one definition of each registered pattern statistic: its step, built once.
-STEPS = {
-    "st356": glued_then_later_step((1, 3, 2)),
-    "st357": glued_then_later_step((1, 2, 3)),
-    "st358": glued_then_later_step((3, 1, 2)),
-    "st360": glued_then_later_step((3, 2, 1)),
-    "st423": choose_two_step(left=False, larger=True),
-    "st428": choose_two_step(left=True, larger=False),
-    "st436": choose_two_step(left=True, larger=True),
-    "st437": choose_two_step(left=False, larger=False),
+# The one definition of each registered pattern statistic: the patterns it
+# counts, which name it and define it, and its step, built once.
+PATTERNS = {
+    "st356": (("13-2",), glued_then_later_step((1, 3, 2))),
+    "st357": (("12-3",), glued_then_later_step((1, 2, 3))),
+    "st358": (("31-2",), glued_then_later_step((3, 1, 2))),
+    "st360": (("32-1",), glued_then_later_step((3, 2, 1))),
+    "st423": (("123", "132"), choose_two_step(left=False, larger=True)),
+    "st428": (("123", "213"), choose_two_step(left=True, larger=False)),
+    "st436": (("231", "321"), choose_two_step(left=True, larger=True)),
+    "st437": (("312", "321"), choose_two_step(left=False, larger=False)),
 }

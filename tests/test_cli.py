@@ -195,14 +195,21 @@ class TestExitCodes:
 
 class TestListingAndGf:
     def test_stat_list(self, capsys):
+        """Every line is pinned: the eight pattern statistics are named from their patterns."""
         code, out, _ = run(capsys, "stat", "list")
         assert code == 0
         assert "st039 [39]: number of crossings" in out
+        assert "st423 [423]: occurrences of 123 or 132" in out
+        assert len(out.splitlines()) == 66
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "b10d3750124d9befa2dfc73d3e9ce85efd1cb7cedab59bc7e18190bc9c077351")
 
     def test_map_list(self, capsys):
         code, out, _ = run(capsys, "map", "list")
         assert code == 0
         assert "corteel [239]" in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "8a47e6bd1ad80261b370574e80518367a22f7716ada0407862d5710cfe085623")
 
     def test_stat_gf(self, capsys):
         code, out, _ = run(capsys, "stat", "gf", "st021", "--n", "3")
@@ -286,6 +293,13 @@ class TestScanCommand:
                             lambda cache, key, n: keys.append(key) or load_vector(cache, key, n))
         assert run(capsys, *self.ARGS, "--cache-dir", str(tmp_path / "c")) == (0, clean, "")
         assert keys and not [key for key in keys if key.startswith("orbit_")]
+
+    def test_names_may_be_spaced(self, capsys, tmp_path):
+        """Spaces around the names of --stats and --maps are dropped, as in --criteria and a permutation."""
+        cache = str(tmp_path / "c")
+        spaced = ["scan", "--min-n", "4", "--max-n", "4",
+                  "--stats", "st018, st021 ,st039", "--maps", " reverse, corteel"]
+        assert run(capsys, *spaced, "--cache-dir", cache) == run(capsys, *self.ARGS, "--cache-dir", cache)
 
     def test_csv_and_md_views(self, capsys, tmp_path):
         cache = str(tmp_path / "c")

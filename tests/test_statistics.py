@@ -378,7 +378,7 @@ class TestSortingDistances:
                 cur = queue.popleft()
                 for a, b in generators:
                     nxt = list(cur)
-                    nxt[a], nxt[b] = nxt[b], nxt[a]
+                    nxt[a - 1], nxt[b - 1] = nxt[b - 1], nxt[a - 1]
                     nxt = tuple(nxt)
                     if table[perm_rank(nxt)] < 0:
                         table[perm_rank(nxt)] = table[perm_rank(cur)] + 1
@@ -386,8 +386,8 @@ class TestSortingDistances:
             return tuple(table)
 
         for n in range(2, 7):
-            cyclic = tuple((a, a + 1) for a in range(n - 1)) + (((0, n - 1),) if n > 2 else ())
-            prefix = tuple((0, a) for a in range(1, n))
+            cyclic = tuple((a, a + 1) for a in range(1, n)) + (((1, n),) if n > 2 else ())
+            prefix = tuple((1, a) for a in range(2, n + 1))
             for gens in (cyclic, prefix):
                 ranked = reference(n, gens)
                 assert _distance_table(n, gens) == {p: ranked[perm_rank(p)] for p in S(n)}
@@ -395,7 +395,7 @@ class TestSortingDistances:
     def test_1077_formula_against_star_search(self):
         """Oracle: the breadth-first search over the star generators (1, a)."""
         for n in range(1, 8):
-            table = _distance_table(n, tuple((0, a) for a in range(1, n)))
+            table = _distance_table(n, tuple((1, a) for a in range(2, n + 1)))
             for p in S(n):
                 assert prefix_exchange_distance(p) == table[p], p
 
