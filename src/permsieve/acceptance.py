@@ -5,9 +5,9 @@ here are used both by ``permsieve verify`` and by the acceptance test module;
 each returns a :class:`CriterionResult` whose details list failures, plus
 recorded observations where a criterion asks for one.  The criteria are
 independent: :func:`run_all`, which ``permsieve verify`` calls, runs them in
-a pool of worker processes, at most one per CPU this process may run on, and
-returns their results in criterion order; the tests call each criterion
-in-process.
+a pool of worker processes, at most one per CPU this process may run on.  It
+hands them to the pool heaviest first and returns their results in criterion
+order; the tests call each criterion in-process.
 """
 
 from __future__ import annotations
@@ -360,11 +360,21 @@ def _run_criterion(number: int) -> CriterionResult:
     return dict(CRITERIA)[number]()
 
 
+# The order run_all hands the criteria to the pool: longest first (Graham's LPT
+# rule), so the last to start are short and the workers finish together.  Median
+# seconds each took in its worker over 10 runs, 2 workers, 2-CPU Xeon, Python 3.11:
+# 9 0.50, 2 0.42, 8 0.39, 12 0.34, 5 0.050, 10 0.050, 3 0.010, 6 0.004, 4 0.002,
+# 7 0.001, 11 0.001, 1 under 0.001; below 0.01 s the order makes no difference.
+SUBMIT_ORDER = (9, 2, 8, 12, 5, 10, 3, 6, 7, 4, 11, 1)
+
+
 def run_all(numbers: Optional[list[int]] = None) -> list[CriterionResult]:
     """Run the selected criteria (all when ``numbers`` is empty) in worker processes.
 
-    The results come back in criterion order; the first criterion, in that
-    order, that raises makes this raise.
+    The criteria go to the pool in :data:`SUBMIT_ORDER`, heaviest first.  The
+    results come back in criterion order; the first criterion, in that
+    order, that raises makes this raise, and the criteria not yet started
+    are cancelled.
     """
     selected = set(numbers) if numbers else {k for k, _ in CRITERIA}
     ordered = [k for k, _ in CRITERIA if k in selected]
@@ -373,4 +383,9 @@ def run_all(numbers: Optional[list[int]] = None) -> list[CriterionResult]:
     # the CPUs this process may run on, which a restricted affinity makes fewer than the host's
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with ProcessPoolExecutor(max_workers=min(len(ordered), cpus)) as pool:
-        return list(pool.map(_run_criterion, ordered))
+        futures = {k: pool.submit(_run_criterion, k) for k in SUBMIT_ORDER if k in selected}
+        try:
+            return [futures[k].result() for k in ordered]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

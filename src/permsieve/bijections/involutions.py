@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..errors import PermsieveError
 from ..permutations import Perm, swap_positions
 
 
@@ -14,15 +15,17 @@ def alexandersson_kebede(p: Perm) -> Perm:
     exactly when max(p_i, p_(i+1)) exceeds min(p_(i+2), ..., p_n), which
     never holds for i + 1 = n.
 
+    The pairs are tried from the left.  Each pair passed over sat below every
+    later entry, so on reaching positions i, i + 1 the earlier entries are
+    exactly the values 1..i-1, and a swap there fails to keep the minima
+    exactly when the pair holds the two smallest values left, i and i + 1:
+    two distinct values of at least i whose sum is 2i + 1.
+
     >>> alexandersson_kebede((2, 1, 3, 4, 7, 5, 6))
     (2, 1, 3, 4, 5, 7, 6)
     """
-    n = len(p)
-    suffix_min = [n + 1] * (n + 1)  # suffix_min[k] = min(p[k:]), 0-based
-    for k in range(n - 1, -1, -1):
-        suffix_min[k] = min(p[k], suffix_min[k + 1])
-    for k in range(0, n - 2, 2):
-        if max(p[k], p[k + 1]) > suffix_min[k + 2]:
+    for k in range(0, len(p) - 2, 2):  # 0-based k, so i = k + 1
+        if p[k] + p[k + 1] != 2 * k + 3:
             return p[:k] + (p[k + 1], p[k]) + p[k + 2:]
     return p
 
@@ -49,7 +52,8 @@ def psi_3star(p: Perm) -> Perm:
         return p
     j, bound = best
     ks = [k for k in range(j + 1, n + 1) if p[k - 1] < bound]
-    assert len(ks) == 1, "maximal midpoint must have a unique endpoint"
+    if len(ks) != 1:
+        raise PermsieveError(f"psi_3star: maximal midpoint {j} of {p} has {len(ks)} endpoints, not one")
     return swap_positions(p, j, ks[0])
 
 

@@ -173,10 +173,14 @@ def lehmer_code(p: Perm) -> tuple[int, ...]:
     >>> lehmer_code((2, 3, 1))
     (1, 1, 0)
     """
-    n = len(p)
-    return tuple(
-        sum(1 for j in range(i + 1, n) if p[j] < p[i]) for i in range(n)
-    )
+    # one pass from the right; bit v of ``seen`` is set once value v has been passed
+    code = [0] * len(p)
+    seen = 0
+    for i in range(len(p) - 1, -1, -1):
+        v = p[i]
+        code[i] = (seen & ((1 << v) - 1)).bit_count()
+        seen |= 1 << v
+    return tuple(code)
 
 
 def lehmer_decode(code: Sequence[int]) -> Perm:

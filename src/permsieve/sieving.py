@@ -15,6 +15,7 @@ decides anything.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -61,11 +62,7 @@ def _enumerated_gf(desc: StatDescriptor, n: int) -> IntPolynomial:
     No generating function is computed this way: it is the test oracle of
     every ``gf`` and every step.
     """
-    counts: dict[int, int] = {}
-    for p in symmetric_group(n):
-        e = desc.evaluator(p)
-        counts[e] = counts.get(e, 0) + 1
-    return IntPolynomial.from_terms(counts)
+    return IntPolynomial.from_terms(Counter(map(desc.evaluator, symmetric_group(n))))
 
 
 def orbit_polynomial(sizes: dict[int, int]) -> IntPolynomial:

@@ -13,14 +13,22 @@ from .basic import placed_above, placed_below
 
 
 def crossings(p: Perm) -> int:
-    n = len(p)
+    """Crossings counted from their left point i.
+
+    When sigma(i) > i the right point j lies in the window i < j <= sigma(i)
+    and holds a larger value; when sigma(i) < i it lies anywhere after i and
+    holds a value strictly between sigma(i) and i.  A fixed point starts none.
+    """
     total = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if i < j <= p[i - 1] < p[j - 1]:
-                total += 1
-            elif p[i - 1] < p[j - 1] < i < j:
-                total += 1
+    for i, v in enumerate(p, 1):
+        if v > i:
+            for w in p[i:v]:
+                if w > v:
+                    total += 1
+        elif v < i:
+            for w in p[i:]:
+                if v < w < i:
+                    total += 1
     return total
 
 

@@ -5,6 +5,8 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or via
 """
 
 import multiprocessing
+import time
+from concurrent.futures import Future
 from importlib import import_module
 from math import factorial
 from types import SimpleNamespace
@@ -159,15 +161,15 @@ def test_run_all_matches_the_criteria_run_in_process():
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("affinity, workers", [({0}, 1), (None, 3)], ids=["affinity", "no-affinity-call"])
-def test_run_all_uses_at_most_one_worker_per_usable_cpu(monkeypatch, affinity, workers):
-    """On a 64-CPU host, one usable CPU gives one worker; without ``os.sched_getaffinity``
-    the host's count bounds the pool.  A fake pool stands in, so no process starts."""
-    pools = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Stand in for the process pool, so no process starts: each submitted call
+    returns a finished future holding the criterion number."""
+    seen = SimpleNamespace(workers=[], submitted=[])
 
     class FakePool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            seen.workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -175,17 +177,35 @@ def test_run_all_uses_at_most_one_worker_per_usable_cpu(monkeypatch, affinity, w
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, numbers):
-            return iter(numbers)
+        def submit(self, fn, number):
+            seen.submitted.append(number)
+            future = Future()
+            future.set_result(number)
+            return future
 
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", FakePool)
+    return seen
+
+
+@pytest.mark.parametrize("affinity, workers", [({0}, 1), (None, 3)], ids=["affinity", "no-affinity-call"])
+def test_run_all_uses_at_most_one_worker_per_usable_cpu(monkeypatch, fake_pool, affinity, workers):
+    """On a 64-CPU host, one usable CPU gives one worker; without ``os.sched_getaffinity``
+    the host's count bounds the pool."""
     if affinity is None:
         monkeypatch.delattr(acceptance.os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", FakePool)
     assert acceptance.run_all([1, 7, 11]) == [1, 7, 11]
-    assert pools == [workers]
+    assert fake_pool.workers == [workers]
+
+
+def test_run_all_submits_heaviest_first_and_returns_criterion_order(fake_pool):
+    """Every criterion has a place in ``SUBMIT_ORDER``; a selection goes to the pool
+    in that order and comes back in criterion order."""
+    assert sorted(acceptance.SUBMIT_ORDER) == [number for number, _ in acceptance.CRITERIA]
+    assert acceptance.run_all([12, 1, 9, 2, 5]) == [1, 2, 5, 9, 12]
+    assert fake_pool.submitted == [9, 2, 12, 5, 1]
 
 
 def test_verify_reports_a_criterion_that_raises(monkeypatch, capsys):
@@ -201,6 +221,28 @@ def test_verify_reports_a_criterion_that_raises(monkeypatch, capsys):
     assert main(["verify", "--criteria", "1,7"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: map is not an involution at (2, 1)\n")
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_reports_the_first_raising_criterion_in_criterion_order(monkeypatch, capsys):
+    """Criterion 9 goes to the pool first and raises first, yet ``verify`` prints
+    criterion 2's error, exits 2, and no worker outlives it."""
+    from permsieve.cli import main
+    from permsieve.errors import PermsieveError
+
+    def criterion_2():
+        time.sleep(0.3)
+        raise PermsieveError("criterion 2 fault")
+
+    def criterion_9():
+        raise PermsieveError("criterion 9 fault")
+
+    raising = {2: criterion_2, 9: criterion_9}
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        (number, raising.get(number, fn)) for number, fn in acceptance.CRITERIA))
+    assert main(["verify", "--criteria", "2,9"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: criterion 2 fault\n")
     assert multiprocessing.active_children() == []
 
 

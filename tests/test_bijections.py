@@ -111,7 +111,7 @@ class TestAlexanderssonKebede:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_kernel_matches_swap_search_oracle(self, n):
-        """The suffix-minimum test picks the same swap as trying each odd pair in turn."""
+        """The pair-sum test picks the same swap as trying each odd pair in turn."""
 
         def oracle(p):
             minima = r2l_min_values(p)
@@ -119,6 +119,23 @@ class TestAlexanderssonKebede:
                 candidate = swap_positions(p, i, i + 1)
                 if r2l_min_values(candidate) == minima:
                     return candidate
+            return p
+
+        for p in S(n):
+            assert alexandersson_kebede(p) == oracle(p)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_kernel_matches_suffix_minimum_oracle(self, n):
+        """The pair-sum test picks the same swap as comparing each pair with its suffix minimum."""
+
+        def oracle(p):
+            n = len(p)
+            suffix_min = [n + 1] * (n + 1)  # suffix_min[k] = min(p[k:]), 0-based
+            for k in range(n - 1, -1, -1):
+                suffix_min[k] = min(p[k], suffix_min[k + 1])
+            for k in range(0, n - 2, 2):
+                if max(p[k], p[k + 1]) > suffix_min[k + 2]:
+                    return p[:k] + (p[k + 1], p[k]) + p[k + 2:]
             return p
 
         for p in S(n):

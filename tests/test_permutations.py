@@ -143,6 +143,19 @@ class TestLehmer:
         for p in permutations(range(1, n + 1)):
             assert lehmer_decode(lehmer_code(p)) == p
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_bitmask_pass_matches_counting_oracle(self, n):
+        """The one right-to-left pass gives each entry's count of smaller later entries."""
+
+        def oracle(p):
+            n = len(p)
+            return tuple(
+                sum(1 for j in range(i + 1, n) if p[j] < p[i]) for i in range(n)
+            )
+
+        for p in permutations(range(1, n + 1)):
+            assert lehmer_code(p) == oracle(p)
+
     @given(st.integers(10, 30), st.randoms(use_true_random=False))
     def test_round_trip_large(self, n, rng):
         p = random_perm(rng, n)

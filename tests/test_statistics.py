@@ -17,6 +17,7 @@ from permsieve.statistics.basic import (
     inversions,
     width_k_descents,
 )
+from permsieve.statistics.cycles import crossings
 from permsieve.statistics.distances import (
     _distance_table,
     cyclic_shift_gf,
@@ -68,6 +69,24 @@ class TestCrossingsNestings:
     def test_crossing_bound(self):
         for p in S(5):
             assert 0 <= get_statistic("st039")(p) <= 10
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_crossing_kernel_matches_pair_scan_oracle(self, n):
+        """Scanning one window per point counts what trying every pair i < j counts."""
+
+        def oracle(p):
+            n = len(p)
+            total = 0
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    if i < j <= p[i - 1] < p[j - 1]:
+                        total += 1
+                    elif p[i - 1] < p[j - 1] < i < j:
+                        total += 1
+            return total
+
+        for p in S(n):
+            assert crossings(p) == oracle(p)
 
 
 class TestCycleStats:

@@ -161,6 +161,16 @@ def test_every_raised_package_error_is_a_usage_error_or_a_fault():
     assert others == []
 
 
+def test_package_has_no_assert_statement():
+    """``python -O`` strips ``assert``, so a check the package makes of itself raises instead."""
+    package = Path(permsieve.__file__).resolve().parent
+    asserts = [f"{path.relative_to(package)}:{node.lineno}"
+               for path in sorted(package.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
 def test_package_reads_no_environment_variable():
     """Every setting comes from a command-line flag: no module reads os.environ or os.getenv."""
     package = Path(permsieve.__file__).resolve().parent
