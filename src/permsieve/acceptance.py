@@ -15,9 +15,8 @@ from __future__ import annotations
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bijections import MAPS, get_map
 from .bijections.laguerre import laguerre_decode, laguerre_encode
@@ -47,12 +46,11 @@ from .statistics.basic import width_k_descents_gf
 from .statistics.closed_forms import shifted_tableaux_count, strict_partitions
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool
-    details: list[str] = field(default_factory=list)
+    details: Sequence[str] = ()
 
 
 def _check_family(family: str, ns, failures: list[str]) -> None:

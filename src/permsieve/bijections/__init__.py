@@ -10,7 +10,6 @@ for every registered map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, lcm
 from typing import Callable, Optional
 
@@ -75,7 +74,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MapDescriptor:
     """A registered bijection with the metadata used by orbit analysis.
 
@@ -116,12 +114,21 @@ class MapDescriptor:
       size.
     """
 
-    key: str
-    name: str
-    applier: Callable[[Perm], Perm]
-    sizes: Callable[[int], dict[int, int]]
-    findstat_id: Optional[int] = None
-    min_n: int = 1
+    def __init__(
+        self,
+        key: str,
+        name: str,
+        applier: Callable[[Perm], Perm],
+        sizes: Callable[[int], dict[int, int]],
+        findstat_id: Optional[int] = None,
+        min_n: int = 1,
+    ) -> None:
+        self.key = key
+        self.name = name
+        self.applier = applier
+        self.sizes = sizes
+        self.findstat_id = findstat_id
+        self.min_n = min_n
 
     def __call__(self, p: Perm) -> Perm:
         return self.applier(p)

@@ -22,31 +22,27 @@ and :func:`laguerre_decode` keeps its backtracking search, which raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import PermsieveError, UsageError
 from ..permutations import Perm, check_permutation
 
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class ArcDiagram:
     """Arcs (a, b) with a > b, each with the set of values lying to its left."""
 
-    n: int
-    left_sides: dict[Arc, frozenset[int]]
-
-    def __post_init__(self) -> None:
-        uppers = [a for a, _ in self.left_sides]
-        lowers = [b for _, b in self.left_sides]
+    def __init__(self, n: int, left_sides: dict[Arc, frozenset[int]]) -> None:
+        uppers = [a for a, _ in left_sides]
+        lowers = [b for _, b in left_sides]
         if len(set(uppers)) != len(uppers) or len(set(lowers)) != len(lowers):
             raise UsageError("a value may start and end at most one arc each")
-        for (a, b), left in self.left_sides.items():
-            if not (1 <= b < a <= self.n):
+        for (a, b), left in left_sides.items():
+            if not (1 <= b < a <= n):
                 raise UsageError(f"arc {(a, b)} out of range")
             if not left <= frozenset(range(b + 1, a)):
                 raise UsageError(f"side data of arc {(a, b)} names outside values")
+        self.n = n
+        self.left_sides = left_sides
 
 
 def laguerre_encode(p: Perm) -> ArcDiagram:

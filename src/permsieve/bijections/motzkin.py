@@ -24,8 +24,6 @@ encode/complement/decode functions stay as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import UsageError
 from ..permutations import Perm, check_permutation, inverse
 
@@ -54,25 +52,28 @@ def _step_heights(word: Word) -> tuple[int, ...]:
     return tuple(heights)
 
 
-@dataclass(frozen=True)
 class ColoredMotzkinPath:
-    """A word in {u, d, r, b} with one nonnegative weight per step.
+    """A word in {u, d, r, b} with one nonnegative weight per step; equal by both.
 
     A word or weight out of its bounds raises :class:`UsageError`.
     """
 
-    word: Word
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.word) != len(self.weights):
+    def __init__(self, word: Word, weights: tuple[int, ...]) -> None:
+        if len(word) != len(weights):
             raise UsageError("word and weight vectors differ in length")
-        for i, (w, p, h) in enumerate(zip(self.word, self.weights, self.heights)):
+        for i, (w, p, h) in enumerate(zip(word, weights, _step_heights(word))):
             bound = h - 1 if w == "r" else h
             if not 0 <= p <= bound:
                 raise UsageError(
                     f"weight {p} at step {i + 1} ({w}) exceeds bound {bound}"
                 )
+        self.word = word
+        self.weights = weights
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ColoredMotzkinPath:
+            return NotImplemented
+        return self.word == other.word and self.weights == other.weights
 
     @property
     def heights(self) -> tuple[int, ...]:

@@ -3,15 +3,18 @@
 One record per (key, n), stored as ``<dir>/<key>_<n>.rec`` in two lines:
 
     <hex sha256 of the body>
-    <body>    json.dumps([VERSION, key, n, offset, coeffs])
+    <body>    json.dumps([code_digest(), key, n, offset, coeffs])
 
 ``offset`` is the lowest exponent of the generating function and ``coeffs``
-its coefficients.  A load compares the digest before it parses the body, then
-accepts only a five-element list that starts ``[VERSION, key, n]`` and whose
-offset and coefficients are integers.  The coefficients must also be a value
-on S_n: trimmed at both ends, none negative, summing to n!, since each counts
-permutations.  Anything else loads as None, and callers recompute, never
-trust.  Bumping VERSION invalidates every record.
+its coefficients.  :func:`code_digest` names the code that made the record: a
+sha256 over the package's ``.py`` files.  A load compares the digest line
+before it parses the body, then accepts only a five-element list that starts
+``[code_digest(), key, n]`` and whose offset and coefficients are integers.
+The coefficients must also be a value on S_n: trimmed at both ends, none
+negative, summing to n!, since each counts permutations.  Anything else loads
+as None, and callers recompute, never trust.  So any edit to the package
+invalidates every record, and two checkouts of different code that share a
+cache directory overwrite each other's records and never read them.
 """
 
 from __future__ import annotations
@@ -20,13 +23,25 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import cache
 from math import factorial
 from pathlib import Path
 from typing import Optional
 
 from .polynomials import IntPolynomial
 
-VERSION = 3
+
+@cache
+def code_digest() -> str:
+    """Hex sha256 over the package's ``.py`` files, each as its path relative
+    to the package, a NUL, its length, a NUL and its bytes, in path order;
+    computed once per process."""
+    package = Path(__file__).parent
+    h = hashlib.sha256()
+    for rel in sorted(path.relative_to(package).as_posix() for path in package.rglob("*.py")):
+        data = (package / rel).read_bytes()
+        h.update(b"%s\0%d\0%s" % (rel.encode(), len(data), data))
+    return h.hexdigest()
 
 
 class RecordCache:
@@ -51,7 +66,7 @@ class RecordCache:
         return self.directory / f"{safe}_{n}.rec"
 
     def store_vector(self, key: str, n: int, gf: IntPolynomial) -> None:
-        body = json.dumps([VERSION, key, n, gf.offset, gf.coeffs]).encode()
+        body = json.dumps([code_digest(), key, n, gf.offset, gf.coeffs]).encode()
         path = self._path(key, n)
         self.directory.mkdir(parents=True, exist_ok=True)
         # A temp file of its own per writer: concurrent stores of one record
@@ -74,7 +89,7 @@ class RecordCache:
             record = json.loads(body)  # ValueError: bad UTF-8, bad JSON, too many digits
         except (OSError, ValueError):
             return None
-        if type(record) is list and len(record) == 5 and record[:3] == [VERSION, key, n]:
+        if type(record) is list and len(record) == 5 and record[:3] == [code_digest(), key, n]:
             offset, coeffs = record[3:]
             # not bool, which JSON true parses to, nor a float or string: each counts permutations
             if (type(offset) is int and type(coeffs) is list and set(map(type, coeffs)) <= {int}

@@ -49,18 +49,22 @@ _json_string = json.encoder.encode_basestring_ascii
 
 
 def _json_text(obj, newline: str, memo: dict) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, default=vars)``, nested at the line break ``newline``.
+    """``json.dumps(obj, sort_keys=True, indent=2)``, nested at the line break ``newline``, with records.
 
-    It dispatches on the exact type.  A record, a dataclass instance, is
-    written as its fields, ``vars(obj)``, so a report's record types are its
-    schema.  A generating function is the record a document shares: every
-    row of a statistic at one n holds the same ``IntPolynomial``.  So its
-    text is kept in ``memo`` under ``(id(obj), newline)`` and rendered once
-    per indentation.  No other record enters the memo, which would then hold
-    a second copy of the rows.  Each container is one f-string, so its text
-    is allocated once; a chain of ``+`` would copy the whole body once per
-    operand, and on a scan report of several MB those transient copies raise
-    the peak RSS.
+    It dispatches on the exact type.  A record, a named tuple, is written as
+    the object of its fields, so a report's record types are its schema;
+    each record type's field names are sorted once per call and kept in
+    ``memo`` under the type.  An ``IntPolynomial`` is written as the record
+    ``{"coeffs", "offset"}``.  Texts that recur are rendered once per
+    indentation: a generating function's is kept in ``memo`` under
+    ``(id(obj), newline)``, since every row of a statistic at one n holds the
+    same one, and a sequence of ints' under ``(tuple(obj), newline)``, since
+    the rows of a scan hold few distinct fixed-point tables and n ranges.
+    No other record enters the memo, which would then hold a second copy of
+    the rows.  Each container is one f-string, so its text is allocated
+    once; a chain of ``+`` would copy the whole body once per operand, and
+    on a scan report of several MB those transient copies raise the peak
+    RSS.
     """
     kind = type(obj)
     if kind is str:
@@ -81,30 +85,41 @@ def _json_text(obj, newline: str, memo: dict) -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) == {int}:  # not bool, which JSON writes as true/false
-            items = map(str, obj)
-        else:
-            items = (_json_text(x, inner, memo) for x in obj)
+            key = (tuple(obj), newline)  # tuple(obj) is obj for a tuple
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = f"[{inner}{(',' + inner).join(map(str, obj))}{newline}]"
+            return text
+        items = (_json_text(x, inner, memo) for x in obj)
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
     if kind is IntPolynomial:
         text = memo.get((id(obj), newline))
         if text is None:
-            text = memo[id(obj), newline] = _json_text(vars(obj), newline, memo)
+            text = memo[id(obj), newline] = _json_text({"coeffs": obj.coeffs, "offset": obj.offset}, newline, memo)
         return text
-    if hasattr(obj, "__dataclass_fields__"):  # a record: is_dataclass's test, without its call per scalar
-        return _json_text(vars(obj), newline, memo)
-    return _json_scalar(obj)  # a float
+    fields = memo.get(kind)
+    if fields is None:
+        if not hasattr(kind, "_fields"):
+            return _json_scalar(obj)  # a float
+        fields = memo[kind] = [(_json_string(name) + ": ", kind._fields.index(name))
+                               for name in sorted(kind._fields)]
+    items = (key + _json_text(obj[i], inner, memo) for key, i in fields)
+    return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
 
 
 def to_json(doc) -> str:
-    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2, default=vars)`` plus a newline.
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, with records.
 
-    Keys are strings only, and a record is written as its fields.  Every JSON
-    output is written here.  ``json.dumps`` with ``indent`` always
-    takes the pure-Python encoder, which joins one string per token and
-    renders an object again wherever it recurs; this writes each list of ints
-    with one ``join`` and each generating function once per indentation.  The
-    memo lives for one call, and every object in it is reachable from
-    ``doc``, so no id in it can be reused while it lives.
+    Keys are strings only, and a record, a named tuple or an
+    ``IntPolynomial``, is written as the object of its fields, where
+    ``json.dumps`` would write a named tuple as a list.  Every JSON output is
+    written here.  ``json.dumps`` with ``indent`` always takes the
+    pure-Python encoder, which joins one string per token and renders an
+    object again wherever it recurs; this writes each list of ints with one
+    ``join``, and each generating function and each distinct sequence of
+    ints once per indentation.  The memo lives for one call, and every
+    object whose id it holds is reachable from ``doc``, so no id in it can
+    be reused while it lives.
     """
     return _json_text(doc, "\n", {}) + "\n"
 

@@ -9,18 +9,37 @@ rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """sum_k coeffs[k] * q**(offset + k), trimmed so boundary coefficients are nonzero."""
+    """sum_k coeffs[k] * q**(offset + k), trimmed so boundary coefficients are nonzero.
 
-    coeffs: tuple[int, ...]
-    offset: int = 0
+    A value: equal and hashed by (coeffs, offset), and never assigned to
+    after construction.
+    """
+
+    def __init__(self, coeffs: tuple[int, ...], offset: int = 0) -> None:
+        if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
+            raise ValueError("coefficient vector must be trimmed; use from_terms")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "offset", offset)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an IntPolynomial")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not IntPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.offset == other.offset
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.offset))
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial({self.coeffs!r}, {self.offset!r})"
 
     @staticmethod
     def zero() -> "IntPolynomial":
@@ -57,10 +76,6 @@ class IntPolynomial:
         for k in range(2, n + 1):
             out = out * IntPolynomial.q_int(k)
         return out
-
-    def __post_init__(self) -> None:
-        if self.coeffs and (self.coeffs[0] == 0 or self.coeffs[-1] == 0):
-            raise ValueError("coefficient vector must be trimmed; use from_terms")
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -22,10 +22,9 @@ cache cannot change any value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import groupby, product
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bijections import get_map, map_keys
 from .cache import RecordCache
@@ -39,8 +38,7 @@ MIN_SCAN_N = 1
 MAX_SCAN_N = 8
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One (pair, n) observation, written field for field by every report format.
 
     ``pair`` is ``"<stat>|<map>"``, ``table`` the fixed-point counts of the
@@ -55,8 +53,7 @@ class ScanRow:
     gf: IntPolynomial
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     pair: str
     stat_key: str
     map_key: str
@@ -67,20 +64,18 @@ class PairVerdict:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class DedupClass:
+class DedupClass(NamedTuple):
     members: tuple[str, ...]
     apparent: bool
     signatures: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     n_min: int
     n_max: int
     rows: tuple[ScanRow, ...]
     verdicts: tuple[PairVerdict, ...]
-    classes: tuple[DedupClass, ...] = field(default=())
+    classes: tuple[DedupClass, ...] = ()
 
     def summary(self) -> dict[str, int]:
         counts = {"pairs": len(self.verdicts), "apparent": 0, "fail": 0, "skipped": 0}
@@ -161,7 +156,7 @@ def scan(
         status = "apparent" if failing_n is None else "fail"
         verdicts.append(PairVerdict(pair, s, m, status, tuple(ns), failing_n, witness))
     report = ScanReport(n_min, n_max, tuple(rows), tuple(verdicts))
-    return replace(report, classes=dedupe(report))
+    return report._replace(classes=dedupe(report))
 
 
 def dedupe(report: ScanReport) -> tuple[DedupClass, ...]:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import cmath
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bijections import get_map
 from .errors import PermsieveError, UsageError
@@ -81,7 +80,6 @@ def orbit_polynomial(sizes: dict[int, int]) -> IntPolynomial:
     return IntPolynomial.from_terms(counts)
 
 
-@dataclass(frozen=True)
 class CspVerdict:
     """Outcome of one sieving check, decided by exact residue equality.
 
@@ -89,12 +87,14 @@ class CspVerdict:
     maps of an orbit structure; the caller knows the statistic, map and n.
     """
 
-    holds: bool
-    order: int
-    fixed: tuple[int, ...]
-    residue_f: IntPolynomial
-    residue_t: IntPolynomial
-    shift_used: int
+    def __init__(self, holds: bool, order: int, fixed: tuple[int, ...], residue_f: IntPolynomial,
+                 residue_t: IntPolynomial, shift_used: int) -> None:
+        self.holds = holds
+        self.order = order
+        self.fixed = fixed
+        self.residue_f = residue_f
+        self.residue_t = residue_t
+        self.shift_used = shift_used
 
     @cached_property
     def shift_preserves_residue(self) -> bool:
@@ -169,8 +169,7 @@ def _cyclotomic(e: int) -> tuple[int, ...]:
     return tuple(quot)
 
 
-@dataclass(frozen=True)
-class OrbitParts:
+class OrbitParts(NamedTuple):
     """The map's half of every verdict on S_n; it depends on the orbit sizes alone."""
 
     order: int

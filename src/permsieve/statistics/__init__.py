@@ -30,7 +30,6 @@ with neither is refused, so no generating function enumerates S_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Optional, Union
 
@@ -92,7 +91,6 @@ __all__ = [
 Step = Callable[[int, Hashable, int, int, int], tuple[Hashable, int]]
 
 
-@dataclass(frozen=True)
 class StatDescriptor:
     """A registered statistic: evaluator, key, and scan metadata.
 
@@ -130,18 +128,25 @@ class StatDescriptor:
     without either its generating function would have no fast definition.
     """
 
-    key: str
-    name: str
-    evaluator: Optional[Callable[[Perm], int]]
-    gf: Optional[Union[Callable[[int], IntPolynomial], str]] = None
-    min_n: int = 1
-    step: Optional[Step] = None
-
-    def __post_init__(self) -> None:
-        if self.gf is not None and self.step is not None:
-            raise ValueError(f"{self.key} has both a closed form and a step; the step would never run")
-        if self.gf is None and self.step is None:
-            raise ValueError(f"{self.key} has neither a closed form nor a step")
+    def __init__(
+        self,
+        key: str,
+        name: str,
+        evaluator: Optional[Callable[[Perm], int]],
+        gf: Optional[Union[Callable[[int], IntPolynomial], str]] = None,
+        min_n: int = 1,
+        step: Optional[Step] = None,
+    ) -> None:
+        if gf is not None and step is not None:
+            raise ValueError(f"{key} has both a closed form and a step; the step would never run")
+        if gf is None and step is None:
+            raise ValueError(f"{key} has neither a closed form nor a step")
+        self.key = key
+        self.name = name
+        self.evaluator = evaluator
+        self.gf = gf
+        self.min_n = min_n
+        self.step = step
 
     @property
     def findstat_id(self) -> Optional[int]:

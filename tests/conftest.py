@@ -1,7 +1,5 @@
 """Fixtures shared by the test modules."""
 
-from dataclasses import replace
-
 import pytest
 
 
@@ -15,7 +13,7 @@ def faulty_st018(monkeypatch):
     """
     from permsieve import sieving
     from permsieve.errors import PermsieveError
-    from permsieve.statistics import REGISTRY, mahonian_gf
+    from permsieve.statistics import REGISTRY, StatDescriptor, mahonian_gf
 
     message = "an odd count at n=5"
 
@@ -24,7 +22,8 @@ def faulty_st018(monkeypatch):
             raise PermsieveError(message)
         return mahonian_gf(n)
 
-    monkeypatch.setitem(REGISTRY, "st018", replace(REGISTRY["st018"], gf=gf))
+    st018 = REGISTRY["st018"]
+    monkeypatch.setitem(REGISTRY, "st018", StatDescriptor(st018.key, st018.name, st018.evaluator, gf=gf))
     sieving._generating_function_cached.cache_clear()
     yield message
     sieving._generating_function_cached.cache_clear()

@@ -3,17 +3,24 @@
 import hashlib
 import json
 import multiprocessing
+import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from permsieve.cache import VERSION, RecordCache
+import permsieve
+from permsieve.cache import RecordCache, code_digest
 from permsieve.cli import main
 from permsieve.polynomials import IntPolynomial
 from permsieve.statistics import mahonian_gf
 
 RACE_STORES = 300
 GF4 = mahonian_gf(4)  # 1 + 3q + 5q^2 + 6q^3 + 5q^4 + 3q^5 + q^6, a value on S_4
+CODE = code_digest()
 
 
 class TestRoundTrip:
@@ -88,12 +95,18 @@ class TestCorruption:
         path.write_bytes(b"0" * 64 + b"\n" + body)
         assert cache.load_vector("k", 4) is None
 
-    def test_version_bump_invalidates(self, tmp_path):
-        """A record of another version is rejected even under a valid digest."""
+    def test_record_of_other_code_is_not_read(self, tmp_path):
+        """A record is read only under the digest of the code that loads it, a sha256, even under a valid checksum."""
+        assert len(CODE) == 64 and set(CODE) <= set("0123456789abcdef")
         cache = RecordCache(tmp_path)
-        cache.store_vector("k", 4, GF4)
-        _write_signed(self._record_path(cache, "k", 4), [VERSION + 1, "k", 4, 0, list(GF4.coeffs)])
+        path = self._record_path(cache, "k", 4)
+        other = hashlib.sha256(b"other code").hexdigest()
+        _write_signed(path, [CODE, "k", 4, 0, list(GF4.coeffs)])
+        assert cache.load_vector("k", 4) == GF4
+        _write_signed(path, [other, "k", 4, 0, list(GF4.coeffs)])
         assert cache.load_vector("k", 4) is None
+        cache.store_vector("k", 4, GF4)
+        assert json.loads(path.read_bytes().partition(b"\n")[2])[0] == CODE
 
     def test_key_mismatch_rejected(self, tmp_path):
         cache = RecordCache(tmp_path)
@@ -128,22 +141,22 @@ class TestCorruption:
     def test_valid_body_under_a_valid_digest(self, tmp_path):
         """The control of the forged bodies below: each differs from this one in one place."""
         cache = RecordCache(tmp_path)
-        _write_signed(self._record_path(cache, "k", 4), [VERSION, "k", 4, 0, [23, 1]])
+        _write_signed(self._record_path(cache, "k", 4), [CODE, "k", 4, 0, [23, 1]])
         assert cache.load_vector("k", 4) == IntPolynomial((23, 1))
 
     @pytest.mark.parametrize("body", [
-        [VERSION, "k", 4, 0, [23, True]],
-        [VERSION, "k", 4, 0, [23, 1.0]],
-        [VERSION, "k", 4, 0, [23, "1"]],
-        [VERSION, "k", 4, 0, [23, [1]]],
-        [VERSION, "k", 4, 0],
-        [VERSION, "other", 4, 0, [23, 1]],
-        [VERSION, "k", 4, 0.5, [23, 1]],
-        [VERSION, "k", 4, 0, 24],
-        [VERSION, "k", 4, 0, [0, 24]],
-        [VERSION, "k", 4, 0, [2, 5]],
-        [VERSION, "k", 4, 0, [24, 0]],
-        [VERSION, "k", 4, 0, [25, -1]],
+        [CODE, "k", 4, 0, [23, True]],
+        [CODE, "k", 4, 0, [23, 1.0]],
+        [CODE, "k", 4, 0, [23, "1"]],
+        [CODE, "k", 4, 0, [23, [1]]],
+        [CODE, "k", 4, 0],
+        [CODE, "other", 4, 0, [23, 1]],
+        [CODE, "k", 4, 0.5, [23, 1]],
+        [CODE, "k", 4, 0, 24],
+        [CODE, "k", 4, 0, [0, 24]],
+        [CODE, "k", 4, 0, [2, 5]],
+        [CODE, "k", 4, 0, [24, 0]],
+        [CODE, "k", 4, 0, [25, -1]],
     ], ids=["bool", "float", "string", "nested", "four-elements", "other-key", "float-offset", "scalar-values",
             "untrimmed-bottom", "wrong-sum", "untrimmed-top", "negative"])
     def test_forged_body_under_a_valid_digest(self, tmp_path, body):
@@ -151,6 +164,29 @@ class TestCorruption:
         cache = RecordCache(tmp_path)
         _write_signed(self._record_path(cache, "k", 4), body)
         assert cache.load_vector("k", 4) is None
+
+
+def test_a_warm_scan_by_edited_code_recomputes(tmp_path):
+    """A scan by a copy of the package whose st021 step counts each descent twice
+    reads nothing that the unedited copy stored: its warm report is its cold one."""
+    package = tmp_path / "src" / "permsieve"
+    shutil.copytree(Path(permsieve.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def gf_at_4(cache_dir):
+        argv = ["scan", "--min-n", "4", "--max-n", "4", "--stats", "st021", "--maps", "reverse",
+                "--cache-dir", str(tmp_path / cache_dir)]
+        done = subprocess.run([sys.executable, "-m", "permsieve.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)["rows"][0]["gf"]["coeffs"]
+
+    assert gf_at_4("warm") == [1, 11, 11, 1]
+    step = package / "statistics" / "basic.py"
+    text = step.read_text()
+    assert text.count("return v, int(prev > v)") == 1
+    step.write_text(text.replace("return v, int(prev > v)", "return v, 2 * int(prev > v)"))
+    assert gf_at_4("warm") == gf_at_4("cold") == [1, 0, 11, 0, 11, 0, 1]
 
 
 def _write_signed(path, body):

@@ -76,6 +76,8 @@ class TestDecode:
             ArcDiagram(3, {(1, 3): frozenset()})
         with pytest.raises(UsageError):
             ArcDiagram(3, {(3, 1): frozenset({3})})
+        with pytest.raises(UsageError, match="at most one arc"):
+            ArcDiagram(4, {(4, 1): frozenset(), (4, 2): frozenset()})
 
 
 class TestInvertLaguerreHeap:

@@ -57,6 +57,8 @@ class TestComplement:
             ColoredMotzkinPath(tuple("ud"), (2, 0))
         with pytest.raises(UsageError):
             ColoredMotzkinPath(tuple("urd"), (0, 1, 0))  # r at height 1 allows only 0
+        with pytest.raises(UsageError, match="differ in length"):
+            ColoredMotzkinPath(tuple("ud"), (0,))
 
     def test_path_shape_enforced(self):
         with pytest.raises(UsageError):

@@ -21,6 +21,20 @@ class TestConstruction:
     def test_untrimmed_rejected(self):
         with pytest.raises(ValueError):
             IntPolynomial((0, 1), 0)
+        with pytest.raises(ValueError):
+            IntPolynomial((1, 0), -1)
+
+    def test_a_value(self):
+        """Equal by (coeffs, offset), hashed alike when equal and never assigned to, as
+        the scan's dedup keys and memos need."""
+        a, b = poly({1: 2, 3: 1}), IntPolynomial((2, 0, 1), 1)
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != IntPolynomial((2, 0, 1), 0) and a != IntPolynomial((2, 0, 2), 1)
+        assert a != (a.coeffs, a.offset)
+        for name, value in (("coeffs", (1,)), ("offset", 0)):
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+        assert a == b
 
     def test_monomial(self):
         assert IntPolynomial.monomial(-3, 5) == poly({-3: 5})

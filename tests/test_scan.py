@@ -1,6 +1,5 @@
 """The pair scanner: classification, dedup, determinism; two conjecture observations."""
 
-from dataclasses import fields
 from functools import cached_property
 from importlib import import_module
 from itertools import permutations
@@ -34,7 +33,7 @@ class TestScan:
 
     def test_rows_schema(self, small_report):
         row = small_report.rows[0]
-        assert [f.name for f in fields(row)] == ["pair", "n", "holds", "table", "signature", "gf"]
+        assert row._fields == ("pair", "n", "holds", "table", "signature", "gf")
         stat, mp = row.pair.split("|")
         assert stat in SMALL_STATS and mp in SMALL_MAPS
         assert row.table[0] == (24 if row.n == 4 else 120) == row.gf.evaluate(1)

@@ -161,6 +161,52 @@ def test_every_raised_package_error_is_a_usage_error_or_a_fault():
     assert others == []
 
 
+def test_no_module_imports_dataclasses():
+    """``import dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, which nothing else
+    the package does needs: a record is a ``typing.NamedTuple``, any other class a plain one."""
+    package = Path(permsieve.__file__).resolve().parent
+    importers = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            importers += [f"{path.relative_to(package)}:{node.lineno}"
+                          for name in names if name.partition(".")[0] == "dataclasses"]
+    assert importers == []
+
+
+STARTUP_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+import permsieve.cli
+print(*[m for m in heavy if m in sys.modules], sep=",")
+import permsieve.acceptance
+print(*[m for m in heavy if m in sys.modules], sep=",")
+"""
+
+
+def test_startup_imports_no_introspection_module():
+    """A ``permsieve`` process loads none of ``dataclasses``, ``inspect``, ``ast`` or ``dis``, nor,
+    short of the gate's process pool (whose ``logging`` brings it), ``tokenize``.
+
+    ``-I -S`` runs without site-packages, whose ``.pth`` files may import
+    any of them first, and without ``PYTHONPATH``; the script puts ``src``
+    on ``sys.path`` itself.
+    """
+    src = str(Path(permsieve.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", STARTUP_MODULES, src],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    after_cli, after_acceptance = done.stdout.splitlines()
+    assert after_cli == ""
+    assert after_acceptance in ("", "tokenize")
+
+
 def test_package_has_no_assert_statement():
     """``python -O`` strips ``assert``, so a check the package makes of itself raises instead."""
     package = Path(permsieve.__file__).resolve().parent
